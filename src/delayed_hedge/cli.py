@@ -11,21 +11,16 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 from contextlib import nullcontext
 
 import numpy as np
 
-from . import convergence, dual, kernel, mc, solver, verify
-from .errors import DelayedHedgeError
-from .market import ContinuousMarket, DiscreteMarket, validate_discrete
+from . import convergence, kernel, mc, solver, verify
+from .errors import DelayedHedgeError, NumericalError
+from .market import ContinuousMarket, DiscreteMarket, validate_continuous, validate_discrete
 
 SCHEMA_VERSION = 1
-
-
-def _default_threads() -> int:
-    return max(1, int(os.environ.get("DELAYED_HEDGE_THREADS", "1")))
 
 
 def _config(args, skip=("func", "out")) -> dict:
@@ -41,9 +36,12 @@ def _open_out(args):
 def _emit_json(args, payload: dict) -> None:
     doc = {"schema_version": SCHEMA_VERSION, "config": _config(args)}
     doc.update(payload)
+    try:
+        text = json.dumps(doc, indent=2, allow_nan=False)
+    except ValueError as exc:
+        raise NumericalError(f"result is not finite: {exc}") from exc
     with _open_out(args) as stream:
-        json.dump(doc, stream, indent=2)
-        stream.write("\n")
+        stream.write(text + "\n")
 
 
 def _emit_csv(args, table: convergence.Table, command: str) -> None:
@@ -54,25 +52,47 @@ def _emit_csv(args, table: convergence.Table, command: str) -> None:
 
 
 def _market_from(args) -> DiscreteMarket:
-    return validate_discrete(
-        DiscreteMarket(
-            n=args.n,
-            delay=args.delay,
-            mu=args.mu,
-            sigma=args.sigma,
-            sigma_hat=args.sigma_hat,
-            s0=args.s0,
-        )
-    )
+    m = DiscreteMarket(n=args.n, delay=args.delay, mu=args.mu, sigma=args.sigma, sigma_hat=args.sigma_hat, s0=args.s0)
+    return validate_discrete(m)
 
 
 def _parse_grid(text: str):
     """Comma list ('0.1,0.2') or inclusive range syntax 'lo:hi:step'."""
     if ":" in text:
         lo, hi, step = (float(p) for p in text.split(":"))
+        if not step > 0:
+            raise ValueError(f"grid step must be > 0, got {step}")
         count = int(round((hi - lo) / step))
         return [round(lo + i * step, 12) for i in range(count + 1) if lo + i * step <= hi + 1e-12]
     return [float(p) for p in text.split(",")]
+
+
+def _parse_ns(text: str):
+    return [int(p) for p in text.split(",")]
+
+
+def _arg_type(convert, ok, rule: str):
+    """argparse type: ``convert`` the text and require ``ok`` of the result."""
+
+    def parse(text: str):
+        try:
+            value = convert(text)
+            valid = ok(value)
+        except (ValueError, ArithmeticError):
+            valid = False
+        if not valid:
+            raise argparse.ArgumentTypeError(f"expected {rule}, got {text!r}")
+        return value
+
+    return parse
+
+
+_positive_int = _arg_type(int, lambda v: v >= 1, "an integer >= 1")
+_positive_float = _arg_type(float, lambda v: 0.0 < v < math.inf, "a finite number > 0")
+_seed = _arg_type(int, lambda v: 0 <= v < 2**64, "an integer in [0, 2^64)")
+# these two keep the text, which the config echo prints
+_ns = _arg_type(str, lambda text: min(_parse_ns(text)) >= 1, "comma-separated integers >= 1")
+_grid = _arg_type(str, lambda text: len(_parse_grid(text)) > 0, "a comma list or lo:hi:step with step > 0")
 
 
 def cmd_solve(args) -> int:
@@ -86,14 +106,14 @@ def cmd_solve(args) -> int:
             "static_coeff": sol.static_coeff,
             "merton": sol.merton,
             "value": sol.value,
-            "c_hat": dual.dual_constant(m),
+            "c_hat": sol.c_hat,
         },
     )
     return 0
 
 
 def cmd_verify(args) -> int:
-    ok, checks = verify.run(args.suite, grid_size=args.grid_size, threads=args.threads)
+    ok, checks = verify.run(args.suite, grid_size=args.grid_size)
     _emit_json(args, {"all_passed": ok, "checks": [c.to_json() for c in checks]})
     return 0 if ok else 1
 
@@ -117,7 +137,8 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_kernel(args) -> int:
-    spec = kernel.kernel_spec(args.H, 1.0, math.sqrt(args.ratio))
+    market = ContinuousMarket(H=args.H, theta=0.0, varsigma=1.0, varsigma_hat=math.sqrt(args.ratio))
+    spec = kernel.spec_for_market(market)
     ts = np.linspace(0.0, 1.0, args.grid + 1)
     rows = np.column_stack(
         [
@@ -131,8 +152,8 @@ def cmd_kernel(args) -> int:
 
 
 def cmd_limit(args) -> int:
-    market = ContinuousMarket(
-        H=args.H, theta=args.theta, varsigma=args.vsigma, varsigma_hat=args.vsigma_hat
+    market = validate_continuous(
+        ContinuousMarket(H=args.H, theta=args.theta, varsigma=args.vsigma, varsigma_hat=args.vsigma_hat)
     )
     _emit_json(
         args,
@@ -147,7 +168,7 @@ def cmd_limit(args) -> int:
 
 def cmd_fig1(args) -> int:
     market = ContinuousMarket(H=args.H, theta=0.0, varsigma=1.0, varsigma_hat=math.sqrt(args.ratio))
-    ns = [int(p) for p in args.ns.split(",")]
+    ns = _parse_ns(args.ns)
     table = convergence.figure1_data(market, ns=ns, grid=args.grid, include_unshifted=args.include_unshifted)
     _emit_csv(args, table, "fig1")
     return 0
@@ -175,8 +196,8 @@ def build_parser() -> argparse.ArgumentParser:
         description="Optimal semistatic hedging under delayed information in a Gaussian market.",
     )
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--threads", type=int, default=_default_threads(),
-                        help="worker cap for grid sweeps (outputs are independent of it)")
+    common.add_argument("--threads", type=_positive_int, default=1,
+                        help="accepted for compatibility; has no effect")
     common.add_argument("--out", help="output file (default stdout)")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -194,15 +215,15 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", parents=[common], help="Monte Carlo utility estimate for the optimal strategy")
     _add_market_flags(p)
     p.add_argument("--paths", type=int, default=100000)
-    p.add_argument("--seed", type=int, default=42)
+    p.add_argument("--seed", type=_seed, default=42)
     p.add_argument("--perturb", type=float, default=None,
                    help="scale the dynamic kernel by this factor (suboptimality probe)")
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("kernel", parents=[common], help="tabulate kappa and the strategy kernel")
     p.add_argument("--H", type=float, required=True)
-    p.add_argument("--ratio", type=float, required=True, help="varsigma_hat^2 / varsigma^2")
-    p.add_argument("--grid", type=int, default=500)
+    p.add_argument("--ratio", type=_positive_float, required=True, help="varsigma_hat^2 / varsigma^2")
+    p.add_argument("--grid", type=_positive_int, default=500)
     p.set_defaults(func=cmd_kernel)
 
     p = sub.add_parser("limit", parents=[common], help="continuous-limit alpha, value and static coefficient")
@@ -214,18 +235,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("fig1", parents=[common], help="scaled discrete weights vs the shifted kernel (CSV)")
     p.add_argument("--H", type=float, default=0.2)
-    p.add_argument("--ratio", type=float, required=True, help="varsigma_hat^2 / varsigma^2")
-    p.add_argument("--ns", default="100,1000", help="comma-separated n values")
-    p.add_argument("--grid", type=int, default=500)
+    p.add_argument("--ratio", type=_positive_float, required=True, help="varsigma_hat^2 / varsigma^2")
+    p.add_argument("--ns", type=_ns, default="100,1000", help="comma-separated n values")
+    p.add_argument("--grid", type=_positive_int, default=500)
     p.add_argument("--include-unshifted", action="store_true",
                    help="append raw kappa and n*b columns")
     p.set_defaults(func=cmd_fig1)
 
     p = sub.add_parser("fig2", parents=[common], help="limit value over (H, log volatility ratio) (CSV)")
-    p.add_argument("--h-grid", dest="h_grid", default="0.02:1.0:0.02",
+    p.add_argument("--h-grid", dest="h_grid", type=_grid, default="0.02:1.0:0.02",
                    help="comma list or lo:hi:step")
-    p.add_argument("--logratio-grid", dest="logratio_grid", default="-2.0:2.0:0.1",
-                   help="comma list or lo:hi:step")
+    p.add_argument("--logratio-grid", dest="logratio_grid", type=_grid,
+                   default="-2.0:2.0:0.1", help="comma list or lo:hi:step")
     p.set_defaults(func=cmd_fig2)
 
     return parser
@@ -233,9 +254,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if args.threads < 1:
-        print("error: --threads must be >= 1", file=sys.stderr)
-        return 2
     try:
         return args.func(args)
     except DelayedHedgeError as exc:

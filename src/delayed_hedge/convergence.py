@@ -14,7 +14,7 @@ from typing import IO, Mapping, Sequence
 
 import numpy as np
 
-from .kernel import KernelSpec, kappa, spec_for_market
+from .kernel import KernelSpec, _piece, kappa, limit_value, simpson, smooth_pieces, spec_for_market
 from .market import ContinuousMarket, discretize
 from .solver import solve_a, weights_b
 
@@ -57,25 +57,12 @@ def l2_distance_to_kappa(f: StepFunction, spec: KernelSpec, quadsteps: int = 8) 
     piece's own polynomial so breakpoints see one-sided limits.
     """
     n = f.n
-    H, K = spec.H, spec.K
     total = 0.0
     for k in range(n):
-        lo, hi = k / n, (k + 1) / n
         level = f.values[k]
-        breaks = sorted({lo, hi} | {j * H for j in range(K + 1) if lo < j * H < hi})
-        for left, right in zip(breaks[:-1], breaks[1:]):
-            piece = min(int(math.floor((0.5 * (left + right)) / H)), K - 1)
-            total += _simpson_sq_diff(spec, piece, level, left, right, quadsteps)
+        for left, right, piece in smooth_pieces(k / n, (k + 1) / n, spec):
+            total += simpson(lambda t: (level - _piece(t, piece, spec)) ** 2, left, right, quadsteps)
     return total
-
-
-def _simpson_sq_diff(spec, piece, level, lo, hi, panels):
-    from .kernel import _piece as piece_value
-
-    nodes = np.linspace(lo, hi, 2 * panels + 1)
-    vals = np.array([(level - piece_value(t, piece, spec)) ** 2 for t in nodes])
-    h = (hi - lo) / (2 * panels)
-    return h / 3.0 * (vals[0] + vals[-1] + 4.0 * vals[1:-1:2].sum() + 2.0 * vals[2:-2:2].sum())
 
 
 def figure1_data(
@@ -111,8 +98,6 @@ def figure1_data(
 
 def figure2_data(h_grid: Sequence[float], logratio_grid: Sequence[float]) -> Table:
     """Limit value U over (H, log(varsigma_hat / varsigma)) at zero drift."""
-    from .kernel import limit_value
-
     rows = []
     for H in sorted(h_grid):
         for lr in sorted(logratio_grid):

@@ -62,8 +62,7 @@ def alpha(H: float, varsigma: float, varsigma_hat: float) -> float:
 
 def interval_count(H: float) -> int:
     """K = ceil(1/H), computed on the exact decimal rational of H."""
-    frac = 1 / Fraction(str(H))
-    return int(math.ceil(frac)) if frac.denominator != 1 else int(frac)
+    return math.ceil(1 / Fraction(str(H)))
 
 
 def c_coefficients(alpha_value: float, H: float) -> np.ndarray:
@@ -149,15 +148,21 @@ def gamma_kernel(u: float, spec: KernelSpec) -> float:
     """Strategy weight at lag u: kappa_u minus the constant level (0 below H)."""
     if not 0.0 <= u <= 1.0:
         raise DomainError(f"lag must lie in [0, 1], got {u}")
-    if u < spec.H:
-        return 0.0
-    return _piece(u, _interval_index(u, spec), spec) - spec.level
+    return 0.0 if u < spec.H else kappa(u, spec) - spec.level
 
 
-def _simpson_piece(spec: KernelSpec, k: int, lo: float, hi: float, panels: int) -> float:
-    """Composite Simpson of interval k's piece over [lo, hi]."""
+def smooth_pieces(lo: float, hi: float, spec: KernelSpec):
+    """Split [lo, hi] at the multiples of H into (left, right, k): interval k's
+    polynomial is smooth on [left, right] and gives the one-sided limits there."""
+    breaks = sorted({lo, hi} | {j * spec.H for j in range(spec.K + 1) if lo < j * spec.H < hi})
+    for left, right in zip(breaks[:-1], breaks[1:]):
+        yield left, right, _interval_index(0.5 * (left + right), spec)
+
+
+def simpson(f, lo: float, hi: float, panels: int) -> float:
+    """Composite Simpson rule for the scalar function f with ``panels`` panels."""
     nodes = np.linspace(lo, hi, 2 * panels + 1)
-    vals = np.array([_piece(t, k, spec) for t in nodes])
+    vals = np.array([f(t) for t in nodes])
     h = (hi - lo) / (2 * panels)
     return h / 3.0 * (vals[0] + vals[-1] + 4.0 * vals[1:-1:2].sum() + 2.0 * vals[2:-2:2].sum())
 
@@ -171,14 +176,10 @@ def integrate_kappa(spec: KernelSpec, lo: float, hi: float, quadsteps: int) -> f
     """
     if hi < lo:
         raise DomainError(f"empty integration range [{lo}, {hi}]")
-    if hi == lo:
-        return 0.0
-    breaks = sorted({lo, hi} | {k * spec.H for k in range(spec.K + 1) if lo < k * spec.H < hi})
     total = 0.0
-    for left, right in zip(breaks[:-1], breaks[1:]):
-        k = _interval_index(0.5 * (left + right), spec)
+    for left, right, k in smooth_pieces(lo, hi, spec):
         panels = max(1, int(math.ceil(quadsteps * (right - left) / spec.H)))
-        total += _simpson_piece(spec, k, left, right, panels)
+        total += simpson(lambda t: _piece(t, k, spec), left, right, panels)
     return total
 
 

@@ -40,6 +40,17 @@ class ContinuousMarket:
     p0: float = 0.0
 
 
+def _require_finite(fields: dict, ratio_name: str, vol: float, pricing_vol: float) -> None:
+    """Reject non-finite ``fields``, and squared volatilities or a variance
+    ratio that overflow or underflow: the closed forms divide by both squares."""
+    for name, v in fields.items():
+        if not math.isfinite(v):
+            raise DomainError(f"{name} must be finite, got {v}")
+    top, bottom = vol * vol, pricing_vol * pricing_vol
+    if not (0.0 < top < math.inf and 0.0 < bottom < math.inf and 0.0 < top / bottom < math.inf):
+        raise DomainError(f"{ratio_name} must be finite and positive, got ({vol!r} / {pricing_vol!r})^2")
+
+
 def validate_discrete(m: DiscreteMarket) -> DiscreteMarket:
     """Return ``m`` unchanged if all invariants hold, else raise DomainError."""
     if m.n < 1:
@@ -52,6 +63,7 @@ def validate_discrete(m: DiscreteMarket) -> DiscreteMarket:
         raise DomainError(f"sigma must be positive, got {m.sigma}")
     if not m.sigma_hat > 0:
         raise DomainError(f"sigma_hat must be positive, got {m.sigma_hat}")
+    _require_finite({"mu": m.mu, "s0": m.s0}, "sigma^2 / sigma_hat^2", m.sigma, m.sigma_hat)
     return m
 
 
@@ -63,6 +75,7 @@ def validate_continuous(c: ContinuousMarket) -> ContinuousMarket:
         raise DomainError(f"varsigma must be positive, got {c.varsigma}")
     if not c.varsigma_hat > 0:
         raise DomainError(f"varsigma_hat must be positive, got {c.varsigma_hat}")
+    _require_finite({"theta": c.theta, "p0": c.p0}, "varsigma^2 / varsigma_hat^2", c.varsigma, c.varsigma_hat)
     return c
 
 
@@ -73,8 +86,7 @@ def delay_steps(H: float, n: int) -> int:
     form: float(H) * n can overshoot an exact multiple (0.07 * 100 is
     7.000000000000001) and a naive ceiling would misfire.
     """
-    frac = Fraction(str(H)) * n
-    return int(math.ceil(frac)) if frac.denominator != 1 else int(frac)
+    return math.ceil(Fraction(str(H)) * n)
 
 
 def discretize(c: ContinuousMarket, n: int) -> DiscreteMarket:

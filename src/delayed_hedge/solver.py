@@ -17,12 +17,16 @@ The achieved expected utility is
     u = -exp(n (a sigma_hat^2 - mu^2) / (2 sigma^2)) * |A|^(-1/2)
 
 with |A| the closed-form Toeplitz determinant.
+
+``solve`` computes a and log |A| once; ``strategy``, ``value`` and
+``hedge_matrix`` are views of the ``HedgeSolution`` it returns.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from scipy.optimize import minimize
@@ -63,29 +67,20 @@ class QuadraticCoeffs:
 
 
 @dataclass(frozen=True)
-class HedgeSolution:
-    """Root a, weights b_1..b_{n-1}, static coefficient, Merton ratio, value."""
-
-    a: float
-    b: np.ndarray
-    static_coeff: float
-    merton: float
-    value: float
-
-
-@dataclass(frozen=True)
 class StrategyWeights:
     """Convolution form of the optimal strategy.
 
     gamma_i = merton + sum_{j=1..i-1} kernel[i-j] x_j with kernel[i] = (b_i - a) / sigma^2
     (1-based lags; kernel[1..D] are exact zeros, which is what makes the
     strategy measurable for the delayed filtration), plus the static payoff
-    static_coeff * (S_n - S_0)^2.
+    static_coeff * (S_n - S_0)^2.  ``solution`` is the ``HedgeSolution`` the
+    weights were read from (None for hand-built weights).
     """
 
     merton: float
     kernel: np.ndarray
     static_coeff: float
+    solution: HedgeSolution | None = field(default=None, repr=False, compare=False)
 
 
 def quadratic_coeffs(m: DiscreteMarket) -> QuadraticCoeffs:
@@ -144,42 +139,69 @@ def weights_b(m: DiscreteMarket, a: float, count: int) -> np.ndarray:
     return b
 
 
+@dataclass(frozen=True)
+class HedgeSolution:
+    """Root a and log |A| of one market; the rest are views, b built on first use.
+
+    ``value`` and ``c_hat`` are written out separately so comparing them stays a check.
+    """
+
+    market: DiscreteMarket
+    a: float
+    log_det: float
+
+    @property
+    def static_coeff(self) -> float:
+        return self.a / (2.0 * self.market.sigma**2)
+
+    @property
+    def merton(self) -> float:
+        return self.market.mu / self.market.sigma**2
+
+    @property
+    def value(self) -> float:
+        m = self.market
+        exponent = m.n * (self.a * m.sigma_hat**2 - m.mu**2) / (2.0 * m.sigma**2)
+        return -math.exp(exponent - 0.5 * self.log_det)
+
+    @property
+    def c_hat(self) -> float:
+        m = self.market
+        return m.n * (m.mu**2 - self.a * m.sigma_hat**2) / (2.0 * m.sigma**2) + 0.5 * self.log_det
+
+    @cached_property
+    def b(self) -> np.ndarray:  # b_1 .. b_{n-1}
+        return weights_b(self.market, self.a, self.market.n - 1)
+
+    @property
+    def strategy(self) -> StrategyWeights:
+        kernel = (self.b - self.a) / self.market.sigma**2
+        return StrategyWeights(merton=self.merton, kernel=kernel, static_coeff=self.static_coeff, solution=self)
+
+    @property
+    def matrix(self) -> SymToeplitz:
+        return build_matrix(self.a, self.b, self.market.n)
+
+
 def solve(m: DiscreteMarket) -> HedgeSolution:
-    """Assemble the full explicit solution for the market."""
+    """The explicit solution for the market; every other entry point reads it."""
     a = solve_a(m)
-    b = weights_b(m, a, m.n - 1) if m.n > 1 else np.zeros(0)
-    return HedgeSolution(
-        a=a,
-        b=b,
-        static_coeff=a / (2.0 * m.sigma**2),
-        merton=m.mu / m.sigma**2,
-        value=value(m),
-    )
+    return HedgeSolution(market=m, a=a, log_det=log_det_closed_form(a, m.delay, m.n))
 
 
 def strategy(m: DiscreteMarket) -> StrategyWeights:
     """Optimal strategy in convolution form."""
-    a = solve_a(m)
-    b = weights_b(m, a, m.n - 1) if m.n > 1 else np.zeros(0)
-    return StrategyWeights(
-        merton=m.mu / m.sigma**2,
-        kernel=(b - a) / m.sigma**2,
-        static_coeff=a / (2.0 * m.sigma**2),
-    )
+    return solve(m).strategy
 
 
 def value(m: DiscreteMarket) -> float:
     """Optimal expected exponential utility (strictly negative)."""
-    a = solve_a(m)
-    exponent = m.n * (a * m.sigma_hat**2 - m.mu**2) / (2.0 * m.sigma**2)
-    return -math.exp(exponent - 0.5 * log_det_closed_form(a, m.delay, m.n))
+    return solve(m).value
 
 
 def hedge_matrix(m: DiscreteMarket) -> SymToeplitz:
     """The Toeplitz matrix A whose inverse drives the dual measure."""
-    a = solve_a(m)
-    tail = weights_b(m, a, m.n - 1) if m.n > 1 else np.zeros(0)
-    return build_matrix(a, tail, m.n)
+    return solve(m).matrix
 
 
 def evaluate_paths(w: StrategyWeights, m: DiscreteMarket, x: np.ndarray):

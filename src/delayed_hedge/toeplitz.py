@@ -23,7 +23,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import combinations
-from typing import IO
 
 import numpy as np
 
@@ -164,9 +163,3 @@ def dense_inverse(matrix: np.ndarray) -> np.ndarray:
 def dense_det(matrix: np.ndarray) -> float:
     """Determinant by pivoted elimination; oracle for det_closed_form."""
     return float(np.linalg.det(_require_well_conditioned(matrix)))
-
-
-def dump_csv(matrix: np.ndarray, stream: IO[str]) -> None:
-    """Debug dump, one row per line, full '%.17g' precision."""
-    for row in np.atleast_2d(np.asarray(matrix, dtype=float)):
-        stream.write(",".join("%.17g" % x for x in row) + "\n")

@@ -10,7 +10,6 @@ discretization limits.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,7 +36,8 @@ class CheckResult:
         return {
             "name": self.name,
             "passed": bool(self.passed),
-            "worst_residual": self.worst,
+            # a non-finite residual is a failed check, reported as null
+            "worst_residual": self.worst if math.isfinite(self.worst) else None,
             "tolerance": self.tol,
         }
 
@@ -54,22 +54,18 @@ def default_grid(grid_size: int = len(N_VALUES)):
     return markets
 
 
-def _map_points(fn, points, threads: int):
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(fn, points))
-    return [fn(p) for p in points]
+def _checks(suite: str, results, tols: dict):
+    """One CheckResult per named residual: its worst value over all points."""
+    worst = {name: max(r[name] for r in results) for name in tols}
+    return [CheckResult(f"{suite}.{name}", worst[name] <= tol, worst[name], tol) for name, tol in tols.items()]
 
 
-def _reduce(results, key):
-    return max(r[key] for r in results)
-
-
-def matrix_suite(grid_size: int = len(N_VALUES), threads: int = 1):
+def matrix_suite(grid_size: int = len(N_VALUES)):
     """Root, inverse, determinant, sum/trace and minor identities on the grid."""
 
     def point(m: DiscreteMarket):
-        a = solver.solve_a(m)
+        sol = solver.solve(m)
+        a = sol.a
         q = solver.quadratic_coeffs(m)
         out = {
             "root_residual": abs(q.residual(a)) / q.scale,
@@ -82,7 +78,8 @@ def matrix_suite(grid_size: int = len(N_VALUES), threads: int = 1):
             out["largest_root"] = max(other - a, 0.0)
         else:
             out["largest_root"] = 0.0
-        A = solver.hedge_matrix(m).to_dense()
+        matrix = sol.matrix
+        A = matrix.to_dense()
         inv = toeplitz.inverse_via_v(a, m.delay, m.n)
         dense_inv = toeplitz.dense_inverse(A)
         scale = np.max(np.abs(dense_inv))
@@ -95,14 +92,11 @@ def matrix_suite(grid_size: int = len(N_VALUES), threads: int = 1):
         out["trace_identity"] = abs(float(np.trace(inv)) - target_trace) / max(abs(target_trace), 1.0)
         mask = np.abs(np.subtract.outer(np.arange(m.n), np.arange(m.n))) > m.delay
         out["inverse_banded"] = float(np.max(np.abs(inv[mask])) / scale) if mask.any() else 0.0
-        if m.n <= toeplitz.MINOR_ENUMERATION_LIMIT:
-            ok = toeplitz.check_vanishing_minors(solver.hedge_matrix(m), m.delay, tol=1e-9)
-            out["vanishing_minors"] = 0.0 if ok else 1.0
-        else:
-            out["vanishing_minors"] = 0.0
+        ok = m.n > toeplitz.MINOR_ENUMERATION_LIMIT or toeplitz.check_vanishing_minors(matrix, m.delay, tol=1e-9)
+        out["vanishing_minors"] = 0.0 if ok else 1.0
         return out
 
-    results = _map_points(point, default_grid(grid_size), threads)
+    results = [point(m) for m in default_grid(grid_size)]
     tols = {
         "root_residual": 1e-12,
         "root_margin": 0.0,
@@ -115,17 +109,13 @@ def matrix_suite(grid_size: int = len(N_VALUES), threads: int = 1):
         "inverse_banded": 1e-10,
         "vanishing_minors": 0.5,
     }
-    return [
-        CheckResult(f"matrix.{name}", _reduce(results, name) <= tol, _reduce(results, name), tol)
-        for name, tol in tols.items()
-    ]
+    return _checks("matrix", results, tols)
 
 
-def dual_suite(grid_size: int = len(N_VALUES), threads: int = 1):
+def dual_suite(grid_size: int = len(N_VALUES)):
     """Pathwise verification identity, entropy identity, marginal and structure."""
 
-    def point(args):
-        index, m = args
+    def point(index: int, m: DiscreteMarket):
         dm = dual.build_dual(m)
         batch = mc.generate(m, PATHS_PER_POINT, seed=1000 + index)
         residuals = dual.verification_residual(m, batch.increments)
@@ -141,7 +131,7 @@ def dual_suite(grid_size: int = len(N_VALUES), threads: int = 1):
             "delayed_martingale": 0.0 if dual.check_delayed_martingale(dm, m.delay, 1e-10) else 1.0,
         }
 
-    results = _map_points(point, list(enumerate(default_grid(grid_size))), threads)
+    results = [point(index, m) for index, m in enumerate(default_grid(grid_size))]
     tols = {
         "verification_pathwise": 1e-8,
         "entropy_vs_constant": 1e-10,
@@ -149,14 +139,11 @@ def dual_suite(grid_size: int = len(N_VALUES), threads: int = 1):
         "marginal": 0.5,
         "delayed_martingale": 0.5,
     }
-    return [
-        CheckResult(f"dual.{name}", _reduce(results, name) <= tol, _reduce(results, name), tol)
-        for name, tol in tols.items()
-    ]
+    return _checks("dual", results, tols)
 
 
-def kernel_suite(threads: int = 1):
-    """Coefficient recursion, kernel shape, integral equation, ODE oracle."""
+def kernel_suite(grid_size: int = len(N_VALUES)):
+    """Coefficient recursion, kernel shape, integral equation, ODE oracle (``grid_size`` unused)."""
 
     def point(hr):
         H, ratio = hr
@@ -189,7 +176,7 @@ def kernel_suite(threads: int = 1):
         out["ode_oracle"] = max(abs(kernel.kappa(t, spec) - y) for t, y in zip(ts, ys))
         return out
 
-    results = _map_points(point, list(KERNEL_POINTS), threads)
+    results = [point(hr) for hr in KERNEL_POINTS]
     alpha_domain = -math.inf
     for H in np.linspace(0.05, 1.0, 20):
         for lr in np.linspace(-2.0, 2.0, 21):
@@ -203,34 +190,29 @@ def kernel_suite(threads: int = 1):
         "continuity_at_kH": 1.0,
         "ode_oracle": 1e-7,
     }
-    checks = [
-        CheckResult(f"kernel.{name}", _reduce(results, name) <= tol, _reduce(results, name), tol)
-        for name, tol in tols.items()
-    ]
+    checks = _checks("kernel", results, tols)
     checks.append(CheckResult("kernel.alpha_H_below_one", alpha_domain < 0.0, alpha_domain, 0.0))
     return checks
 
 
-def convergence_suite(threads: int = 1):
-    """Discretization limits: value gap, root asymptotics, L2 rate, figure claims."""
+def convergence_suite(grid_size: int = len(N_VALUES)):
+    """Discretization limits: value gap, root asymptotics, L2 rate, figures (``grid_size`` unused)."""
     checks = []
     worst_gap, worst_rate = 0.0, 0.0
     decreasing = True
     for vsh in (1.0 / math.sqrt(2.0), math.sqrt(2.0)):
         cm = ContinuousMarket(H=0.2, theta=0.0, varsigma=1.0, varsigma_hat=vsh)
         lv = kernel.limit_value(cm)
-        gaps = [abs(solver.value(discretize(cm, n)) - lv) for n in (100, 1000, 10000)]
+        sols = {n: solver.solve(discretize(cm, n)) for n in (100, 1000, 10000)}
+        gaps = [abs(sol.value - lv) for sol in sols.values()]
         decreasing &= gaps[0] > gaps[1] > gaps[2]
         worst_gap = max(worst_gap, gaps[-1])
         spec = kernel.spec_for_market(cm)
         target = spec.alpha / (1.0 - spec.alpha * cm.H)
-
-        def scaled_err(n):
-            return abs(n * solver.solve_a(discretize(cm, n)) - target)
-
-        fitted = RATE_SLACK * 100 * scaled_err(100)
+        scaled_err = {n: abs(n * sol.a - target) for n, sol in sols.items()}
+        fitted = RATE_SLACK * 100 * scaled_err[100]
         for n in (1000, 10000):
-            worst_rate = max(worst_rate, scaled_err(n) * n / fitted)
+            worst_rate = max(worst_rate, scaled_err[n] * n / fitted)
     checks.append(CheckResult("convergence.limit_gap_at_1e4", decreasing and worst_gap < 1e-2, worst_gap, 1e-2))
     checks.append(CheckResult("convergence.an_rate_fitted_C", worst_rate <= 1.0, worst_rate, 1.0))
 
@@ -284,19 +266,13 @@ def convergence_suite(threads: int = 1):
 SUITES = {
     "matrix": matrix_suite,
     "dual": dual_suite,
-    "kernel": lambda grid_size=None, threads=1: kernel_suite(threads=threads),
-    "convergence": lambda grid_size=None, threads=1: convergence_suite(threads=threads),
+    "kernel": kernel_suite,
+    "convergence": convergence_suite,
 }
 
 
-def run(suite: str = "all", grid_size: int = len(N_VALUES), threads: int = 1):
+def run(suite: str = "all", grid_size: int = len(N_VALUES)):
     """Run one suite (or all); returns (all_passed, [CheckResult])."""
     names = list(SUITES) if suite == "all" else [suite]
-    checks = []
-    for name in names:
-        fn = SUITES[name]
-        if name in ("matrix", "dual"):
-            checks.extend(fn(grid_size=grid_size, threads=threads))
-        else:
-            checks.extend(fn(threads=threads))
+    checks = [check for name in names for check in SUITES[name](grid_size)]
     return all(c.passed for c in checks), checks

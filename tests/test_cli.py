@@ -173,9 +173,63 @@ def test_verify_dual_small_grid_threaded(capsys):
     assert {c["name"] for c in doc["checks"]} >= {"dual.verification_pathwise", "dual.marginal"}
 
 
+def test_verify_reports_a_non_finite_residual_as_a_failed_check(capsys, monkeypatch):
+    from delayed_hedge import verify
+
+    bad = verify.CheckResult("stub.residual", False, math.nan, 1e-9)
+    monkeypatch.setitem(verify.SUITES, "matrix", lambda grid_size: [bad])
+    code, doc = run_json(capsys, "verify", "--suite", "matrix")
+    assert code == 1
+    assert doc["all_passed"] is False
+    assert doc["checks"] == [
+        {"name": "stub.residual", "passed": False, "worst_residual": None, "tolerance": 1e-9}
+    ]
+
+
 def test_out_file_roundtrip(tmp_path, capsys):
     target = tmp_path / "run.json"
     code = main(["limit", "--H", "0.5", "--vsigma", "1", "--vsigma-hat", "2", "--out", str(target)])
     assert code == 0
     doc = json.loads(target.read_text())
     assert doc["config"]["H"] == 0.5
+
+
+MARKET = ["--n", "4", "--delay", "1", "--sigma", "1", "--sigma-hat", "1.3"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["solve", "--n", "4", "--delay", "1", "--mu", "nan", "--sigma", "1", "--sigma-hat", "1"],
+        ["solve", "--n", "4", "--delay", "1", "--sigma", "1", "--sigma-hat", "1e-200"],
+        ["limit", "--H", "0.2", "--theta", "nan", "--vsigma", "1", "--vsigma-hat", "1"],
+        ["limit", "--H", "0.2", "--vsigma", "1e-200", "--vsigma-hat", "1"],
+        ["fig1", "--ratio", "2", "--ns", "abc"],
+        ["fig2", "--h-grid", "0.1:0.2:0"],
+        ["fig2", "--h-grid", "0.2:0.1:-0.1"],
+        ["kernel", "--H", "0.2", "--ratio", "-1"],
+        ["kernel", "--H", "0.2", "--ratio", "inf"],
+        ["simulate", *MARKET, "--seed", "-1"],
+        ["simulate", *MARKET, "--seed", str(2**64)],
+        ["simulate", *MARKET, "--paths", "1000", "--perturb", "nan"],
+        ["solve", *MARKET, "--threads", "0"],
+    ],
+    ids=lambda argv: " ".join(argv),
+)
+def test_bad_input_exits_2_with_one_error_line(capsys, argv):
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse rejects the flag
+        code = exc.code
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "Traceback" not in captured.err
+    assert sum("error:" in line for line in captured.err.splitlines()) == 1
+
+
+def test_threads_environment_variable_is_ignored(capsys, monkeypatch):
+    monkeypatch.setenv("DELAYED_HEDGE_THREADS", "abc")
+    code, doc = run_json(capsys, "limit", "--H", "0.2", "--vsigma", "1", "--vsigma-hat", "1")
+    assert code == 0
+    assert doc["config"]["threads"] == 1

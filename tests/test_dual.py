@@ -42,11 +42,9 @@ def test_constant_equals_negative_log_value():
 def test_delayed_martingale_structure():
     assert check_delayed_martingale(build_dual(market(4, 1, 1.0)), 1, 1e-12)
     assert check_delayed_martingale(build_dual(market(8, 2, 1.5)), 2, 1e-10)
-    # the market measure itself has a drift, so it is not a candidate
-    market_measure = DualMeasure(
-        covariance=np.eye(4), c_hat=0.0, mean=np.full(4, 0.2)
-    )
-    assert not check_delayed_martingale(market_measure, 1, 1e-10)
+    # a covariance that couples every pair of increments is not 1-banded
+    coupled = DualMeasure(covariance=np.ones((4, 4)) + np.eye(4), c_hat=0.0)
+    assert not check_delayed_martingale(coupled, 1, 1e-10)
 
 
 def test_marginal_condition():

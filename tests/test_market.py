@@ -34,6 +34,33 @@ def test_validate_rejects(kwargs, fragment):
         validate_discrete(DiscreteMarket(**kwargs))
 
 
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        dict(mu=math.nan),
+        dict(s0=math.inf),
+        dict(sigma=math.inf),
+        dict(sigma=1e200, sigma_hat=1e200),  # squares overflow
+        dict(sigma_hat=1e-200),  # sigma_hat^2 underflows to zero
+        dict(sigma=1e-160, sigma_hat=1e160),  # the variance ratio underflows
+    ],
+)
+def test_validate_rejects_non_finite(kwargs):
+    fields = dict(n=4, delay=1, mu=0.0, sigma=1.0, sigma_hat=1.0) | kwargs
+    with pytest.raises(DomainError, match="finite"):
+        validate_discrete(DiscreteMarket(**fields))
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [dict(theta=math.nan), dict(p0=-math.inf), dict(varsigma=1e-200), dict(varsigma_hat=math.inf)],
+)
+def test_validate_continuous_rejects_non_finite(kwargs):
+    fields = dict(H=0.2, theta=0.0, varsigma=1.0, varsigma_hat=1.0) | kwargs
+    with pytest.raises(DomainError, match="finite"):
+        validate_continuous(ContinuousMarket(**fields))
+
+
 def test_validate_continuous():
     validate_continuous(ContinuousMarket(H=1.0, theta=0.0, varsigma=1.0, varsigma_hat=2.0))
     with pytest.raises(DomainError):

@@ -16,7 +16,10 @@ from delayed_hedge import (
     value,
     weights_b,
 )
+from delayed_hedge import dual, solver
+from delayed_hedge.dual import build_dual, dual_constant, verification_residual
 from delayed_hedge.solver import quadratic_coeffs
+from delayed_hedge.toeplitz import build_matrix, log_det_closed_form
 
 
 def market(n, delay, sigma_hat, mu=0.0, sigma=1.0):
@@ -204,6 +207,77 @@ def test_solution_bundle():
     assert len(sol.b) == 5
     assert sol.static_coeff == pytest.approx(sol.a / 2.0)
     assert sol.merton == pytest.approx(0.1)
+
+
+# --- one solution, many views ----------------------------------------------
+
+VIEW_MARKETS = [
+    market(1, 0, 1.3, mu=0.1),
+    market(2, 1, 0.5),
+    market(6, 5, 0.7, mu=0.1),
+    market(8, 2, 1.3, mu=0.1),
+    market(16, 0, 2.0, mu=0.2, sigma=0.8),
+    market(33, 3, 1.0),
+]
+
+
+@pytest.mark.parametrize("m", VIEW_MARKETS, ids=lambda m: f"n{m.n}-D{m.delay}")
+def test_solution_views_equal_standalone_functions(m):
+    sol = solve(m)
+    a = solve_a(m)
+    b = weights_b(m, a, m.n - 1)
+    log_det = log_det_closed_form(a, m.delay, m.n)
+    assert (sol.a, sol.log_det) == (a, log_det)
+    exponent = m.n * (a * m.sigma_hat**2 - m.mu**2) / (2.0 * m.sigma**2)
+    assert value(m) == sol.value == -math.exp(exponent - 0.5 * log_det)
+    assert dual_constant(m) == sol.c_hat == -exponent + 0.5 * log_det
+    w = strategy(m)
+    assert np.array_equal(w.kernel, (b - a) / m.sigma**2)
+    assert (w.merton, w.static_coeff) == (m.mu / m.sigma**2, a / (2.0 * m.sigma**2))
+    assert np.array_equal(sol.b, b)
+    assert np.array_equal(hedge_matrix(m).first_row, build_matrix(a, b, m.n).first_row)
+
+
+@pytest.fixture
+def call_counts(monkeypatch):
+    """Count calls of solve_a and weights_b, also if the dual module binds them itself."""
+    counts = {"solve_a": 0, "weights_b": 0}
+    for name in counts:
+        original = getattr(solver, name)
+
+        def counted(*args, _name=name, _original=original):
+            counts[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(solver, name, counted)
+        monkeypatch.setattr(dual, name, counted, raising=False)
+    return counts
+
+
+@pytest.mark.parametrize(
+    "entry, uses_weights",
+    [
+        (solve, False),
+        (value, False),
+        (dual_constant, False),
+        (build_dual, False),
+        (strategy, True),
+        (hedge_matrix, True),
+        (lambda m: verification_residual(m, np.ones(m.n)), True),
+    ],
+    ids=["solve", "value", "dual_constant", "build_dual", "strategy", "hedge_matrix",
+         "verification_residual"],
+)
+def test_each_entry_point_solves_once(call_counts, entry, uses_weights):
+    entry(market(8, 2, 1.3, mu=0.1))
+    assert call_counts == {"solve_a": 1, "weights_b": int(uses_weights)}
+
+
+def test_weights_are_built_on_first_access_only(call_counts):
+    sol = solve(market(8, 2, 1.3))
+    assert call_counts["weights_b"] == 0
+    _ = (sol.strategy, sol.matrix, sol.b)
+    assert call_counts["weights_b"] == 1
 
 
 # --- brute force -----------------------------------------------------------

@@ -1,5 +1,3 @@
-import io
-
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -14,7 +12,6 @@ from delayed_hedge.toeplitz import (
     dense_det,
     dense_inverse,
     det_closed_form,
-    dump_csv,
     inverse_via_v,
     v_vector,
 )
@@ -158,11 +155,3 @@ def test_dense_oracles_reject_singular():
 def test_build_matrix_requires_enough_tail():
     with pytest.raises(DomainError):
         build_matrix(0.1, np.zeros(2), 4)
-
-
-def test_dump_csv_full_precision():
-    buf = io.StringIO()
-    dump_csv(np.array([[1.0 / 3.0, 2.0]]), buf)
-    text = buf.getvalue()
-    assert text.endswith("\n")
-    assert "0.33333333333333331" in text
