@@ -3,7 +3,8 @@ and the data tables behind the two convergence figures.
 
 The step function b^n takes the value n * b_{k+1} on [k/n, (k+1)/n) (last
 interval closed); its squared L2 distance to kappa decays like 1/n, with the
-non-smooth point at t = H contributing the dominant term.
+non-smooth point at t = H contributing the dominant term.  The distance is
+integrated over node arrays, one Simpson call per block of one kernel piece.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from .market import ContinuousMarket, discretize
 from .solver import solve_a, weights_b
 
 CSV_FORMAT = "%.12g"
+_BLOCK_ROWS = 256  # pieces per Simpson call in l2_distance_to_kappa, bounding its node arrays
 
 
 @dataclass(frozen=True)
@@ -54,14 +56,16 @@ def l2_distance_to_kappa(f: StepFunction, spec: KernelSpec, quadsteps: int = 8) 
 
     Integration splits at every step boundary and every multiple of H, with
     ``quadsteps`` Simpson panels per smooth piece; kappa is evaluated with the
-    piece's own polynomial so breakpoints see one-sided limits.
+    piece's own polynomial so breakpoints see one-sided limits.  One Simpson
+    call takes up to ``_BLOCK_ROWS`` pieces of one kernel interval.
     """
-    n = f.n
+    steps = np.arange(f.n + 1) / f.n
+    left, right, k = smooth_pieces(steps, spec)
+    levels = f.values[np.searchsorted(steps, left, side="right") - 1]  # the step holding each left end
+    blocks = np.union1d(np.flatnonzero(np.diff(k)) + 1, np.arange(_BLOCK_ROWS, len(k), _BLOCK_ROWS))
     total = 0.0
-    for k in range(n):
-        level = f.values[k]
-        for left, right, piece in smooth_pieces(k / n, (k + 1) / n, spec):
-            total += simpson(lambda t: (level - _piece(t, piece, spec)) ** 2, left, right, quadsteps)
+    for lo, hi, ks, level in zip(*(np.split(a, blocks) for a in (left, right, k, levels[:, None]))):
+        total += simpson(lambda t: (level - _piece(t, ks[0], spec)) ** 2, lo, hi, quadsteps).sum()
     return total
 
 

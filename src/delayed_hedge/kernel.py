@@ -24,6 +24,9 @@ and the limit static option is alpha / (2 varsigma^2 (1 - alpha H)) * (P_1 - P_0
 
 An independent RK4 method-of-steps integrator and the first ten c_k in closed
 form are provided as cross-check oracles for the recursion.
+Quadrature and the oracles evaluate one interval's polynomial on whole node
+arrays; scalar ``kappa`` keeps ``math.exp``.  ``kernel_spec`` builds at most
+``MAX_INTERVALS`` intervals (H >= 0.001).
 """
 
 from __future__ import annotations
@@ -33,8 +36,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import DomainError
+from .errors import DomainError, SizeError
 from .market import ContinuousMarket, validate_continuous
 
 
@@ -102,9 +106,17 @@ class KernelSpec:
         return self.alpha / (1.0 - self.alpha * self.H)
 
 
+# kernel_spec builds at most this many intervals (H >= 0.001): c_coefficients is O(K^2), about
+# 0.24 s at K = 1000 on a 2-vCPU host.  alpha and limit_value need no c_k and take any H.
+MAX_INTERVALS = 1000
+
+
 def kernel_spec(H: float, varsigma: float, varsigma_hat: float) -> KernelSpec:
     a = alpha(H, varsigma, varsigma_hat)
-    return KernelSpec(alpha=a, H=H, K=interval_count(H), c=c_coefficients(a, H))
+    K = interval_count(H)
+    if K > MAX_INTERVALS:
+        raise SizeError(f"kernel needs K = ceil(1/H) <= {MAX_INTERVALS} intervals (H >= 0.001), got K = {K}")
+    return KernelSpec(alpha=a, H=H, K=K, c=c_coefficients(a, H))
 
 
 def spec_for_market(c: ContinuousMarket) -> KernelSpec:
@@ -112,27 +124,28 @@ def spec_for_market(c: ContinuousMarket) -> KernelSpec:
     return kernel_spec(c.H, c.varsigma, c.varsigma_hat)
 
 
-def _piece(t: float, k: int, spec: KernelSpec) -> float:
+def _piece(t, k: int, spec: KernelSpec):
     """Evaluate interval k's exponential polynomial at t (no domain snapping).
 
-    Evaluating a piece outside [kH, (k+1)H) yields its one-sided analytic
-    continuation, which is what quadrature needs at breakpoints.
+    At a float (``math.exp``) or a node array (``np.exp``); outside [kH, (k+1)H)
+    it is the one-sided analytic continuation quadrature needs at breakpoints.
     """
     if k <= 0:
-        return spec.level
+        return np.full_like(t, spec.level) if isinstance(t, np.ndarray) else spec.level
     u = t - k * spec.H
+    c, ratio = spec.c, (-spec.alpha) * u
     term = 1.0
     total = 0.0
     for j in range(k):
-        total += spec.c[k - 1 - j] * term
-        term *= (-spec.alpha) * u / (j + 1)
-    return spec.level + math.exp(spec.alpha * u) * total
+        total += c[k - 1 - j] * term
+        term *= ratio / (j + 1)
+    return spec.level + (np.exp if isinstance(u, np.ndarray) else math.exp)(spec.alpha * u) * total
 
 
 def _interval_index(t: float, spec: KernelSpec) -> int:
     # Right-continuous everywhere except t = 1 (and t = KH when 1/H is an
     # integer), which belongs to the last interval by left-evaluation.
-    return min(int(math.floor(t / spec.H)), spec.K - 1)
+    return min(math.floor(t / spec.H), spec.K - 1)
 
 
 def kappa(t: float, spec: KernelSpec) -> float:
@@ -151,20 +164,24 @@ def gamma_kernel(u: float, spec: KernelSpec) -> float:
     return 0.0 if u < spec.H else kappa(u, spec) - spec.level
 
 
-def smooth_pieces(lo: float, hi: float, spec: KernelSpec):
-    """Split [lo, hi] at the multiples of H into (left, right, k): interval k's
-    polynomial is smooth on [left, right] and gives the one-sided limits there."""
-    breaks = sorted({lo, hi} | {j * spec.H for j in range(spec.K + 1) if lo < j * spec.H < hi})
-    for left, right in zip(breaks[:-1], breaks[1:]):
-        yield left, right, _interval_index(0.5 * (left + right), spec)
+def smooth_pieces(breaks, spec: KernelSpec):
+    """Cut the sorted ``breaks`` also at the multiples of H strictly inside them into arrays (left,
+    right, k): interval k's polynomial (k read at the midpoint) is smooth on [left, right]."""
+    breaks = np.asarray(breaks, dtype=float)
+    multiples = np.arange(spec.K + 1) * spec.H
+    cuts = np.unique(np.concatenate([breaks, multiples[(breaks[0] < multiples) & (multiples < breaks[-1])]]))
+    k = np.minimum(np.floor(0.5 * (cuts[:-1] + cuts[1:]) / spec.H).astype(int), spec.K - 1)
+    return cuts[:-1], cuts[1:], k
 
 
-def simpson(f, lo: float, hi: float, panels: int) -> float:
-    """Composite Simpson rule for the scalar function f with ``panels`` panels."""
-    nodes = np.linspace(lo, hi, 2 * panels + 1)
-    vals = np.array([f(t) for t in nodes])
+def simpson(f, lo, hi, panels: int):
+    """Composite Simpson rule with ``panels`` panels; f gets the whole node array,
+    one row per interval when ``lo`` and ``hi`` are arrays of interval ends."""
+    # C order, so that each row is summed as the call on its interval alone would be
+    vals = np.ascontiguousarray(f(np.linspace(lo, hi, 2 * panels + 1, axis=-1)))
     h = (hi - lo) / (2 * panels)
-    return h / 3.0 * (vals[0] + vals[-1] + 4.0 * vals[1:-1:2].sum() + 2.0 * vals[2:-2:2].sum())
+    odd, even = vals[..., 1:-1:2].sum(axis=-1), vals[..., 2:-2:2].sum(axis=-1)
+    return h / 3.0 * (vals[..., 0] + vals[..., -1] + 4.0 * odd + 2.0 * even)
 
 
 def integrate_kappa(spec: KernelSpec, lo: float, hi: float, quadsteps: int) -> float:
@@ -177,7 +194,7 @@ def integrate_kappa(spec: KernelSpec, lo: float, hi: float, quadsteps: int) -> f
     if hi < lo:
         raise DomainError(f"empty integration range [{lo}, {hi}]")
     total = 0.0
-    for left, right, k in smooth_pieces(lo, hi, spec):
+    for left, right, k in zip(*(a.tolist() for a in smooth_pieces([lo, hi], spec))):
         panels = max(1, int(math.ceil(quadsteps * (right - left) / spec.H)))
         total += simpson(lambda t: _piece(t, k, spec), left, right, panels)
     return total
@@ -216,47 +233,36 @@ def limit_static_coeff(c: ContinuousMarket) -> float:
 def kappa_ode_grid(spec: KernelSpec, step: float = 1e-4):
     """Integrate the delay equation kappa' = alpha (kappa_t - kappa_{t-H}) by RK4.
 
-    Method of steps: each interval [kH, (k+1)H] is an ODE whose delayed term
-    is read from the previous interval's stored grid (4-point Lagrange for the
-    half-step stages).  The initial value at t = H is alpha * H * level,
-    taken from the integral equation itself, so the integrator shares nothing
-    with the series representation.  Returns (ts, values) on [H, min(KH, 1)].
+    Method of steps (Bellman & Cooke 1963): each interval [kH, (k+1)H] is an
+    ODE whose delayed term is read from the previous interval's grid (4-point
+    Lagrange for the half-step stages).  The initial value at t = H is
+    alpha * H * level, taken from the integral equation itself, so the
+    integrator shares nothing with the series representation.  Returns
+    (ts, values) on [H, min(KH, 1)].
     """
     H, K, al = spec.H, spec.K, spec.alpha
     m = max(4, int(math.ceil(H / step)))
     h = H / m
     history = np.full(m + 1, spec.level)  # kappa on [0, H], left limit at H
-
-    def interp(values: np.ndarray, q: float) -> float:
-        base = min(max(int(math.floor(q)) - 1, 0), len(values) - 4)
-        xs = np.arange(base, base + 4, dtype=float)
-        w = [
-            np.prod([(q - xs[k]) / (xs[j] - xs[k]) for k in range(4) if k != j])
-            for j in range(4)
-        ]
-        return float(sum(w[j] * values[base + j] for j in range(4)))
-
     y = al * H * spec.level
-    ts, ys = [H], [y]
+    # Lagrange weights for the midpoints of a grid's first, interior and last step
+    first, inside, last = np.array([[5, 15, -5, 1], [-1, 9, 9, -1], [1, -5, 15, 5]]) / 16.0
+    ys = [[y]]
     for interval in range(1, K):
-        current = np.empty(m + 1)
-        current[0] = y
-        t0 = interval * H
+        windows = sliding_window_view(history, 4)
+        g_half = np.concatenate([[windows[0] @ first], windows @ inside, [windows[-1] @ last]]).tolist()
+        current = [y]
         for i in range(m):
-            g0 = history[i]
-            g_half = interp(history, i + 0.5)
-            g1 = history[i + 1]
-            k1 = al * (y - g0)
-            k2 = al * (y + 0.5 * h * k1 - g_half)
-            k3 = al * (y + 0.5 * h * k2 - g_half)
-            k4 = al * (y + h * k3 - g1)
+            k1 = al * (y - history[i])
+            k2 = al * (y + 0.5 * h * k1 - g_half[i])
+            k3 = al * (y + 0.5 * h * k2 - g_half[i])
+            k4 = al * (y + h * k3 - history[i + 1])
             y = y + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            current[i + 1] = y
-            ts.append(t0 + (i + 1) * h)
-            ys.append(y)
-        history = current
-    ts = np.array(ts)
-    ys = np.array(ys)
+            current.append(y)
+        history = np.array(current)
+        ys.append(current[1:])
+    ts = np.concatenate([[H]] + [interval * H + np.arange(1, m + 1) * h for interval in range(1, K)])
+    ys = np.concatenate(ys)
     keep = ts <= 1.0 + 1e-12
     return ts[keep], ys[keep]
 

@@ -209,6 +209,8 @@ MARKET = ["--n", "4", "--delay", "1", "--sigma", "1", "--sigma-hat", "1.3"]
         ["fig2", "--h-grid", "0.2:0.1:-0.1"],
         ["kernel", "--H", "0.2", "--ratio", "-1"],
         ["kernel", "--H", "0.2", "--ratio", "inf"],
+        ["kernel", "--H", "1e-6", "--ratio", "2"],
+        ["fig1", "--H", "1e-6", "--ratio", "2"],
         ["simulate", *MARKET, "--seed", "-1"],
         ["simulate", *MARKET, "--seed", str(2**64)],
         ["simulate", *MARKET, "--paths", "1000", "--perturb", "nan"],

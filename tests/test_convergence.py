@@ -1,5 +1,7 @@
+import importlib.util
 import io
 import math
+import pathlib
 
 import numpy as np
 import pytest
@@ -14,7 +16,9 @@ from delayed_hedge.convergence import (
     l2_distance_to_kappa,
     write_csv,
 )
-from delayed_hedge.kernel import spec_for_market
+from delayed_hedge.kernel import _piece, spec_for_market
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 
 def cm(ratio, H=0.2):
@@ -64,6 +68,31 @@ def test_l2_distance_shrinks():
     d100 = l2_distance_to_kappa(build_bn(market, 100), spec)
     d800 = l2_distance_to_kappa(build_bn(market, 800), spec)
     assert d800 < d100
+
+
+def _l2_per_step(f, spec, quadsteps=8):
+    """Per-step L2 loop with scalar kernel evaluation at every Simpson node."""
+    total = 0.0
+    for k in range(f.n):
+        lo, hi = k / f.n, (k + 1) / f.n
+        breaks = sorted({lo, hi} | {j * spec.H for j in range(spec.K + 1) if lo < j * spec.H < hi})
+        for left, right in zip(breaks[:-1], breaks[1:]):
+            piece = min(int(math.floor(0.5 * (left + right) / spec.H)), spec.K - 1)
+            nodes = np.linspace(left, right, 2 * quadsteps + 1)
+            vals = np.array([(f.values[k] - _piece(t, piece, spec)) ** 2 for t in nodes])
+            h = (right - left) / (2 * quadsteps)
+            total += h / 3.0 * (vals[0] + vals[-1] + 4.0 * vals[1:-1:2].sum() + 2.0 * vals[2:-2:2].sum())
+    return total
+
+
+@pytest.mark.parametrize("n", [100, 333, 1000])
+@pytest.mark.parametrize("H", [0.2, 0.15])
+@pytest.mark.parametrize("ratio", [0.5, 2.0])
+def test_l2_distance_matches_per_step_loop(n, H, ratio):
+    market = cm(ratio, H)
+    spec = spec_for_market(market)
+    f = build_bn(market, n)
+    assert l2_distance_to_kappa(f, spec) == pytest.approx(_l2_per_step(f, spec), rel=1e-12, abs=0)
 
 
 def test_l2_rate_is_one_over_n():
@@ -130,3 +159,17 @@ def test_write_csv_format():
     assert lines[0] == "# cmd=demo n=2\n"
     assert lines[1] == "x,y\n"
     assert lines[2] == "0.5,0.333333333333\n"
+
+
+def test_make_figures_reproduces_the_committed_tables(tmp_path, monkeypatch):
+    found = importlib.util.spec_from_file_location("make_figures", ROOT / "scripts" / "make_figures.py")
+    script = importlib.util.module_from_spec(found)
+    found.loader.exec_module(script)
+    monkeypatch.setattr(script, "OUT", tmp_path)
+    script.main()
+
+    def rows(path):
+        return [line for line in path.read_bytes().splitlines(keepends=True) if not line.startswith(b"#")]
+
+    for name in ("fig1_ratio0.5.csv", "fig1_ratio2.csv", "fig2.csv"):
+        assert rows(tmp_path / name) == rows(ROOT / "out" / name), name

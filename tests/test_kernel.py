@@ -1,11 +1,15 @@
 import math
+import types
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from delayed_hedge import ContinuousMarket, DomainError, discretize, solve_a, value
+from delayed_hedge import ContinuousMarket, DomainError, SizeError, discretize, solve_a, value
+import delayed_hedge.kernel as kernel_module
 from delayed_hedge.kernel import (
+    MAX_INTERVALS,
+    _piece,
     alpha,
     c_closed_forms,
     c_coefficients,
@@ -17,6 +21,8 @@ from delayed_hedge.kernel import (
     kernel_spec,
     limit_static_coeff,
     limit_value,
+    simpson,
+    smooth_pieces,
 )
 
 
@@ -91,6 +97,16 @@ def test_all_closed_forms(H, ratio):
         assert spec.c[k] == pytest.approx(closed[k], rel=1e-10)
 
 
+def test_kernel_spec_caps_the_interval_count():
+    assert kernel_spec(0.001, 1.0, math.sqrt(2.0)).K == MAX_INTERVALS
+    with pytest.raises(SizeError):
+        kernel_spec(0.0009, 1.0, math.sqrt(2.0))
+    # alpha and the limit value never build the c_k, so they take any H in (0, 1]
+    c = ContinuousMarket(H=1e-6, theta=0.0, varsigma=1.0, varsigma_hat=math.sqrt(2.0))
+    assert math.isfinite(alpha(1e-6, 1.0, math.sqrt(2.0)))
+    assert math.isfinite(limit_value(c))
+
+
 def test_interval_count_exact_rationals():
     assert interval_count(0.2) == 5
     assert interval_count(0.15) == 7
@@ -111,6 +127,55 @@ def test_kappa_jump_value():
         spec = spec_of(H, ratio)
         target = spec.alpha**2 * H / (1.0 - spec.alpha * H)
         assert kappa(H, spec) == pytest.approx(target, abs=1e-12 * max(1.0, abs(target)))
+
+
+@pytest.mark.parametrize("t", [0.0, 0.1, 0.2, 0.55, 0.6, 1.0])
+def test_scalar_kappa_returns_a_float(t):
+    assert isinstance(kappa(t, spec_of(0.2, 2.0)), float)
+
+
+def test_scalar_kappa_keeps_math_exp(monkeypatch):
+    # CSV output at %.12g must not depend on numpy's vectorised exp
+    calls = []
+
+    def exp(x):
+        calls.append(x)
+        return math.exp(x)
+
+    spec = spec_of(0.2, 2.0)
+    monkeypatch.setattr(kernel_module, "math", types.SimpleNamespace(exp=exp, floor=math.floor))
+    kappa(0.55, spec)
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("H", [0.2, 0.15, 0.02])
+@pytest.mark.parametrize("ratio", [0.5, 2.0])
+def test_array_piece_matches_scalar_piece(H, ratio):
+    # np.exp on arrays may differ from math.exp in the last bit, nothing more
+    spec = spec_of(H, ratio)
+    breaks = np.arange(spec.K + 1) * H
+    for k in range(spec.K):
+        ts = np.concatenate([np.linspace(k * H, min((k + 1) * H, 1.0), 41), breaks])
+        got = _piece(ts, k, spec)
+        want = np.array([_piece(float(t), k, spec) for t in ts])
+        assert got.shape == ts.shape
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-13 * max(1.0, np.abs(want).max()))
+
+
+@pytest.mark.parametrize("panels", [1, 8, 2000])
+@pytest.mark.parametrize("H,ratio", [(0.2, 2.0), (0.15, 0.5), (0.02, 2.0)])
+def test_simpson_with_array_ends_matches_scalar_rows(H, ratio, panels):
+    spec = spec_of(H, ratio)
+    left, right, k = smooth_pieces(np.linspace(0.0, 1.0, 101), spec)
+    for piece in np.unique(k).tolist():
+        rows = k == piece
+
+        def f(t):
+            return (0.3 - _piece(t, piece, spec)) ** 2
+
+        got = simpson(f, left[rows], right[rows], panels)
+        want = [simpson(f, lo, hi, panels) for lo, hi in zip(left[rows].tolist(), right[rows].tolist())]
+        assert got.tolist() == want
 
 
 def test_kappa_outside_domain():
@@ -135,6 +200,52 @@ def test_kappa_matches_delay_ode_oracle_supnorm(H, ratio):
     ts, ys = kappa_ode_grid(spec, step=1e-4)
     gaps = [abs(kappa(float(t), spec) - y) for t, y in zip(ts, ys)]
     assert max(gaps) < 1e-7
+
+
+def _ode_grid_with_interp(spec, step):
+    """RK4 method of steps with Lagrange weights rebuilt at every half step."""
+    H, K, al = spec.H, spec.K, spec.alpha
+    m = max(4, int(math.ceil(H / step)))
+    h = H / m
+    history = np.full(m + 1, spec.level)
+
+    def interp(values, q):
+        base = min(max(int(math.floor(q)) - 1, 0), len(values) - 4)
+        xs = np.arange(base, base + 4, dtype=float)
+        w = [np.prod([(q - xs[k]) / (xs[j] - xs[k]) for k in range(4) if k != j]) for j in range(4)]
+        return float(sum(w[j] * values[base + j] for j in range(4)))
+
+    y = al * H * spec.level
+    ts, ys = [H], [y]
+    for interval in range(1, K):
+        current = np.empty(m + 1)
+        current[0] = y
+        for i in range(m):
+            g_half = interp(history, i + 0.5)
+            k1 = al * (y - history[i])
+            k2 = al * (y + 0.5 * h * k1 - g_half)
+            k3 = al * (y + 0.5 * h * k2 - g_half)
+            k4 = al * (y + h * k3 - history[i + 1])
+            y = y + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            current[i + 1] = y
+            ts.append(interval * H + (i + 1) * h)
+            ys.append(y)
+        history = current
+    ts, ys = np.array(ts), np.array(ys)
+    keep = ts <= 1.0 + 1e-12
+    return ts[keep], ys[keep]
+
+
+@pytest.mark.parametrize(
+    "H,ratio,step",
+    [(0.2, 2.0, 1e-3), (0.15, 0.5, 1e-3), (0.02, 2.0, 1e-3), (0.35, 0.5, 1.0), (1.0, 2.0, 1e-3)],
+)
+def test_ode_grid_half_step_weights_match_rebuilt_lagrange_weights(H, ratio, step):
+    spec = spec_of(H, ratio)
+    ts, ys = kappa_ode_grid(spec, step=step)
+    want_ts, want_ys = _ode_grid_with_interp(spec, step)
+    assert np.array_equal(ts, want_ts)
+    np.testing.assert_allclose(ys, want_ys, rtol=0, atol=1e-13)
 
 
 def test_kappa_continuous_at_interval_joins():
