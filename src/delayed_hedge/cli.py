@@ -122,12 +122,12 @@ def cmd_simulate(args) -> int:
     m = _market_from(args)
     if args.paths < 100:
         raise DelayedHedgeError(f"need at least 100 paths, got {args.paths}")
+    batch = mc.generate(m, args.paths, args.seed)  # first: it enforces the path-step cap
     w = solver.strategy(m)
     if args.perturb is not None:
         w = solver.StrategyWeights(
             merton=w.merton, kernel=args.perturb * w.kernel, static_coeff=w.static_coeff
         )
-    batch = mc.generate(m, args.paths, args.seed)
     report = mc.estimate_utility(batch, w, m)
     payload = report.to_json()
     payload["value_formula"] = solver.value(m)

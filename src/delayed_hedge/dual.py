@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import NumericalError
 from .market import DiscreteMarket
-from .solver import evaluate_paths, solve, strategy
+from .solver import causal_convolve, evaluate_paths, solve, strategy
 from .toeplitz import check_banded, inverse_via_v
 
 
@@ -71,7 +71,11 @@ def verification_residual(m: DiscreteMarket, x: np.ndarray):
     shape (paths, n) (returns an array).  The dual log-density uses the
     closed-form determinant; tests cross-check it against a factorization.
     The identity is checked for ``strategy(m)``, and the dual side is read
-    from the solution those weights came from.
+    from the solution those weights came from: its quadratic form is
+    x'Ax = (a + 1)|x|^2 + 2 x.(b * x) with the causal convolution b * x of
+    ``causal_convolve``, so no n x n matrix is built and each path costs
+    O(n log n).  The weights' own kernel is evaluated, never the solution's,
+    so a wrong strategy shows up as a nonzero residual.
     """
     x = np.asarray(x, dtype=float)
     single = x.ndim == 1
@@ -80,8 +84,8 @@ def verification_residual(m: DiscreteMarket, x: np.ndarray):
     sol = w.solution
     _, v = evaluate_paths(w, m, paths)
 
-    dense_a = sol.matrix.to_dense()
-    quad_dual = np.einsum("pi,ij,pj->p", paths, dense_a, paths) / m.sigma**2
+    lagged = np.sum(paths * causal_convolve(paths, sol.b), axis=1)
+    quad_dual = ((sol.a + 1.0) * np.sum(paths * paths, axis=1) + 2.0 * lagged) / m.sigma**2
     quad_market = np.sum((paths - m.mu) ** 2, axis=1) / m.sigma**2
     log_ratio = 0.5 * (sol.log_det - quad_dual + quad_market)
 

@@ -11,7 +11,11 @@ For a quadratic wealth V(x) = (1/2) x'Qx + c'x + k and X ~ N(mu 1, sigma^2 I),
                   * exp((1/2) b' M^-1 b - n mu^2 / (2 sigma^2)),
 
 with M = I/sigma^2 + Q and b = mu/sigma^2 1 - c, valid iff I + sigma^2 Q is
-positive definite (checked by attempting a Cholesky factorization).
+positive definite (checked by attempting a Cholesky factorization of M, whose
+factor then gives both the determinant and M^-1 b).
+
+``generate`` refuses batches of more than ``MAX_PATH_STEPS`` path-steps
+(paths * n) before it allocates anything.
 """
 
 from __future__ import annotations
@@ -20,13 +24,20 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import cho_solve
 from scipy.special import ndtri
 
-from .errors import IntegrabilityError, LengthMismatch
+from .errors import IntegrabilityError, LengthMismatch, SizeError
 from .market import DiscreteMarket, validate_discrete
 from .solver import StrategyWeights, evaluate_paths
 
 GENERATOR_ID = "philox4x64/ndtri-v1"
+
+# Cap on paths * n for one batch.  Under tracemalloc, generate peaks at 24
+# bytes per path-step and estimate_utility at 40 more on top of the 8 of the
+# increments it keeps (n x n oracle terms aside), so a batch at the cap stays
+# near 0.5 GB.
+MAX_PATH_STEPS = 10**7
 
 
 @dataclass(frozen=True)
@@ -66,6 +77,8 @@ def generate(m: DiscreteMarket, count: int, seed: int) -> PathBatch:
     validate_discrete(m)
     if count < 1:
         raise LengthMismatch(f"count must be >= 1, got {count}")
+    if count * m.n > MAX_PATH_STEPS:
+        raise SizeError(f"{count} paths of {m.n} steps exceed the cap of {MAX_PATH_STEPS} path-steps")
     gen = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
     raw = gen.integers(0, 2**64, size=(count, m.n), dtype=np.uint64)
     # top 53 bits, centered: uniform on the open interval (0, 1)
@@ -112,7 +125,7 @@ def strategy_quadratic_form(w: StrategyWeights, m: DiscreteMarket):
     n = m.n
     lag = np.abs(np.subtract.outer(np.arange(n), np.arange(n)))
     kernel_full = np.concatenate([[0.0], w.kernel])  # lag 0 contributes nothing
-    quad = kernel_full[lag] + 2.0 * w.static_coeff * np.ones((n, n))
+    quad = (kernel_full + 2.0 * w.static_coeff)[lag]
     linear = np.full(n, w.merton)
     constant = -w.static_coeff * n * m.sigma_hat**2
     return quad, linear, constant
@@ -121,7 +134,11 @@ def strategy_quadratic_form(w: StrategyWeights, m: DiscreteMarket):
 def analytic_quadratic_utility(
     quad: np.ndarray, linear: np.ndarray, constant: float, m: DiscreteMarket
 ) -> float:
-    """E[-exp(-V)] in closed form for quadratic V under the market Gaussian."""
+    """E[-exp(-V)] in closed form for quadratic V under the market Gaussian.
+
+    One Cholesky factorization of M gives log |M| and, through ``cho_solve``,
+    M^-1 b.
+    """
     n = m.n
     quad = np.asarray(quad, dtype=float)
     linear = np.asarray(linear, dtype=float)
@@ -134,7 +151,8 @@ def analytic_quadratic_utility(
     except np.linalg.LinAlgError as exc:
         raise IntegrabilityError("I + sigma^2 Q is not positive definite") from exc
     b = np.full(n, m.mu / sig2) - linear
-    solved = np.linalg.solve(matrix, b)
+    # chol.T is the upper factor in Fortran order, which LAPACK takes without a copy
+    solved = cho_solve((chol.T, False), b, check_finite=False)
     log_det = n * math.log(sig2) + 2.0 * float(np.sum(np.log(np.diag(chol))))
     exponent = -constant - 0.5 * log_det + 0.5 * float(b @ solved) - 0.5 * n * m.mu**2 / sig2
     return -math.exp(exponent)

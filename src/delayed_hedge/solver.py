@@ -20,6 +20,8 @@ with |A| the closed-form Toeplitz determinant.
 
 ``solve`` computes a and log |A| once; ``strategy``, ``value`` and
 ``hedge_matrix`` are views of the ``HedgeSolution`` it returns.
+``evaluate_paths`` sums the holdings of a batch of paths as one causal
+convolution (``causal_convolve``).
 """
 
 from __future__ import annotations
@@ -48,6 +50,14 @@ DISCRIMINANT_CLAMP = 1e-12
 ROOT_RESIDUAL_TOL = 1e-12
 
 BRUTE_FORCE_MAX_N = 3
+
+# causal_convolve multiplies by the dense Toeplitz matrix up to this many
+# outputs and uses the FFT beyond.  Each FFT carries ~10 us of call overhead;
+# on one core the direct product took 0.1-0.8x the FFT's time up to 128
+# outputs for 16, 100 and 1000 paths, and 1.05-3.4x from 192 to 512 outputs
+# for 16 paths (more paths move the break-even out, but the product's work
+# grows as n^2 per path).
+DIRECT_CONVOLVE_MAX = 128
 
 
 @dataclass(frozen=True)
@@ -204,26 +214,54 @@ def hedge_matrix(m: DiscreteMarket) -> SymToeplitz:
     return solve(m).matrix
 
 
+def causal_convolve(x: np.ndarray, taps: np.ndarray) -> np.ndarray:
+    """y[:, i] = sum_{l=1..i} taps[l-1] x[:, i-l] for every row of ``x``.
+
+    Only taps[d:] from the first nonzero lag d are used, so y[:, :d+1] stay
+    exact zeros (the delayed holdings rely on it).  The N = n - 1 - d
+    outputs left need x[:, :N] and taps[d:d+N] alone.  Up to
+    DIRECT_CONVOLVE_MAX outputs they are one product with the N x N
+    lower-triangular Toeplitz matrix; beyond, one batched real FFT at a
+    power-of-two length >= 2N - 1, which keeps the circular product free
+    of wrap-around: O(P n log n) time, O(P n) memory, no n x n array.
+    """
+    n = x.shape[1]
+    y = np.zeros_like(x)
+    nonzero = np.flatnonzero(taps[: n - 1])
+    if nonzero.size == 0:
+        return y
+    d = int(nonzero[0])
+    size = n - 1 - d
+    head, lagged = x[:, :size], taps[d : d + size]
+    if size <= DIRECT_CONVOLVE_MAX:
+        # lower[k, j] = lagged[k - j] for j <= k, else 0
+        padded = np.concatenate([np.zeros(size - 1), lagged])
+        lower = padded[size - 1 + np.subtract.outer(np.arange(size), np.arange(size))]
+        y[:, d + 1 :] = head @ lower.T
+        return y
+    length = 1 << (2 * size - 2).bit_length()
+    spectrum = np.fft.rfft(head, length)
+    spectrum *= np.fft.rfft(lagged, length)
+    y[:, d + 1 :] = np.fft.irfft(spectrum, length)[:, :size]
+    return y
+
+
 def evaluate_paths(w: StrategyWeights, m: DiscreteMarket, x: np.ndarray):
     """Holdings and terminal wealth for a batch of increment paths.
 
     ``x`` has shape (paths, n); returns (gammas with the same shape, V with
-    shape (paths,)).  The static leg costs its pricing-measure expectation
-    static_coeff * n * sigma_hat^2.
+    shape (paths,)).  The holdings are merton plus the causal convolution of
+    ``w.kernel`` with the past increments (``causal_convolve``: O(paths * n
+    log n) for long paths); the first D + 1 holdings are exactly merton.  The
+    static leg costs its pricing-measure expectation static_coeff * n *
+    sigma_hat^2.
     """
     x = np.asarray(x, dtype=float)
     if x.ndim != 2 or x.shape[1] != m.n:
         raise LengthMismatch(f"expected paths of length n={m.n}, got shape {x.shape}")
-    count, n = x.shape
-    gammas = np.empty_like(x)
-    for i in range(n):
-        acc = np.full(count, w.merton)
-        if i > 0:
-            # kernel[0] is lag 1; gamma_{i+1} sees increments x_0 .. x_{i-1}
-            acc += x[:, :i] @ w.kernel[i - 1 :: -1]
-        gammas[:, i] = acc
+    gammas = w.merton + causal_convolve(x, w.kernel)
     total = x.sum(axis=1)
-    v = w.static_coeff * total**2 + (gammas * x).sum(axis=1) - w.static_coeff * n * m.sigma_hat**2
+    v = w.static_coeff * total**2 + (gammas * x).sum(axis=1) - w.static_coeff * m.n * m.sigma_hat**2
     return gammas, v
 
 

@@ -1,8 +1,13 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+from delayed_hedge import mc
 from delayed_hedge.cli import main
 
 
@@ -214,6 +219,7 @@ MARKET = ["--n", "4", "--delay", "1", "--sigma", "1", "--sigma-hat", "1.3"]
         ["simulate", *MARKET, "--seed", "-1"],
         ["simulate", *MARKET, "--seed", str(2**64)],
         ["simulate", *MARKET, "--paths", "1000", "--perturb", "nan"],
+        ["simulate", *MARKET, "--paths", str(mc.MAX_PATH_STEPS // 4 + 1)],
         ["solve", *MARKET, "--threads", "0"],
     ],
     ids=lambda argv: " ".join(argv),
@@ -235,3 +241,14 @@ def test_threads_environment_variable_is_ignored(capsys, monkeypatch):
     code, doc = run_json(capsys, "limit", "--H", "0.2", "--vsigma", "1", "--vsigma-hat", "1")
     assert code == 0
     assert doc["config"]["threads"] == 1
+
+
+def test_python_dash_m_runs_the_cli():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-m", "delayed_hedge", "verify", "--suite", "matrix"],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["all_passed"] is True

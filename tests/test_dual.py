@@ -1,9 +1,10 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from delayed_hedge import DiscreteMarket, value
+from delayed_hedge import DiscreteMarket, dual, toeplitz, value
 from delayed_hedge.dual import (
     DualMeasure,
     build_dual,
@@ -14,12 +15,12 @@ from delayed_hedge.dual import (
     verification_residual,
 )
 from delayed_hedge.mc import generate
-from delayed_hedge.solver import hedge_matrix
+from delayed_hedge.solver import evaluate_paths, hedge_matrix, strategy
 from delayed_hedge.toeplitz import dense_det
 
 
-def market(n, delay, sigma_hat, mu=0.0):
-    return DiscreteMarket(n=n, delay=delay, mu=mu, sigma=1.0, sigma_hat=sigma_hat)
+def market(n, delay, sigma_hat, mu=0.0, sigma=1.0):
+    return DiscreteMarket(n=n, delay=delay, mu=mu, sigma=sigma, sigma_hat=sigma_hat)
 
 
 def test_build_dual_consistent_market():
@@ -74,6 +75,54 @@ def test_verification_residual_tail_stress():
     batch = generate(m, 200, seed=99)
     residuals = verification_residual(m, 10.0 * batch.increments)
     assert np.max(np.abs(residuals)) < 1e-8
+
+
+def _dense_residual(m, x):
+    """The dense quadratic form ``causal_convolve`` replaced: x'Ax by an einsum over the n x n matrix."""
+    w = dual.strategy(m)
+    sol = w.solution
+    _, v = evaluate_paths(w, m, x)
+    quad_dual = np.einsum("pi,ij,pj->p", x, sol.matrix.to_dense(), x) / m.sigma**2
+    quad_market = np.sum((x - m.mu) ** 2, axis=1) / m.sigma**2
+    return v + 0.5 * (sol.log_det - quad_dual + quad_market) - sol.c_hat
+
+
+RESIDUAL_MARKETS = [
+    market(1, 0, 1.3, mu=0.1),
+    market(2, 1, 0.7),
+    market(7, 0, 1.4, mu=-0.1),
+    market(8, 2, 1.3, mu=0.1),
+    market(64, 5, 0.8, mu=0.02, sigma=0.5),
+    market(256, 255, 1.2),
+]
+
+
+@pytest.mark.parametrize("scale", [1.0, 1.5])
+@pytest.mark.parametrize("m", RESIDUAL_MARKETS, ids=lambda m: f"n{m.n}-D{m.delay}")
+def test_verification_residual_matches_dense_quadratic(monkeypatch, m, scale):
+    # a scaled kernel with its solution retained is a wrong strategy checked
+    # against the right dual side: the residual must then be far from zero
+    def scaled_strategy(market):
+        w = strategy(market)
+        return dataclasses.replace(w, kernel=scale * w.kernel)
+
+    monkeypatch.setattr(dual, "strategy", scaled_strategy)
+    x = generate(m, 50, seed=m.n).increments
+    reference = _dense_residual(m, x)
+
+    def no_dense(self):
+        raise AssertionError("verification_residual built the dense matrix")
+
+    monkeypatch.setattr(toeplitz.SymToeplitz, "to_dense", no_dense)
+    residual = verification_residual(m, x)
+    sol = strategy(m).solution
+    bound = (abs(sol.a + 1.0) + 2.0 * float(np.sum(np.abs(sol.b)))) * np.sum(x * x, axis=1) / m.sigma**2
+    assert np.all(np.abs(residual - reference) <= 4 * m.n * np.finfo(float).eps * (1.0 + bound))
+    wrong = scale != 1.0 and m.delay < m.n - 1  # D = n - 1 leaves no lag to scale
+    if wrong:
+        assert np.max(np.abs(residual)) > 1e-8
+    else:
+        assert np.max(np.abs(residual)) < 1e-9
 
 
 def test_relative_entropy_values():

@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from delayed_hedge import DiscreteMarket, IntegrabilityError, LengthMismatch, value
+from delayed_hedge import DiscreteMarket, IntegrabilityError, LengthMismatch, SizeError, value
 from delayed_hedge.mc import (
+    MAX_PATH_STEPS,
     analytic_quadratic_utility,
     estimate_utility,
     generate,
@@ -35,6 +36,13 @@ def test_generate_moments():
 def test_generate_count_guard():
     with pytest.raises(LengthMismatch):
         generate(ACCEPTANCE_MARKET, 0, seed=1)
+
+
+def test_generate_caps_path_steps():
+    m = ACCEPTANCE_MARKET
+    assert 100_000 * m.n <= MAX_PATH_STEPS  # the README's simulate example stays allowed
+    with pytest.raises(SizeError, match="path-steps"):
+        generate(m, MAX_PATH_STEPS // m.n + 1, seed=1)
 
 
 def test_estimate_matches_formula_value():
@@ -114,6 +122,16 @@ def test_analytic_matches_formula_for_optimal_form():
         assert analytic_quadratic_utility(quad, lin, const, m) == pytest.approx(
             value(m), rel=1e-10
         )
+
+
+@pytest.mark.parametrize("n, delay, sigma_hat", [(1, 0, 1.3), (5, 2, 1.3), (9, 3, 0.6)])
+def test_quadratic_form_matches_the_ones_matrix_sum(n, delay, sigma_hat):
+    m = DiscreteMarket(n=n, delay=delay, mu=0.1, sigma=1.0, sigma_hat=sigma_hat)
+    w = strategy(m)
+    quad, _, _ = strategy_quadratic_form(w, m)
+    lag = np.abs(np.subtract.outer(np.arange(n), np.arange(n)))
+    kernel_full = np.concatenate([[0.0], w.kernel])
+    assert np.array_equal(quad, kernel_full[lag] + 2.0 * w.static_coeff * np.ones((n, n)))
 
 
 def test_analytic_rejects_non_integrable_form():

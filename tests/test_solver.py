@@ -199,6 +199,74 @@ def test_evaluate_rejects_wrong_length():
         evaluate_on_path(strategy(m), m, np.zeros(5))
 
 
+# --- convolution path evaluation against the per-index loop -----------------
+
+def _loop_evaluate_paths(w, m, x):
+    """The per-index evaluation that ``causal_convolve`` replaced, kept as the reference."""
+    count, n = x.shape
+    gammas = np.empty_like(x)
+    for i in range(n):
+        acc = np.full(count, w.merton)
+        if i > 0:
+            acc += x[:, :i] @ w.kernel[i - 1 :: -1]
+        gammas[:, i] = acc
+    total = x.sum(axis=1)
+    v = w.static_coeff * total**2 + (gammas * x).sum(axis=1) - w.static_coeff * n * m.sigma_hat**2
+    return gammas, v
+
+
+def _assert_matches_loop(w, m, x, first_exact):
+    gammas, v = solver.evaluate_paths(w, m, x)
+    ref_gammas, ref_v = _loop_evaluate_paths(w, m, x)
+    # both sides sum at most n products: a dot-product rounding bound each
+    eps, n = np.finfo(float).eps, m.n
+    x_max = float(np.max(np.abs(x)))
+    gamma_tol = n * eps * (abs(w.merton) + x_max * float(np.sum(np.abs(w.kernel))))
+    assert np.max(np.abs(gammas - ref_gammas)) <= gamma_tol
+    v_scale = abs(w.static_coeff) * (n * x_max) ** 2 + n * x_max * float(np.max(np.abs(ref_gammas)))
+    v_tol = n * eps * v_scale + n * x_max * gamma_tol + n * eps * abs(w.static_coeff) * n * m.sigma_hat**2
+    assert np.max(np.abs(v - ref_v)) <= v_tol
+    assert np.array_equal(gammas[:, :first_exact], ref_gammas[:, :first_exact])
+    assert np.all(gammas[:, :first_exact] == w.merton)
+
+
+SOLUTION_CASES = sorted(
+    {(n, D, ratio) for n in (1, 2, 7, 256) for D in (0, 1, n - 1) if D < n for ratio in (0.7, 1.4)}
+)
+
+
+@pytest.mark.parametrize("n, D, ratio", SOLUTION_CASES, ids=lambda v: str(v))
+def test_evaluate_paths_matches_loop_for_solution_weights(n, D, ratio):
+    m = market(n, D, ratio, mu=0.3 / n, sigma=0.8)
+    w = strategy(m)
+    x = np.random.default_rng(n * 100 + D).normal(m.mu, m.sigma, size=(40, n))
+    # kernel lags 1..D are exact zeros, so the first D + 1 holdings are exact
+    _assert_matches_loop(w, m, x, first_exact=D + 1)
+
+
+def _hand_kernel(kind, n, rng):
+    kernel = rng.normal(size=n - 1)
+    if kind == "zero":
+        kernel[:] = 0.0
+    elif kind == "leading-zeros":
+        kernel[: min(3, n - 1)] = 0.0
+        kernel[len(kernel) // 2] = 0.0  # an interior zero as well
+    return kernel
+
+
+# a random kernel has n - 1 outputs: the middle two n sit on each side of the crossover
+@pytest.mark.parametrize("n", [2, 7, solver.DIRECT_CONVOLVE_MAX + 1, solver.DIRECT_CONVOLVE_MAX + 2, 256])
+@pytest.mark.parametrize("kind", ["random", "zero", "leading-zeros"])
+def test_evaluate_paths_matches_loop_for_hand_built_kernels(kind, n):
+    rng = np.random.default_rng(n)
+    m = market(n, 0, 1.3, mu=0.05)
+    w = solver.StrategyWeights(merton=0.4, kernel=_hand_kernel(kind, n, rng), static_coeff=-0.2)
+    x = rng.normal(m.mu, m.sigma, size=(30, n))
+    nonzero = np.flatnonzero(w.kernel)
+    first_exact = (int(nonzero[0]) if nonzero.size else n - 1) + 1
+    _assert_matches_loop(w, m, x, first_exact=first_exact)
+
+
 def test_solution_bundle():
     m = market(6, 2, 1.3, mu=0.1)
     sol = solve(m)
