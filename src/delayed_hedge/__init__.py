@@ -5,7 +5,7 @@ value; the Toeplitz module carries the banded-inverse and determinant
 identities with dense oracles; the dual module verifies the martingale-measure
 construction pathwise; the kernel and convergence modules cover the
 continuous-time limit; mc simulates seeded paths against the closed-form
-Gaussian expectation.
+Gaussian expectation and holds the brute-force optimality oracle.
 """
 
 from .errors import (
@@ -29,7 +29,6 @@ from .market import (
 from .solver import (
     HedgeSolution,
     StrategyWeights,
-    brute_force_optimum,
     evaluate_on_path,
     hedge_matrix,
     solve,
@@ -38,6 +37,7 @@ from .solver import (
     value,
     weights_b,
 )
+from .mc import brute_force_optimum
 from .kernel import (
     KernelSpec,
     alpha,

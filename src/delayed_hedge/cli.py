@@ -9,6 +9,7 @@ JSON and '%.12g' in CSV, and exit codes follow CI conventions: 0 success,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -17,10 +18,20 @@ from contextlib import nullcontext
 import numpy as np
 
 from . import convergence, kernel, mc, solver, verify
-from .errors import DelayedHedgeError, NumericalError
+from .errors import DelayedHedgeError, NumericalError, SizeError
 from .market import ContinuousMarket, DiscreteMarket, validate_continuous, validate_discrete
 
 SCHEMA_VERSION = 1
+
+# Cap on the values one command computes and writes: grid points, solve's
+# weights, fig1's summed n and table cells, fig2's table rows.  Each is
+# counted before anything is allocated.
+MAX_POINTS = 10**6
+
+
+def _check_points(count: int, what: str) -> None:
+    if count > MAX_POINTS:
+        raise SizeError(f"{what}: {count} exceeds the cap of MAX_POINTS = {MAX_POINTS}")
 
 
 def _config(args, skip=("func", "out")) -> dict:
@@ -45,6 +56,8 @@ def _emit_json(args, payload: dict) -> None:
 
 
 def _emit_csv(args, table: convergence.Table, command: str) -> None:
+    if not np.isfinite(table.columns).all():
+        raise NumericalError("result is not finite: the table holds NaN or infinite values")
     meta = {"command": command, "schema_version": SCHEMA_VERSION}
     meta.update(_config(args))
     with _open_out(args) as stream:
@@ -57,12 +70,13 @@ def _market_from(args) -> DiscreteMarket:
 
 
 def _parse_grid(text: str):
-    """Comma list ('0.1,0.2') or inclusive range syntax 'lo:hi:step'."""
+    """Comma list ('0.1,0.2') or inclusive range syntax 'lo:hi:step' (at most MAX_POINTS points)."""
     if ":" in text:
         lo, hi, step = (float(p) for p in text.split(":"))
         if not step > 0:
             raise ValueError(f"grid step must be > 0, got {step}")
         count = int(round((hi - lo) / step))
+        _check_points(count + 1, "grid points")
         return [round(lo + i * step, 12) for i in range(count + 1) if lo + i * step <= hi + 1e-12]
     return [float(p) for p in text.split(",")]
 
@@ -80,6 +94,8 @@ def _arg_type(convert, ok, rule: str):
             valid = ok(value)
         except (ValueError, ArithmeticError):
             valid = False
+        except SizeError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
         if not valid:
             raise argparse.ArgumentTypeError(f"expected {rule}, got {text!r}")
         return value
@@ -88,15 +104,21 @@ def _arg_type(convert, ok, rule: str):
 
 
 _positive_int = _arg_type(int, lambda v: v >= 1, "an integer >= 1")
+_grid_steps = _arg_type(int, lambda v: 1 <= v < MAX_POINTS, f"an integer in [1, {MAX_POINTS})")
 _positive_float = _arg_type(float, lambda v: 0.0 < v < math.inf, "a finite number > 0")
 _seed = _arg_type(int, lambda v: 0 <= v < 2**64, "an integer in [0, 2^64)")
 # these two keep the text, which the config echo prints
-_ns = _arg_type(str, lambda text: min(_parse_ns(text)) >= 1, "comma-separated integers >= 1")
+_ns = _arg_type(
+    str,
+    lambda text: min(_parse_ns(text)) >= 1 and sum(_parse_ns(text)) <= MAX_POINTS,
+    f"comma-separated integers >= 1 summing to at most {MAX_POINTS}",
+)
 _grid = _arg_type(str, lambda text: len(_parse_grid(text)) > 0, "a comma list or lo:hi:step with step > 0")
 
 
 def cmd_solve(args) -> int:
     m = _market_from(args)
+    _check_points(m.n - 1, "solve weights b_1..b_{n-1}")
     sol = solver.solve(m)
     _emit_json(
         args,
@@ -125,12 +147,13 @@ def cmd_simulate(args) -> int:
     batch = mc.generate(m, args.paths, args.seed)  # first: it enforces the path-step cap
     w = solver.strategy(m)
     if args.perturb is not None:
-        w = solver.StrategyWeights(
-            merton=w.merton, kernel=args.perturb * w.kernel, static_coeff=w.static_coeff
-        )
+        w = dataclasses.replace(w, kernel=args.perturb * w.kernel)
     report = mc.estimate_utility(batch, w, m)
     payload = report.to_json()
     payload["value_formula"] = solver.value(m)
+    skipped = mc.analytic_skip_reason(m)
+    if skipped is not None:
+        payload["analytic_skipped"] = skipped
     payload["generator"] = mc.GENERATOR_ID
     _emit_json(args, payload)
     return 0
@@ -169,13 +192,16 @@ def cmd_limit(args) -> int:
 def cmd_fig1(args) -> int:
     market = ContinuousMarket(H=args.H, theta=0.0, varsigma=1.0, varsigma_hat=math.sqrt(args.ratio))
     ns = _parse_ns(args.ns)
+    _check_points((args.grid + 1) * len(ns), "fig1 table cells (grid + 1) * len(ns)")
     table = convergence.figure1_data(market, ns=ns, grid=args.grid, include_unshifted=args.include_unshifted)
     _emit_csv(args, table, "fig1")
     return 0
 
 
 def cmd_fig2(args) -> int:
-    table = convergence.figure2_data(_parse_grid(args.h_grid), _parse_grid(args.logratio_grid))
+    h_grid, logratio_grid = _parse_grid(args.h_grid), _parse_grid(args.logratio_grid)
+    _check_points(len(h_grid) * len(logratio_grid), "fig2 table rows")
+    table = convergence.figure2_data(h_grid, logratio_grid)
     _emit_csv(args, table, "fig2")
     return 0
 
@@ -223,7 +249,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("kernel", parents=[common], help="tabulate kappa and the strategy kernel")
     p.add_argument("--H", type=float, required=True)
     p.add_argument("--ratio", type=_positive_float, required=True, help="varsigma_hat^2 / varsigma^2")
-    p.add_argument("--grid", type=_positive_int, default=500)
+    p.add_argument("--grid", type=_grid_steps, default=500)
     p.set_defaults(func=cmd_kernel)
 
     p = sub.add_parser("limit", parents=[common], help="continuous-limit alpha, value and static coefficient")
@@ -237,7 +263,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--H", type=float, default=0.2)
     p.add_argument("--ratio", type=_positive_float, required=True, help="varsigma_hat^2 / varsigma^2")
     p.add_argument("--ns", type=_ns, default="100,1000", help="comma-separated n values")
-    p.add_argument("--grid", type=_positive_int, default=500)
+    p.add_argument("--grid", type=_grid_steps, default=500)
     p.add_argument("--include-unshifted", action="store_true",
                    help="append raw kappa and n*b columns")
     p.set_defaults(func=cmd_fig1)
@@ -255,10 +281,15 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        # numpy overflow is silent here: a non-finite result fails at the emitters instead
+        with np.errstate(all="ignore"):
+            return args.func(args)
+    except ArithmeticError as exc:  # Python floats raise on overflow and division by zero
+        error = f"floating-point error at extreme inputs: {exc}"
     except DelayedHedgeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        error = str(exc)
+    print(f"error: {error}", file=sys.stderr)
+    return 2
 
 
 if __name__ == "__main__":

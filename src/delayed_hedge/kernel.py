@@ -72,9 +72,8 @@ def interval_count(H: float) -> int:
 def c_coefficients(alpha_value: float, H: float) -> np.ndarray:
     """The K = ceil(1/H) interval constants c_1..c_K of the kernel.
 
-    c[k] (0-based) holds c_{k+1}.  Each step of the recurrence accumulates
-    c_{k-j} (-alpha H)^j / j! with an incrementally updated term, so no
-    explicit factorials appear.
+    c[k] (0-based) holds c_{k+1}, which is exp(alpha H) times the interval
+    series of c_1..c_k at ratio -alpha H (``_series``).
     """
     K = interval_count(H)
     c = np.zeros(K)
@@ -82,13 +81,22 @@ def c_coefficients(alpha_value: float, H: float) -> np.ndarray:
         c[0] = -alpha_value
     growth = math.exp(alpha_value * H)
     for k in range(1, K):
-        term = 1.0
-        total = 0.0
-        for j in range(k):
-            total += c[k - 1 - j] * term
-            term *= (-alpha_value * H) / (j + 1)
-        c[k] = growth * total
+        c[k] = growth * _series(c, k, -alpha_value * H)
     return c
+
+
+def _series(c: np.ndarray, k: int, ratio):
+    """sum_{j<k} c[k-1-j] ratio^j / j!, with an incrementally updated term (no factorials).
+
+    ``ratio`` is -alpha H for the recurrence of c_coefficients and -alpha (t - kH)
+    (a float or a node array) for interval k's polynomial in ``_piece``.
+    """
+    term = 1.0
+    total = 0.0
+    for j in range(k):
+        total += c[k - 1 - j] * term
+        term *= ratio / (j + 1)
+    return total
 
 
 @dataclass(frozen=True)
@@ -133,12 +141,7 @@ def _piece(t, k: int, spec: KernelSpec):
     if k <= 0:
         return np.full_like(t, spec.level) if isinstance(t, np.ndarray) else spec.level
     u = t - k * spec.H
-    c, ratio = spec.c, (-spec.alpha) * u
-    term = 1.0
-    total = 0.0
-    for j in range(k):
-        total += c[k - 1 - j] * term
-        term *= ratio / (j + 1)
+    total = _series(spec.c, k, (-spec.alpha) * u)
     return spec.level + (np.exp if isinstance(u, np.ndarray) else math.exp)(spec.alpha * u) * total
 
 

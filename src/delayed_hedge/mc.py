@@ -15,21 +15,28 @@ positive definite (checked by attempting a Cholesky factorization of M, whose
 factor then gives both the determinant and M^-1 b).
 
 ``generate`` refuses batches of more than ``MAX_PATH_STEPS`` path-steps
-(paths * n) before it allocates anything.
+(paths * n) before it allocates anything, and ``estimate_utility`` leaves the
+analytic oracle, which builds n x n matrices, out above ``ANALYTIC_MAX_N``.
+
+``brute_force_optimum`` maximizes the same closed-form expectation over every
+quadratic strategy the delayed filtration can measure (Nelder-Mead, n <= 3):
+an optimality oracle for the explicit solution that no production path runs,
+so ``scipy.optimize`` is imported only when it is called.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 from scipy.linalg import cho_solve
 from scipy.special import ndtri
 
-from .errors import IntegrabilityError, LengthMismatch, SizeError
+from .errors import IntegrabilityError, LengthMismatch, OptimizerFailure, SizeError
 from .market import DiscreteMarket, validate_discrete
 from .solver import StrategyWeights, evaluate_paths
+from .toeplitz import SymToeplitz
 
 GENERATOR_ID = "philox4x64/ndtri-v1"
 
@@ -38,6 +45,13 @@ GENERATOR_ID = "philox4x64/ndtri-v1"
 # increments it keeps (n x n oracle terms aside), so a batch at the cap stays
 # near 0.5 GB.
 MAX_PATH_STEPS = 10**7
+
+# Largest n for which estimate_utility runs the analytic oracle.  Under
+# tracemalloc its n x n arrays peak at 101 MB at n = 2048, the largest
+# benchmark market, and at 406 MB at the cap.
+ANALYTIC_MAX_N = 4096
+
+BRUTE_FORCE_MAX_N = 3
 
 
 @dataclass(frozen=True)
@@ -62,14 +76,7 @@ class UtilityReport:
     ess: float  # effective sample size of the exp(-V) weights
 
     def to_json(self) -> dict:
-        return {
-            "empirical_mean": self.empirical_mean,
-            "std_error": self.std_error,
-            "analytic": self.analytic,
-            "n_paths": self.n_paths,
-            "seed": self.seed,
-            "ess": self.ess,
-        }
+        return asdict(self)
 
 
 def generate(m: DiscreteMarket, count: int, seed: int) -> PathBatch:
@@ -91,20 +98,24 @@ def estimate_utility(batch: PathBatch, w: StrategyWeights, m: DiscreteMarket) ->
     """Empirical mean and standard error of -exp(-V) over the batch.
 
     The analytic expectation of the same quadratic strategy is attached when
-    it exists.  Accumulation relies on numpy's pairwise summation, which is
-    deterministic for a given batch.
+    it exists and ``analytic_skip_reason`` gives none.  Accumulation relies on
+    numpy's pairwise summation, which is deterministic for a given batch.
+    Moments that overflow come out non-finite, without a warning.
     """
     if batch.n != m.n:
         raise LengthMismatch(f"batch has n={batch.n}, market has n={m.n}")
     _, v = evaluate_paths(w, m, batch.increments)
-    y = -np.exp(-v)
-    mean = float(np.mean(y))
-    stderr = float(np.std(y, ddof=1) / math.sqrt(batch.count)) if batch.count > 1 else 0.0
-    ess = float(np.sum(np.abs(y)) ** 2 / np.sum(y * y))
-    try:
-        analytic = analytic_quadratic_utility(*strategy_quadratic_form(w, m), m)
-    except IntegrabilityError:
-        analytic = None
+    with np.errstate(over="ignore", invalid="ignore"):
+        y = -np.exp(-v)
+        mean = float(np.mean(y))
+        stderr = float(np.std(y, ddof=1) / math.sqrt(batch.count)) if batch.count > 1 else 0.0
+        ess = float(np.sum(np.abs(y)) ** 2 / np.sum(y * y))
+    analytic = None
+    if analytic_skip_reason(m) is None:
+        try:
+            analytic = analytic_quadratic_utility(*strategy_quadratic_form(w, m), m)
+        except IntegrabilityError:
+            pass
     return UtilityReport(
         empirical_mean=mean,
         std_error=stderr,
@@ -115,6 +126,13 @@ def estimate_utility(batch: PathBatch, w: StrategyWeights, m: DiscreteMarket) ->
     )
 
 
+def analytic_skip_reason(m: DiscreteMarket) -> str | None:
+    """Why ``estimate_utility`` leaves the analytic oracle out for ``m``, or None."""
+    if m.n > ANALYTIC_MAX_N:
+        return f"n = {m.n} exceeds ANALYTIC_MAX_N = {ANALYTIC_MAX_N}; the oracle builds n x n matrices"
+    return None
+
+
 def strategy_quadratic_form(w: StrategyWeights, m: DiscreteMarket):
     """(Q, linear, constant) with V(x) = (1/2) x'Qx + linear.x + constant.
 
@@ -123,9 +141,8 @@ def strategy_quadratic_form(w: StrategyWeights, m: DiscreteMarket):
     price of the static leg.
     """
     n = m.n
-    lag = np.abs(np.subtract.outer(np.arange(n), np.arange(n)))
-    kernel_full = np.concatenate([[0.0], w.kernel])  # lag 0 contributes nothing
-    quad = (kernel_full + 2.0 * w.static_coeff)[lag]
+    kernel_full = np.concatenate([[0.0], w.kernel[: n - 1]])  # lag 0 contributes nothing
+    quad = SymToeplitz(kernel_full + 2.0 * w.static_coeff).to_dense()
     linear = np.full(n, w.merton)
     constant = -w.static_coeff * n * m.sigma_hat**2
     return quad, linear, constant
@@ -156,3 +173,54 @@ def analytic_quadratic_utility(
     log_det = n * math.log(sig2) + 2.0 * float(np.sum(np.log(np.diag(chol))))
     exponent = -constant - 0.5 * log_det + 0.5 * float(b @ solved) - 0.5 * n * m.mu**2 / sig2
     return -math.exp(exponent)
+
+
+def brute_force_optimum(m: DiscreteMarket):
+    """Numerically maximize expected utility over quadratic-static strategies.
+
+    The search family is f(s) = q (s - S0)^2 + l (s - S0) plus holdings that
+    are affine in the increments observable under the delayed filtration;
+    the theoretical optimum lies inside it.  Expectations are evaluated with
+    the closed Gaussian form, and the search is Nelder-Mead from several
+    starts.  Only n <= BRUTE_FORCE_MAX_N is allowed.
+    """
+    from scipy.optimize import minimize  # only this oracle needs the optimizer
+
+    validate_discrete(m)
+    n = m.n
+    if n > BRUTE_FORCE_MAX_N:
+        raise SizeError(f"brute force limited to n <= {BRUTE_FORCE_MAX_N}, got {n}")
+    # gamma_i may load on x_j exactly when j <= i - 1 - D (1-based).
+    pairs = [(i, j) for i in range(1, n + 1) for j in range(1, i - m.delay)]
+    dim = 2 + n + len(pairs)
+
+    def assemble(p):
+        q, l = p[0], p[1]
+        g = np.asarray(p[2 : 2 + n])
+        quad = 2.0 * q * np.ones((n, n))
+        for (i, j), h in zip(pairs, p[2 + n :]):
+            quad[i - 1, j - 1] += h
+            quad[j - 1, i - 1] += h
+        lin = l * np.ones(n) + g
+        const = -q * n * m.sigma_hat**2
+        return quad, lin, const
+
+    def negative_utility(p):
+        try:
+            return -analytic_quadratic_utility(*assemble(p), m)
+        except IntegrabilityError:
+            return 1e6  # outside the integrable region
+
+    best = None
+    for shift in (0.0, 0.1, -0.1):
+        res = minimize(
+            negative_utility,
+            np.full(dim, shift),
+            method="Nelder-Mead",
+            options=dict(xatol=1e-10, fatol=1e-13, maxiter=40000, maxfev=40000),
+        )
+        if best is None or res.fun < best.fun:
+            best = res
+    if best is None or not np.isfinite(best.fun) or best.fun >= 1e6:
+        raise OptimizerFailure("no integrable optimum found")
+    return -best.fun, list(best.x)

@@ -21,7 +21,8 @@ with |A| the closed-form Toeplitz determinant.
 ``solve`` computes a and log |A| once; ``strategy``, ``value`` and
 ``hedge_matrix`` are views of the ``HedgeSolution`` it returns.
 ``evaluate_paths`` sums the holdings of a batch of paths as one causal
-convolution (``causal_convolve``).
+convolution (``causal_convolve``).  The module needs numpy alone; the
+Nelder-Mead optimality oracle is ``mc.brute_force_optimum``.
 """
 
 from __future__ import annotations
@@ -31,16 +32,8 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-from scipy.optimize import minimize
 
-from .errors import (
-    DomainError,
-    IntegrabilityError,
-    LengthMismatch,
-    NumericalError,
-    OptimizerFailure,
-    SizeError,
-)
+from .errors import DomainError, LengthMismatch, NumericalError
 from .market import DiscreteMarket, validate_discrete
 from .toeplitz import SymToeplitz, build_matrix, log_det_closed_form
 
@@ -48,8 +41,6 @@ from .toeplitz import SymToeplitz, build_matrix, log_det_closed_form
 # discriminant below -CLAMP (relative) means the inputs are inconsistent.
 DISCRIMINANT_CLAMP = 1e-12
 ROOT_RESIDUAL_TOL = 1e-12
-
-BRUTE_FORCE_MAX_N = 3
 
 # causal_convolve multiplies by the dense Toeplitz matrix up to this many
 # outputs and uses the FFT beyond.  Each FFT carries ~10 us of call overhead;
@@ -272,54 +263,3 @@ def evaluate_on_path(w: StrategyWeights, m: DiscreteMarket, x: np.ndarray):
         raise LengthMismatch(f"expected {m.n} increments, got shape {x.shape}")
     gammas, v = evaluate_paths(w, m, x[None, :])
     return gammas[0], float(v[0])
-
-
-def brute_force_optimum(m: DiscreteMarket):
-    """Numerically maximize expected utility over quadratic-static strategies.
-
-    The search family is f(s) = q (s - S0)^2 + l (s - S0) plus holdings that
-    are affine in the increments observable under the delayed filtration;
-    the theoretical optimum lies inside it.  Expectations are evaluated with
-    the closed Gaussian form, and the search is Nelder-Mead from several
-    starts.  Only n <= BRUTE_FORCE_MAX_N is allowed.
-    """
-    from .mc import analytic_quadratic_utility  # local import, mc depends on this module
-
-    validate_discrete(m)
-    n = m.n
-    if n > BRUTE_FORCE_MAX_N:
-        raise SizeError(f"brute force limited to n <= {BRUTE_FORCE_MAX_N}, got {n}")
-    # gamma_i may load on x_j exactly when j <= i - 1 - D (1-based).
-    pairs = [(i, j) for i in range(1, n + 1) for j in range(1, i - m.delay)]
-    dim = 2 + n + len(pairs)
-
-    def assemble(p):
-        q, l = p[0], p[1]
-        g = np.asarray(p[2 : 2 + n])
-        quad = 2.0 * q * np.ones((n, n))
-        for (i, j), h in zip(pairs, p[2 + n :]):
-            quad[i - 1, j - 1] += h
-            quad[j - 1, i - 1] += h
-        lin = l * np.ones(n) + g
-        const = -q * n * m.sigma_hat**2
-        return quad, lin, const
-
-    def negative_utility(p):
-        try:
-            return -analytic_quadratic_utility(*assemble(p), m)
-        except IntegrabilityError:
-            return 1e6  # outside the integrable region
-
-    best = None
-    for shift in (0.0, 0.1, -0.1):
-        res = minimize(
-            negative_utility,
-            np.full(dim, shift),
-            method="Nelder-Mead",
-            options=dict(xatol=1e-10, fatol=1e-13, maxiter=40000, maxfev=40000),
-        )
-        if best is None or res.fun < best.fun:
-            best = res
-    if best is None or not np.isfinite(best.fun) or best.fun >= 1e6:
-        raise OptimizerFailure("no integrable optimum found")
-    return -best.fun, list(best.x)

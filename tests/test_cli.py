@@ -1,14 +1,21 @@
+import contextlib
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+import time
+import warnings
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from delayed_hedge import mc
-from delayed_hedge.cli import main
+from delayed_hedge.cli import MAX_POINTS, main
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def run_cli(capsys, *argv):
@@ -221,6 +228,15 @@ MARKET = ["--n", "4", "--delay", "1", "--sigma", "1", "--sigma-hat", "1.3"]
         ["simulate", *MARKET, "--paths", "1000", "--perturb", "nan"],
         ["simulate", *MARKET, "--paths", str(mc.MAX_PATH_STEPS // 4 + 1)],
         ["solve", *MARKET, "--threads", "0"],
+        ["solve", "--n", str(MAX_POINTS + 2), "--delay", "1", "--sigma", "1", "--sigma-hat", "1.3"],
+        ["kernel", "--H", "0.2", "--ratio", "2", "--grid", str(MAX_POINTS)],
+        ["fig1", "--ratio", "2", "--grid", str(MAX_POINTS)],
+        ["fig1", "--ratio", "2", "--ns", f"{MAX_POINTS},2"],
+        ["fig1", "--ratio", "2", "--ns", "2,2", "--grid", str(MAX_POINTS // 2)],
+        ["fig2", "--h-grid", "0:1:1e-12"],
+        ["fig2", "--h-grid", "0.001:1:0.001", "--logratio-grid=-2:2:0.001"],
+        ["simulate", "--n", "8", "--delay", "1", "--mu", "0.1", "--sigma", "1", "--sigma-hat", "2",
+         "--paths", "100", "--perturb", "-50", "--seed", "1"],
     ],
     ids=lambda argv: " ".join(argv),
 )
@@ -252,3 +268,135 @@ def test_python_dash_m_runs_the_cli():
     )
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["all_passed"] is True
+
+
+def test_import_loads_no_optimizer_until_the_brute_force_oracle_runs():
+    code = (
+        "import sys, delayed_hedge, delayed_hedge.cli, delayed_hedge.verify\n"
+        "print('scipy.optimize' in sys.modules)\n"
+        "delayed_hedge.brute_force_optimum(delayed_hedge.DiscreteMarket(2, 1, 0.0, 1.0, 1.0))\n"
+        "print('scipy.optimize' in sys.modules)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False", "True"]
+
+
+def test_verify_convergence_suite(capsys):
+    code, doc = run_json(capsys, "verify", "--suite", "convergence")
+    assert code == 0
+    assert doc["all_passed"] is True
+    assert [c["name"] for c in doc["checks"]] == [
+        "convergence.limit_gap_at_1e4",
+        "convergence.an_rate_fitted_C",
+        "convergence.l2_rate_factor",
+        "convergence.fig1_sup_gap",
+        "convergence.fig1_signs",
+        "convergence.fig2_equal_vols",
+        "convergence.fig2_monotone",
+        "convergence.fig2_small_H",
+    ]
+
+
+@pytest.mark.parametrize(
+    "argv, committed",
+    [
+        (["fig1", "--H", "0.2", "--ratio", "0.5", "--ns", "100,1000"], "fig1_ratio0.5.csv"),
+        (["fig2", "--h-grid", "0.02:1.0:0.02", "--logratio-grid=-2.0:2.0:0.1"], "fig2.csv"),
+    ],
+)
+def test_readme_figure_commands_reproduce_the_committed_tables(capsys, argv, committed):
+    code, out = run_cli(capsys, *argv)
+    assert code == 0
+
+    def rows(text):
+        return [line for line in text.splitlines(keepends=True) if not line.startswith("#")]
+
+    assert rows(out) == rows((ROOT / "out" / committed).read_text(encoding="utf-8"))
+
+
+def test_simulate_reports_a_non_integrable_strategy_without_analytic(capsys):
+    code, doc = run_json(
+        capsys, "simulate", "--n", "8", "--delay", "1", "--mu", "0.1", "--sigma", "1",
+        "--sigma-hat", "0.5", "--paths", "100", "--perturb", "5", "--seed", "1",
+    )
+    assert code == 0
+    assert doc["analytic"] is None
+    assert "analytic_skipped" not in doc
+    assert all(math.isfinite(doc[k]) for k in ("empirical_mean", "std_error", "ess"))
+
+
+def test_simulate_above_the_analytic_cap_skips_the_oracle(capsys):
+    n = mc.ANALYTIC_MAX_N + 1
+    code, doc = run_json(
+        capsys, "simulate", "--n", str(n), "--delay", "3", "--mu", "0.1", "--sigma", "1",
+        "--sigma-hat", "1.3", "--paths", "100", "--seed", "1",
+    )
+    assert code == 0
+    assert doc["analytic"] is None
+    assert str(mc.ANALYTIC_MAX_N) in doc["analytic_skipped"]
+    assert list(doc)[-3:] == ["value_formula", "analytic_skipped", "generator"]
+
+
+# One or two flags of a cheap valid command take one of these; "huge" values sit past every cap.
+FUZZ_VALUES = [
+    "nan", "inf", "-inf", "-1", "0", "1e-300", "1e300", "-1e300", str(10**30), "abc", "",
+    "1:0:0.1", "0:1:1e-12", "0:1e300:1", "1,,2",
+]
+FUZZ_COMMANDS = {
+    "solve": {"--n": "8", "--delay": "2", "--mu": "0.1", "--sigma": "1", "--sigma-hat": "1.3"},
+    "simulate": {"--n": "8", "--delay": "1", "--mu": "0.1", "--sigma": "1", "--sigma-hat": "2",
+                 "--paths": "200", "--seed": "1", "--perturb": "1.5"},
+    "verify": {"--suite": "matrix", "--grid-size": "2"},
+    "kernel": {"--H": "0.2", "--ratio": "2", "--grid": "50"},
+    "limit": {"--H": "0.2", "--theta": "0.1", "--vsigma": "1", "--vsigma-hat": "1.4"},
+    "fig1": {"--H": "0.2", "--ratio": "0.5", "--ns": "100,1000", "--grid": "50"},
+    "fig2": {"--h-grid": "0.2:1:0.2", "--logratio-grid": "-1:1:0.5"},
+}
+
+
+@st.composite
+def fuzz_argv(draw):
+    command = draw(st.sampled_from(sorted(FUZZ_COMMANDS)))
+    flags = FUZZ_COMMANDS[command]
+    bad = draw(st.sets(st.sampled_from(sorted(flags)), min_size=1, max_size=2))
+    return [command] + [
+        f"{flag}={draw(st.sampled_from(FUZZ_VALUES)) if flag in bad else valid}" for flag, valid in flags.items()
+    ]
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, suppress_health_check=[HealthCheck.too_slow])
+@given(argv=fuzz_argv())
+# cases that raised a Python float error or printed numpy warnings before main handled them
+@example(argv=["solve", "--n=8", "--delay=2", "--mu=1e300", "--sigma=1", "--sigma-hat=1.3"])
+@example(argv=["simulate", "--n=8", "--delay=1", "--mu=1e300", "--sigma=1", "--sigma-hat=2", "--paths=200"])
+@example(argv=["limit", "--H=0.2", "--theta=1e300", "--vsigma=1", "--vsigma-hat=1.4"])
+@example(argv=["fig2", "--h-grid=0.2:1:0.2", "--logratio-grid=1e300"])
+@example(argv=["kernel", "--H=1e-300", "--ratio=1e300", "--grid=50"])
+@example(argv=["kernel", "--H=0.2", "--ratio=1e300", "--grid=50"])
+def test_fuzzed_flags_exit_cleanly(argv):
+    out, err = io.StringIO(), io.StringIO()
+    start = time.perf_counter()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse rejects the flag
+            code = exc.code
+    assert time.perf_counter() - start < 30.0
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
+    assert [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)] == []
+    if code == 2:
+        assert out.getvalue() == ""
+        assert sum("error:" in line for line in err.getvalue().splitlines()) == 1
+    elif argv[0] in ("solve", "simulate", "verify", "limit"):
+        json.loads(out.getvalue(), parse_constant=_reject_constant)
+    else:
+        for line in out.getvalue().splitlines()[2:]:
+            assert all(math.isfinite(float(x)) for x in line.split(","))

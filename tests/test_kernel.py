@@ -150,6 +150,29 @@ def test_scalar_kappa_keeps_math_exp(monkeypatch):
 
 @pytest.mark.parametrize("H", [0.2, 0.15, 0.02])
 @pytest.mark.parametrize("ratio", [0.5, 2.0])
+def test_series_keeps_the_written_out_recurrence_bit_for_bit(H, ratio):
+    spec = spec_of(H, ratio)
+    al = spec.alpha
+    c = [-al]
+    for k in range(1, spec.K):
+        term, total = 1.0, 0.0
+        for j in range(k):
+            total += c[k - 1 - j] * term
+            term *= (-al * H) / (j + 1)
+        c.append(math.exp(al * H) * total)
+    assert spec.c.tolist() == c
+    for t in np.linspace(H, 1.0, 97).tolist():
+        k = min(math.floor(t / H), spec.K - 1)
+        u = t - k * H
+        term, total = 1.0, 0.0
+        for j in range(k):
+            total += c[k - 1 - j] * term
+            term *= ((-al) * u) / (j + 1)
+        assert kappa(t, spec) == spec.level + math.exp(al * u) * total
+
+
+@pytest.mark.parametrize("H", [0.2, 0.15, 0.02])
+@pytest.mark.parametrize("ratio", [0.5, 2.0])
 def test_array_piece_matches_scalar_piece(H, ratio):
     # np.exp on arrays may differ from math.exp in the last bit, nothing more
     spec = spec_of(H, ratio)

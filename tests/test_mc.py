@@ -1,12 +1,15 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from delayed_hedge import DiscreteMarket, IntegrabilityError, LengthMismatch, SizeError, value
 from delayed_hedge.mc import (
+    ANALYTIC_MAX_N,
     MAX_PATH_STEPS,
     analytic_quadratic_utility,
+    brute_force_optimum,
     estimate_utility,
     generate,
     strategy_quadratic_form,
@@ -151,3 +154,36 @@ def test_quadratic_form_reproduces_pathwise_value():
         x = rng.normal(m.mu, m.sigma, size=m.n)
         _, v = evaluate_on_path(w, m, x)
         assert v == pytest.approx(0.5 * x @ quad @ x + lin @ x + const, rel=1e-12)
+
+
+def test_estimate_above_the_analytic_cap_builds_no_n_by_n_array():
+    n = ANALYTIC_MAX_N + 1
+    m = DiscreteMarket(n=n, delay=3, mu=0.1, sigma=1.0, sigma_hat=1.3)
+    batch, w = generate(m, 100, seed=1), strategy(m)
+    tracemalloc.start()
+    try:
+        report = estimate_utility(batch, w, m)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.analytic is None
+    assert math.isfinite(report.empirical_mean)
+    assert peak < n * n * 8 / 4  # one n x n float array is 134 MB; about 16 MB measured
+
+
+def test_estimate_moments_overflow_without_warnings():
+    m = DiscreteMarket(n=8, delay=1, mu=0.1, sigma=1.0, sigma_hat=2.0)
+    base = strategy(m)
+    w = StrategyWeights(merton=base.merton, kernel=-50.0 * base.kernel, static_coeff=base.static_coeff)
+    with np.errstate(all="raise"):
+        report = estimate_utility(generate(m, 100, seed=1), w, m)
+    assert not math.isfinite(report.std_error)
+
+
+@pytest.mark.parametrize("n, delay", [(2, 0), (3, 1), (3, 0)])
+def test_brute_force_matches_formula_with_dynamic_terms(n, delay):
+    # D < n - 1 leaves the search holdings that load on observed increments
+    m = DiscreteMarket(n=n, delay=delay, mu=0.1, sigma=1.0, sigma_hat=1.3)
+    got, params = brute_force_optimum(m)
+    assert len(params) == 2 + n + (n - delay) * (n - delay - 1) // 2
+    assert got == pytest.approx(value(m), abs=1e-9)
