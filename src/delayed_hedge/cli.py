@@ -234,7 +234,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", parents=[common], help="run the identity/property suites")
     p.add_argument("--suite", choices=["matrix", "dual", "kernel", "convergence", "all"],
                    default="all")
-    p.add_argument("--grid-size", dest="grid_size", type=int, default=len(verify.N_VALUES),
+    p.add_argument("--grid-size", dest="grid_size", type=_positive_int, default=len(verify.N_VALUES),
                    help="how many n values of the sweep to use")
     p.set_defaults(func=cmd_verify)
 

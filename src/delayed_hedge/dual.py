@@ -9,27 +9,63 @@ past) and puts the market's pricing law on the terminal price.  The constant
 closes the identity V(x) + log(dQ/dP)(x) = C for every path x, and equals
 both the relative entropy of the dual measure and -log(-value).  C is the
 ``c_hat`` view of ``solver.solve``; every function here reads one solution.
+
+The covariance is stored as its (D+1) x n lower band (``toeplitz.inverse_band``),
+so building the measure, its entropy (banded Cholesky, O(n D^2)), its marginal
+and its martingale check cost O(n D) memory: no n x n array is built.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
 from .errors import NumericalError
 from .market import DiscreteMarket
-from .solver import causal_convolve, evaluate_paths, solve, strategy
-from .toeplitz import check_banded, inverse_via_v
+from .solver import HedgeSolution, causal_convolve, evaluate_paths, solve, strategy
+from .toeplitz import band_to_dense, inverse_band
+
+# Seeded probe vectors of the randomized check that the stored band inverts A.
+PROBE_COUNT = 3
+PROBE_SEED = 20231
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class DualMeasure:
-    """Centered Gaussian law of the increments under the dual measure."""
+    """Centered Gaussian law of the increments under the dual measure.
 
-    covariance: np.ndarray
+    ``band[d, j]`` is the covariance of increments j + d and j (0-based), zero
+    past the end of each diagonal.  A dense ``covariance`` may be passed
+    instead; it is stored as its full lower band (a covariance is symmetric, so
+    only its lower triangle is read), and the ``covariance`` property rebuilds
+    the dense matrix on demand.  ``solution`` is the ``HedgeSolution`` the
+    measure was built from (None for a hand-built measure).
+    """
+
+    band: np.ndarray
     c_hat: float
+    solution: HedgeSolution | None = field(default=None, repr=False, compare=False)
+
+    def __init__(self, band=None, *, c_hat: float, solution=None, covariance=None):
+        if (band is None) == (covariance is None):
+            raise TypeError("DualMeasure takes exactly one of band and covariance")
+        if covariance is not None:
+            covariance = np.asarray(covariance, dtype=float)
+            n = covariance.shape[0]
+            band = np.zeros((n, n))
+            for d in range(n):
+                band[d, : n - d] = np.diagonal(covariance, -d)
+        object.__setattr__(self, "band", band)
+        object.__setattr__(self, "c_hat", c_hat)
+        object.__setattr__(self, "solution", solution)
+
+    @property
+    def covariance(self) -> np.ndarray:
+        """The dense n x n covariance (an oracle view; builds the full matrix)."""
+        return band_to_dense(self.band)
 
 
 def dual_constant(m: DiscreteMarket) -> float:
@@ -40,26 +76,59 @@ def dual_constant(m: DiscreteMarket) -> float:
 def build_dual(m: DiscreteMarket) -> DualMeasure:
     """Construct the dual measure for the market's optimal strategy."""
     sol = solve(m)
-    covariance = m.sigma**2 * inverse_via_v(sol.a, m.delay, m.n)
+    band = m.sigma**2 * inverse_band(sol.a, m.delay, m.n)
     c_hat, u = sol.c_hat, sol.value
     if abs(-math.exp(-c_hat) - u) > 1e-12 * abs(u):
         raise NumericalError(f"dual constant {c_hat} inconsistent with value {u}")
-    return DualMeasure(covariance=covariance, c_hat=c_hat)
+    return DualMeasure(band=band, c_hat=c_hat, solution=sol)
+
+
+@lru_cache(maxsize=8)
+def _probes(n: int) -> np.ndarray:
+    """The seeded probe vectors for length n (read-only: the cache shares them)."""
+    z = np.random.default_rng(PROBE_SEED).standard_normal((PROBE_COUNT, n))
+    z.flags.writeable = False
+    return z
 
 
 def check_delayed_martingale(dm: DualMeasure, delay: int, tol: float) -> bool:
     """Structural delayed-martingale check for a Gaussian measure.
 
     A centered Gaussian increment law is a martingale for the delayed
-    filtration iff its covariance is D-banded, so the band is tested directly
-    instead of via conditional Monte Carlo.
+    filtration iff its covariance is D-banded.  Two tests:
+
+    * every stored diagonal beyond ``delay`` stays below tol * max |entry|;
+    * when the solution is known, the band must invert A: for seeded probe
+      vectors z, |A (B z) - z| <= tol |z| with B = band / sigma^2 applied by
+      the banded BLAS product (dsbmv), and A = (a + 1) I + T(b) by
+      ``causal_convolve`` on y and on reversed y, so neither matrix is built
+      (a randomized check, Freivalds 1977).
+
+    The first test alone is vacuous for a band stored with ``delay`` + 1 rows;
+    the second is what catches a wrong band.
     """
-    return check_banded(dm.covariance, delay, tol)
+    band = dm.band
+    if len(band) > delay + 1 and np.any(np.abs(band[delay + 1 :]) > tol * np.max(np.abs(band))):
+        return False
+    sol = dm.solution
+    if sol is None:
+        return True
+    from scipy.linalg.blas import dsbmv
+
+    z = _probes(band.shape[1])
+    stored = np.asfortranarray(band)
+    y = np.array([dsbmv(len(band) - 1, 1.0 / sol.market.sigma**2, stored, row, lower=1) for row in z])
+    lagged = causal_convolve(np.concatenate([y, y[:, ::-1]]), sol.b)
+    residual = (sol.a + 1.0) * y + lagged[: len(z)] + lagged[len(z) :, ::-1] - z
+    return bool(((residual * residual).sum(axis=1) <= tol**2 * (z * z).sum(axis=1)).all())
 
 
 def check_marginal(dm: DualMeasure, m: DiscreteMarket, tol: float) -> bool:
-    """True iff Var(S_n - S_0) under the dual measure equals n sigma_hat^2."""
-    total = float(dm.covariance.sum())
+    """True iff Var(S_n - S_0) under the dual measure equals n sigma_hat^2.
+
+    The variance of the sum is the diagonal sum plus twice the off-diagonal sums.
+    """
+    total = 2.0 * float(dm.band.sum()) - float(dm.band[0].sum())
     target = m.n * m.sigma_hat**2
     return abs(total - target) <= tol * abs(target)
 
@@ -97,16 +166,19 @@ def relative_entropy(dm: DualMeasure, m: DiscreteMarket) -> float:
     """KL divergence of the dual Gaussian from the market Gaussian.
 
     Closed Gaussian form (1/2)(trace(A^-1) - n + log |A| + n mu^2 / sigma^2),
-    computed from the covariance matrix itself: the trace comes straight off
-    the diagonal and log |A| from a Cholesky factorization, so agreement with
-    c_hat genuinely tests the closed-form determinant.
+    computed from the stored band itself: the trace comes off the main
+    diagonal and log |A| from a banded Cholesky factorization (LAPACK pbtrf,
+    O(n D^2)), so agreement with c_hat genuinely tests the closed-form
+    determinant.
     """
-    cov = dm.covariance
-    n = cov.shape[0]
+    from scipy.linalg import LinAlgError, cholesky_banded
+
+    band = dm.band
+    n = band.shape[1]
     try:
-        chol = np.linalg.cholesky(cov)
-    except np.linalg.LinAlgError as exc:
+        chol = cholesky_banded(band, lower=True, check_finite=False)
+    except LinAlgError as exc:
         raise NumericalError("dual covariance is not positive definite") from exc
-    trace_inv_a = float(np.trace(cov)) / m.sigma**2
-    log_det_a = n * math.log(m.sigma**2) - 2.0 * float(np.sum(np.log(np.diag(chol))))
+    trace_inv_a = float(np.sum(band[0])) / m.sigma**2
+    log_det_a = n * math.log(m.sigma**2) - 2.0 * float(np.sum(np.log(chol[0])))
     return 0.5 * (trace_inv_a - n + log_det_a + n * m.mu**2 / m.sigma**2)

@@ -38,7 +38,7 @@ from fractions import Fraction
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import DomainError, SizeError
+from .errors import DomainError, NumericalError, SizeError
 from .market import ContinuousMarket, validate_continuous
 
 
@@ -120,11 +120,23 @@ MAX_INTERVALS = 1000
 
 
 def kernel_spec(H: float, varsigma: float, varsigma_hat: float) -> KernelSpec:
+    """alpha and the interval constants; NumericalError when either is not finite.
+
+    At extreme ratios the series terms (-alpha H)^j / j! overflow while
+    exp(alpha H) underflows, which leaves NaN constants.
+    """
     a = alpha(H, varsigma, varsigma_hat)
     K = interval_count(H)
     if K > MAX_INTERVALS:
         raise SizeError(f"kernel needs K = ceil(1/H) <= {MAX_INTERVALS} intervals (H >= 0.001), got K = {K}")
-    return KernelSpec(alpha=a, H=H, K=K, c=c_coefficients(a, H))
+    with np.errstate(over="ignore", invalid="ignore"):
+        c = c_coefficients(a, H)
+    if not (math.isfinite(a) and np.isfinite(c).all()):
+        ratio = varsigma_hat**2 / varsigma**2
+        raise NumericalError(
+            f"kernel constants are not finite at H = {H}, varsigma_hat^2/varsigma^2 = {ratio:g} (alpha H = {a * H:g})"
+        )
+    return KernelSpec(alpha=a, H=H, K=K, c=c)
 
 
 def spec_for_market(c: ContinuousMarket) -> KernelSpec:

@@ -11,12 +11,18 @@ For a quadratic wealth V(x) = (1/2) x'Qx + c'x + k and X ~ N(mu 1, sigma^2 I),
                   * exp((1/2) b' M^-1 b - n mu^2 / (2 sigma^2)),
 
 with M = I/sigma^2 + Q and b = mu/sigma^2 1 - c, valid iff I + sigma^2 Q is
-positive definite (checked by attempting a Cholesky factorization of M, whose
-factor then gives both the determinant and M^-1 b).
+positive definite.  For a general Q (``analytic_quadratic_utility``) one dense
+Cholesky factorization of M decides that and gives both the determinant and
+M^-1 b.  A strategy's Q is symmetric Toeplitz, so beyond ``DENSE_ORACLE_MAX_N``
+steps ``estimate_utility`` reads M by its first column instead
+(``toeplitz_quadratic_utility``): Durbin's recursion gives the reflection
+coefficients alpha_k, M is positive definite iff every |alpha_k| < 1, the
+log-determinant is a sum over them, and Levinson's recursion solves M^-1 b
+(Levinson 1947; Durbin 1960): O(n^2) time, O(n) memory, no n x n array.
 
 ``generate`` refuses batches of more than ``MAX_PATH_STEPS`` path-steps
 (paths * n) before it allocates anything, and ``estimate_utility`` leaves the
-analytic oracle, which builds n x n matrices, out above ``ANALYTIC_MAX_N``.
+analytic oracle, whose cost grows as n^2, out above ``ANALYTIC_MAX_N``.
 
 ``brute_force_optimum`` maximizes the same closed-form expectation over every
 quadratic strategy the delayed filtration can measure (Nelder-Mead, n <= 3):
@@ -30,8 +36,6 @@ import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
-from scipy.linalg import cho_solve
-from scipy.special import ndtri
 
 from .errors import IntegrabilityError, LengthMismatch, OptimizerFailure, SizeError
 from .market import DiscreteMarket, validate_discrete
@@ -42,14 +46,18 @@ GENERATOR_ID = "philox4x64/ndtri-v1"
 
 # Cap on paths * n for one batch.  Under tracemalloc, generate peaks at 24
 # bytes per path-step and estimate_utility at 40 more on top of the 8 of the
-# increments it keeps (n x n oracle terms aside), so a batch at the cap stays
-# near 0.5 GB.
+# increments it keeps, so a batch at the cap stays near 0.5 GB.
 MAX_PATH_STEPS = 10**7
 
-# Largest n for which estimate_utility runs the analytic oracle.  Under
-# tracemalloc its n x n arrays peak at 101 MB at n = 2048, the largest
-# benchmark market, and at 406 MB at the cap.
-ANALYTIC_MAX_N = 4096
+# Largest n for which estimate_utility runs the analytic oracle.  Its Durbin
+# loop takes n Python steps and O(n^2) work: at the cap it took 0.2 s on a
+# 2-vCPU host and peaked at 0.4 MB under tracemalloc (0.6-1.6 s at 16384).
+ANALYTIC_MAX_N = 8192
+
+# estimate_utility factors the dense M up to this n and runs the Durbin loop
+# beyond.  On a 2-vCPU host the dense call took 45-90 us up to n = 64, where
+# the loop's n Python steps took 2-3.4x as long; the two met near n = 128.
+DENSE_ORACLE_MAX_N = 64
 
 BRUTE_FORCE_MAX_N = 3
 
@@ -86,6 +94,8 @@ def generate(m: DiscreteMarket, count: int, seed: int) -> PathBatch:
         raise LengthMismatch(f"count must be >= 1, got {count}")
     if count * m.n > MAX_PATH_STEPS:
         raise SizeError(f"{count} paths of {m.n} steps exceed the cap of {MAX_PATH_STEPS} path-steps")
+    from scipy.special import ndtri  # scipy.special loads only when paths are drawn
+
     gen = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
     raw = gen.integers(0, 2**64, size=(count, m.n), dtype=np.uint64)
     # top 53 bits, centered: uniform on the open interval (0, 1)
@@ -98,7 +108,8 @@ def estimate_utility(batch: PathBatch, w: StrategyWeights, m: DiscreteMarket) ->
     """Empirical mean and standard error of -exp(-V) over the batch.
 
     The analytic expectation of the same quadratic strategy is attached when
-    it exists and ``analytic_skip_reason`` gives none.  Accumulation relies on
+    it exists and ``analytic_skip_reason`` gives none: the dense Cholesky up to
+    ``DENSE_ORACLE_MAX_N`` steps, Levinson-Durbin beyond.  Accumulation relies on
     numpy's pairwise summation, which is deterministic for a given batch.
     Moments that overflow come out non-finite, without a warning.
     """
@@ -112,8 +123,12 @@ def estimate_utility(batch: PathBatch, w: StrategyWeights, m: DiscreteMarket) ->
         ess = float(np.sum(np.abs(y)) ** 2 / np.sum(y * y))
     analytic = None
     if analytic_skip_reason(m) is None:
+        column, linear, constant = strategy_toeplitz_form(w, m)
         try:
-            analytic = analytic_quadratic_utility(*strategy_quadratic_form(w, m), m)
+            if m.n <= DENSE_ORACLE_MAX_N:
+                analytic = analytic_quadratic_utility(SymToeplitz(column).to_dense(), linear, constant, m)
+            else:
+                analytic = toeplitz_quadratic_utility(column, linear, constant, m)
         except IntegrabilityError:
             pass
     return UtilityReport(
@@ -129,23 +144,33 @@ def estimate_utility(batch: PathBatch, w: StrategyWeights, m: DiscreteMarket) ->
 def analytic_skip_reason(m: DiscreteMarket) -> str | None:
     """Why ``estimate_utility`` leaves the analytic oracle out for ``m``, or None."""
     if m.n > ANALYTIC_MAX_N:
-        return f"n = {m.n} exceeds ANALYTIC_MAX_N = {ANALYTIC_MAX_N}; the oracle builds n x n matrices"
+        return f"n = {m.n} exceeds ANALYTIC_MAX_N = {ANALYTIC_MAX_N}; the oracle's O(n^2) recursion is capped there"
     return None
 
 
-def strategy_quadratic_form(w: StrategyWeights, m: DiscreteMarket):
-    """(Q, linear, constant) with V(x) = (1/2) x'Qx + linear.x + constant.
+def strategy_toeplitz_form(w: StrategyWeights, m: DiscreteMarket):
+    """(column, linear, constant) with V(x) = (1/2) x'Qx + linear.x + constant.
 
-    The convolution part contributes w_|i-j| off the diagonal and the static
-    quadratic adds 2*static_coeff everywhere; the constant is the negated
-    price of the static leg.
+    Q is symmetric Toeplitz with first ``column``: the convolution part
+    contributes w_|i-j| off the diagonal and the static quadratic adds
+    2*static_coeff everywhere; the constant is the negated price of the
+    static leg.
     """
     n = m.n
-    kernel_full = np.concatenate([[0.0], w.kernel[: n - 1]])  # lag 0 contributes nothing
-    quad = SymToeplitz(kernel_full + 2.0 * w.static_coeff).to_dense()
-    linear = np.full(n, w.merton)
-    constant = -w.static_coeff * n * m.sigma_hat**2
-    return quad, linear, constant
+    column = np.concatenate([[0.0], w.kernel[: n - 1]]) + 2.0 * w.static_coeff  # lag 0 contributes nothing
+    return column, np.full(n, w.merton), -w.static_coeff * n * m.sigma_hat**2
+
+
+def strategy_quadratic_form(w: StrategyWeights, m: DiscreteMarket):
+    """``strategy_toeplitz_form`` with Q as a dense n x n matrix (for the dense oracle)."""
+    column, linear, constant = strategy_toeplitz_form(w, m)
+    return SymToeplitz(column).to_dense(), linear, constant
+
+
+def _utility(log_det: float, quad_b: float, constant: float, m: DiscreteMarket) -> float:
+    """-exp of the closed-form exponent, from log |I + sigma^2 Q| and b'M^-1 b."""
+    exponent = -constant - 0.5 * log_det + 0.5 * quad_b - 0.5 * m.n * m.mu**2 / m.sigma**2
+    return -math.exp(exponent)
 
 
 def analytic_quadratic_utility(
@@ -153,9 +178,11 @@ def analytic_quadratic_utility(
 ) -> float:
     """E[-exp(-V)] in closed form for quadratic V under the market Gaussian.
 
-    One Cholesky factorization of M gives log |M| and, through ``cho_solve``,
-    M^-1 b.
+    One dense Cholesky factorization of M gives log |M| and, through
+    ``cho_solve``, M^-1 b.  The oracle for any Q, Toeplitz or not.
     """
+    from scipy.linalg import cho_solve
+
     n = m.n
     quad = np.asarray(quad, dtype=float)
     linear = np.asarray(linear, dtype=float)
@@ -171,8 +198,74 @@ def analytic_quadratic_utility(
     # chol.T is the upper factor in Fortran order, which LAPACK takes without a copy
     solved = cho_solve((chol.T, False), b, check_finite=False)
     log_det = n * math.log(sig2) + 2.0 * float(np.sum(np.log(np.diag(chol))))
-    exponent = -constant - 0.5 * log_det + 0.5 * float(b @ solved) - 0.5 * n * m.mu**2 / sig2
-    return -math.exp(exponent)
+    return _utility(log_det, float(b @ solved), constant, m)
+
+
+def reflection_coefficients(column: np.ndarray) -> np.ndarray:
+    """Durbin's reflection coefficients alpha_0..alpha_{n-2} of the symmetric Toeplitz
+    matrix with first ``column`` (column[0] > 0).
+
+    The matrix is positive definite iff every |alpha_k| < 1; the recursion stops
+    at the first that is not, which then ends the array returned.  Each step
+    is one ``np.dot`` and one update of the preallocated solution y of the
+    Yule-Walker system (Golub & Van Loan, Algorithm 4.7.1).
+    """
+    r = column[1:] / column[0]
+    alphas = np.empty(len(r))
+    y = np.empty(len(r))
+    if len(r) == 0:
+        return alphas
+    alpha = alphas[0] = y[0] = -r[0]
+    beta = 1.0
+    for k in range(1, len(r)):
+        if not abs(alpha) < 1.0:
+            return alphas[:k]
+        beta *= 1.0 - alpha * alpha
+        alpha = alphas[k] = -(r[k] + np.dot(r[k - 1 :: -1], y[:k])) / beta
+        y[:k] += alpha * y[k - 1 :: -1]
+        y[k] = alpha
+    return alphas
+
+
+def toeplitz_quadratic_utility(
+    column: np.ndarray, linear: np.ndarray, constant: float, m: DiscreteMarket
+) -> float:
+    """``analytic_quadratic_utility`` for a symmetric Toeplitz Q given by its first ``column``.
+
+    M = I/sigma^2 + Q is Toeplitz with first column e_0/sigma^2 + column.
+    With q_0 = column[0] and the reflection coefficients alpha_k of M,
+
+        log |I + sigma^2 Q| = n log1p(sigma^2 q_0) + fsum_k (n - 1 - k) log1p(-alpha_k^2),
+
+    with the two parts kept apart and the sum taken by ``math.fsum``: at
+    n = 8192, sigma^2 = 1/n it matched ``value`` to 6e-14, where n log M_00 +
+    n log sigma^2 and a running product of the 1 - alpha_k^2 missed by 1e-11.
+    M^-1 b comes from ``scipy.linalg.solve_toeplitz`` and is skipped when b is
+    exactly zero, as for every strategy whose linear term is the Merton ratio.
+    """
+    n = m.n
+    column = np.asarray(column, dtype=float)
+    linear = np.asarray(linear, dtype=float)
+    if column.shape != (n,) or linear.shape != (n,):
+        raise LengthMismatch(f"form shapes {column.shape}, {linear.shape} do not match n={n}")
+    sig2 = m.sigma**2
+    diagonal = sig2 * column[0]
+    if not diagonal > -1.0:
+        raise IntegrabilityError("I + sigma^2 Q is not positive definite")
+    matrix_column = column.copy()
+    matrix_column[0] += 1.0 / sig2
+    alphas = reflection_coefficients(matrix_column)
+    if not np.all(np.abs(alphas) < 1.0):
+        raise IntegrabilityError("I + sigma^2 Q is not positive definite")
+    weights = np.arange(n - 1, 0, -1)
+    log_det = n * math.log1p(diagonal) + math.fsum(weights * np.log1p(-alphas * alphas))
+    b = np.full(n, m.mu / sig2) - linear
+    quad_b = 0.0
+    if np.any(b):
+        from scipy.linalg import solve_toeplitz
+
+        quad_b = float(b @ solve_toeplitz(matrix_column, b, check_finite=False))
+    return _utility(log_det, quad_b, constant, m)
 
 
 def brute_force_optimum(m: DiscreteMarket):

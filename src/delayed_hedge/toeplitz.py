@@ -1,8 +1,8 @@
 """Symmetric Toeplitz matrix A, its banded inverse, and dense oracles.
 
 A is defined by A_ij = r_|i-j| with first row r = (a + 1, b_1, ..., b_{n-1});
-its inverse is D-banded and is reconstructed explicitly from the vector v
-that solves A v = e_0:
+its inverse is D-banded and is reconstructed explicitly, as its (D+1) x n
+lower band (``inverse_band``), from the vector v that solves A v = e_0:
 
     v_0 = (a D + 1) / (a (D + 1) + 1),
     v_1 = ... = v_D = -a / (a (D + 1) + 1),
@@ -14,8 +14,9 @@ that solves A v = e_0:
 with 1-based i, j and i^j = min(i, j).  The closed-form determinant is
 |A| = (1 + (D+1) a)^{n-D} / (1 + D a)^{n-D-1}.
 
-Dense inversion / determinant oracles (pivoted LAPACK via numpy) live here
-too so that every closed form can be cross-checked on the same matrix.
+``inverse_via_v`` is the dense n x n view of the band.  Dense inversion /
+determinant oracles (pivoted LAPACK via numpy) live here too so that every
+closed form can be cross-checked on the same matrix.
 """
 
 from __future__ import annotations
@@ -73,24 +74,47 @@ def v_vector(a: float, delay: int, n: int) -> np.ndarray:
     return v
 
 
-def inverse_via_v(a: float, delay: int, n: int) -> np.ndarray:
-    """Full inverse of A from the v-vector formula.
+def inverse_band(a: float, delay: int, n: int) -> np.ndarray:
+    """The (D+1) x n lower band of A^-1: band[d, j] = [A^-1]_{j+d, j}.
 
     The two partial sums telescope along diagonals,
-    B[i, j] = B[i-1, j-1] + (v_i v_j - v_{n-i} v_{n-j}) / v_0 (0-based),
-    which fills the matrix in O(n^2).  Out-of-band increments are exact zero
-    products, so the result is D-banded to the bit.
+    B[j+d, j] = B[j+d-1, j-1] + (v_{j+d} v_j - v_{n-j-d} v_{n-j}) / v_0 (0-based),
+    from B[d, 0] = v_d, so each diagonal is one cumulative sum of its
+    increments: O(n D) time and memory.  The cumulative sum adds left to right,
+    the order of the row-by-row recurrence, so the dense view repeats it to
+    the bit.  Entries past the end of a diagonal (j > n - 1 - d) are zero.
     """
     if not 0 <= delay < n:
         raise DomainError(f"need 0 <= delay < n, got delay={delay}, n={n}")
     v = v_vector(a, delay, n)
-    v0 = v[0]
-    inv = np.empty((n, n))
-    inv[0, :] = v
-    inv[:, 0] = v
-    for i in range(1, n):
-        inv[i, 1:] = inv[i - 1, : n - 1] + (v[i] * v[1:] - v[n - i] * v[n - 1 : 0 : -1]) / v0
-    return inv
+    pad = np.zeros(delay)
+    ahead = np.concatenate([v, pad])  # ahead[k] = v_k
+    mirror = np.concatenate([[0.0], v[:0:-1], pad])  # mirror[k] = v_{n-k} for 0 < k < n
+    shifted = np.arange(n) + np.arange(delay + 1)[:, None]  # j + d
+    band = (ahead[shifted] * v - mirror[shifted] * mirror[:n]) / v[0]
+    band[:, 0] = v[: delay + 1]
+    band.cumsum(axis=1, out=band)
+    band[shifted >= n] = 0.0
+    return band
+
+
+def band_to_dense(band: np.ndarray) -> np.ndarray:
+    """The symmetric n x n matrix whose lower band is ``band`` (zero outside it)."""
+    n = band.shape[1]
+    dense = np.zeros((n, n))
+    flat = dense.reshape(-1)
+    for d, diagonal in enumerate(band):
+        flat[d * n :: n + 1] = diagonal[: n - d]  # entries (j + d, j)
+        flat[d :: n + 1][: n - d] = diagonal[: n - d]  # entries (j, j + d)
+    return dense
+
+
+def inverse_via_v(a: float, delay: int, n: int) -> np.ndarray:
+    """Full inverse of A from the v-vector formula: the dense view of ``inverse_band``.
+
+    Out-of-band entries are exact zeros, so the result is D-banded to the bit.
+    """
+    return band_to_dense(inverse_band(a, delay, n))
 
 
 def log_det_closed_form(a: float, delay: int, n: int) -> float:

@@ -22,6 +22,12 @@ SIGMA_HATS = (0.5, 0.8, 1.0, 1.3, 2.0)
 MUS = (0.0, 0.2)
 KERNEL_POINTS = tuple((H, r) for H in (0.15, 0.2, 0.35) for r in (0.5, 2.0))
 PATHS_PER_POINT = 100
+# Long markets the dual suite checks with no dense oracle: band, probe and FFT paths only.
+LARGE_DUAL_MARKETS = tuple(
+    DiscreteMarket(n=n, delay=20, mu=0.1 / n, sigma=1.0 / math.sqrt(n), sigma_hat=ratio / math.sqrt(n))
+    for n, ratio in ((10**4, 1.3), (10**5, 0.8))
+)
+LARGE_DUAL_PATHS = 8  # keeps the FFT of the pathwise identity near 35 MB at n = 10^5
 RATE_SLACK = 1.5  # safety factor on constants fitted from the smallest n
 
 
@@ -113,11 +119,15 @@ def matrix_suite(grid_size: int = len(N_VALUES)):
 
 
 def dual_suite(grid_size: int = len(N_VALUES)):
-    """Pathwise verification identity, entropy identity, marginal and structure."""
+    """Pathwise verification identity, entropy identity, marginal and structure.
 
-    def point(index: int, m: DiscreteMarket):
+    The grid is followed by ``LARGE_DUAL_MARKETS`` (n up to 10^5) with
+    ``LARGE_DUAL_PATHS`` paths each.
+    """
+
+    def point(index: int, m: DiscreteMarket, paths: int = PATHS_PER_POINT):
         dm = dual.build_dual(m)
-        batch = mc.generate(m, PATHS_PER_POINT, seed=1000 + index)
+        batch = mc.generate(m, paths, seed=1000 + index)
         residuals = dual.verification_residual(m, batch.increments)
         c_hat = dm.c_hat
         entropy = dual.relative_entropy(dm, m)
@@ -131,7 +141,9 @@ def dual_suite(grid_size: int = len(N_VALUES)):
             "delayed_martingale": 0.0 if dual.check_delayed_martingale(dm, m.delay, 1e-10) else 1.0,
         }
 
-    results = [point(index, m) for index, m in enumerate(default_grid(grid_size))]
+    grid = default_grid(grid_size)
+    results = [point(index, m) for index, m in enumerate(grid)]
+    results += [point(len(grid) + i, m, LARGE_DUAL_PATHS) for i, m in enumerate(LARGE_DUAL_MARKETS)]
     tols = {
         "verification_pathwise": 1e-8,
         "entropy_vs_constant": 1e-10,

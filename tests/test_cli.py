@@ -237,6 +237,9 @@ MARKET = ["--n", "4", "--delay", "1", "--sigma", "1", "--sigma-hat", "1.3"]
         ["fig2", "--h-grid", "0.001:1:0.001", "--logratio-grid=-2:2:0.001"],
         ["simulate", "--n", "8", "--delay", "1", "--mu", "0.1", "--sigma", "1", "--sigma-hat", "2",
          "--paths", "100", "--perturb", "-50", "--seed", "1"],
+        ["verify", "--suite", "matrix", "--grid-size", "-5"],
+        ["verify", "--suite", "matrix", "--grid-size", "0"],
+        ["kernel", "--H", "0.02", "--ratio", "1e16"],
     ],
     ids=lambda argv: " ".join(argv),
 )
@@ -281,6 +284,54 @@ def test_import_loads_no_optimizer_until_the_brute_force_oracle_runs():
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["False", "True"]
+
+
+def test_import_loads_neither_scipy_linalg_nor_scipy_special():
+    code = (
+        "import sys, delayed_hedge, delayed_hedge.cli, delayed_hedge.verify\n"
+        "print(*(name in sys.modules for name in ('scipy.linalg', 'scipy.special')))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False", "False"]
+
+
+def test_kernel_at_an_extreme_ratio_names_the_ratio(capsys):
+    code = main(["kernel", "--H", "0.02", "--ratio", "1e16"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.count("\n") == 1 and "1e+16" in err
+
+
+def test_verify_dual_suite_reaches_n_1e5_without_dense_oracles(capsys, monkeypatch):
+    from delayed_hedge import dual, toeplitz
+
+    def no_dense(*args, **kwargs):
+        raise AssertionError("the dual suite called a dense oracle")
+
+    for name in ("inverse_via_v", "band_to_dense", "dense_inverse", "dense_det"):
+        monkeypatch.setattr(toeplitz, name, no_dense)
+    monkeypatch.setattr(dual, "band_to_dense", no_dense)
+    monkeypatch.setattr(toeplitz.SymToeplitz, "to_dense", no_dense)
+    built = []
+    build_dual = dual.build_dual
+    monkeypatch.setattr(dual, "build_dual", lambda m: built.append(m.n) or build_dual(m))
+    code, doc = run_json(capsys, "verify", "--suite", "dual", "--grid-size", "1")
+    assert code == 0
+    assert doc["all_passed"] is True
+    assert built[-2:] == [10**4, 10**5]
+
+
+def test_simulate_at_the_analytic_cap_runs_the_oracle(capsys):
+    n = mc.ANALYTIC_MAX_N
+    code, doc = run_json(
+        capsys, "simulate", "--n", str(n), "--delay", "20", "--mu", "0.1", "--sigma", "1",
+        "--sigma-hat", "1.3", "--paths", "100", "--seed", "1",
+    )
+    assert code == 0
+    assert doc["analytic"] == pytest.approx(doc["value_formula"], rel=1e-10)
+    assert "analytic_skipped" not in doc
 
 
 def test_verify_convergence_suite(capsys):

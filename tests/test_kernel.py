@@ -343,3 +343,16 @@ def test_limit_static_coeff():
     c = ContinuousMarket(H=0.2, theta=0.0, varsigma=1.0, varsigma_hat=0.8)
     n = 100000
     assert limit_static_coeff(c) == pytest.approx(n * solve_a(discretize(c, n)) / 2.0, rel=1e-3)
+
+
+def test_kernel_spec_refuses_non_finite_constants_without_warnings():
+    import warnings
+
+    from delayed_hedge import NumericalError
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericalError, match="1e\\+16"):
+            kernel_spec(0.02, 1.0, 1e8)
+        spec = spec_of(0.02, 1e4)  # a large ratio whose constants stay finite
+    assert np.isfinite(spec.c).all()

@@ -12,9 +12,13 @@ from delayed_hedge.mc import (
     brute_force_optimum,
     estimate_utility,
     generate,
+    reflection_coefficients,
     strategy_quadratic_form,
+    strategy_toeplitz_form,
+    toeplitz_quadratic_utility,
 )
 from delayed_hedge.solver import StrategyWeights, strategy
+from delayed_hedge.toeplitz import SymToeplitz
 
 ACCEPTANCE_MARKET = DiscreteMarket(n=5, delay=2, mu=0.1, sigma=1.0, sigma_hat=1.3)
 
@@ -187,3 +191,96 @@ def test_brute_force_matches_formula_with_dynamic_terms(n, delay):
     got, params = brute_force_optimum(m)
     assert len(params) == 2 + n + (n - delay) * (n - delay - 1) // 2
     assert got == pytest.approx(value(m), abs=1e-9)
+
+
+def _forms(m, scale=1.0, merton_shift=0.0):
+    base = strategy(m)
+    return StrategyWeights(merton=base.merton + merton_shift, kernel=scale * base.kernel, static_coeff=base.static_coeff)
+
+
+def _both_oracles(w, m):
+    """(Levinson value or None, dense value or None): None where the form is not integrable."""
+    out = []
+    for run in (
+        lambda: toeplitz_quadratic_utility(*strategy_toeplitz_form(w, m), m),
+        lambda: analytic_quadratic_utility(*strategy_quadratic_form(w, m), m),
+    ):
+        try:
+            out.append(run())
+        except IntegrabilityError:
+            out.append(None)
+    return out
+
+
+LEVINSON_MARKETS = [
+    DiscreteMarket(n=1, delay=0, mu=0.1, sigma=1.0, sigma_hat=1.3),
+    DiscreteMarket(n=2, delay=1, mu=0.0, sigma=1.0, sigma_hat=0.7),
+    ACCEPTANCE_MARKET,
+    DiscreteMarket(n=8, delay=3, mu=0.2, sigma=1.0, sigma_hat=0.6),
+    DiscreteMarket(n=6, delay=0, mu=0.0, sigma=2.0, sigma_hat=1.0),
+    DiscreteMarket(n=32, delay=15, mu=0.1, sigma=1.0, sigma_hat=2.0),
+    DiscreteMarket(n=300, delay=7, mu=0.01, sigma=0.1, sigma_hat=0.13),
+]
+
+
+@pytest.mark.parametrize("m", LEVINSON_MARKETS, ids=lambda m: f"n{m.n}-D{m.delay}")
+@pytest.mark.parametrize("merton_shift", [0.0, 0.3])
+def test_levinson_oracle_matches_the_dense_cholesky(m, merton_shift):
+    w = _forms(m, merton_shift=merton_shift)
+    fast, dense = _both_oracles(w, m)
+    assert fast == pytest.approx(dense, rel=1e-10)
+    if merton_shift == 0.0:
+        assert fast == pytest.approx(value(m), rel=1e-10)
+
+
+def _min_eigenvalue(w, m):
+    quad, _, _ = strategy_quadratic_form(w, m)
+    return float(np.linalg.eigvalsh(np.eye(m.n) + m.sigma**2 * quad)[0])
+
+
+@pytest.mark.parametrize("m", LEVINSON_MARKETS[2:6], ids=lambda m: f"n{m.n}-D{m.delay}")
+@pytest.mark.parametrize("direction", [1.0, -1.0])
+def test_levinson_and_dense_agree_across_the_integrability_boundary(m, direction):
+    # scale the kernel away from the optimum (integrable) until I + sigma^2 Q stops being positive definite
+    inside, outside = 1.0, direction * 2.0
+    while _min_eigenvalue(_forms(m, outside), m) > 0.0:
+        inside, outside = outside, 2.0 * outside
+        if abs(outside) > 1e6:
+            pytest.skip("the kernel scale never leaves the integrable region")
+    for _ in range(60):
+        middle = 0.5 * (inside + outside)
+        inside, outside = (middle, outside) if _min_eigenvalue(_forms(m, middle), m) > 0.0 else (inside, middle)
+    boundary = 0.5 * (inside + outside)
+    for factor in (0.5, 0.9, 0.99, 1.01, 1.1, 2.0):
+        for shift in (0.0, 0.3):
+            w = _forms(m, 1.0 + factor * (boundary - 1.0), shift)
+            fast, dense = _both_oracles(w, m)
+            assert (fast is None) == (dense is None) == (factor > 1.0)
+            if fast is not None:
+                assert fast == pytest.approx(dense, rel=1e-10)
+
+
+def test_reflection_coefficients_stop_at_the_first_that_is_not_below_one():
+    column = np.array([1.0, 0.5, 0.9, 0.1, 0.2])  # not positive definite
+    alphas = reflection_coefficients(column)
+    assert np.all(np.abs(alphas[:-1]) < 1.0) and not abs(alphas[-1]) < 1.0
+    assert np.linalg.eigvalsh(SymToeplitz(column).to_dense())[0] < 0.0
+    spd = np.array([2.0, 0.5, 0.2, 0.1])
+    assert len(reflection_coefficients(spd)) == 3
+    log_det = 4 * math.log(2.0) + math.fsum(np.arange(3, 0, -1) * np.log1p(-reflection_coefficients(spd) ** 2))
+    assert log_det == pytest.approx(math.log(np.linalg.det(SymToeplitz(spd).to_dense())), rel=1e-14)
+
+
+def test_estimate_runs_the_levinson_oracle_without_an_n_by_n_array():
+    n = 2048  # well above DENSE_ORACLE_MAX_N; a dense fallback would peak near 170 MB, not more
+    m = DiscreteMarket(n=n, delay=20, mu=0.1 / n, sigma=1.0 / math.sqrt(n), sigma_hat=1.3 / math.sqrt(n))
+    batch, w = generate(m, 16, seed=1), strategy(m)
+    estimate_utility(batch, w, m)  # scipy.special loaded outside the trace
+    tracemalloc.start()
+    try:
+        report = estimate_utility(batch, w, m)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.analytic == pytest.approx(value(m), rel=1e-10)
+    assert peak < n * n * 8 / 8  # one n x n float array is 34 MB; about 1.3 MB measured

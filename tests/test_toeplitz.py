@@ -10,8 +10,10 @@ from delayed_hedge.toeplitz import (
     check_banded,
     check_vanishing_minors,
     dense_det,
+    band_to_dense,
     dense_inverse,
     det_closed_form,
+    inverse_band,
     inverse_via_v,
     v_vector,
 )
@@ -155,3 +157,39 @@ def test_dense_oracles_reject_singular():
 def test_build_matrix_requires_enough_tail():
     with pytest.raises(DomainError):
         build_matrix(0.1, np.zeros(2), 4)
+
+
+def _row_recurrence(a, delay, n):
+    """The dense row recurrence ``inverse_band`` replaced, kept as its bit-for-bit reference."""
+    v = v_vector(a, delay, n)
+    v0 = v[0]
+    inv = np.empty((n, n))
+    inv[0, :] = v
+    inv[:, 0] = v
+    for i in range(1, n):
+        inv[i, 1:] = inv[i - 1, : n - 1] + (v[i] * v[1:] - v[n - i] * v[n - 1 : 0 : -1]) / v0
+    return inv
+
+
+BAND_CASES = [(n, d) for n in (1, 2, 3, 8, 33, 200) for d in sorted({0, 1, n // 2, n - 1}) if d < n]
+
+
+@pytest.mark.parametrize("sigma_hat", [0.6, 1.4])
+@pytest.mark.parametrize("n, delay", BAND_CASES)
+def test_inverse_band_repeats_the_row_recurrence_bit_for_bit(n, delay, sigma_hat):
+    a = solve_a(market(n, delay, sigma_hat))
+    reference = _row_recurrence(a, delay, n)
+    band = inverse_band(a, delay, n)
+    assert band.shape == (delay + 1, n)
+    for d in range(delay + 1):
+        assert np.array_equal(band[d, : n - d], np.diagonal(reference, -d))
+        assert np.all(band[d, n - d :] == 0.0)
+    dense = inverse_via_v(a, delay, n)
+    assert dense.tobytes() == reference.tobytes()
+    assert np.array_equal(band_to_dense(band), reference)
+
+
+def test_inverse_band_rejects_a_delay_outside_the_horizon():
+    for delay in (-1, 4):
+        with pytest.raises(DomainError):
+            inverse_band(0.1, delay, 4)
