@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 
@@ -83,14 +82,6 @@ def build_dual(m: DiscreteMarket) -> DualMeasure:
     return DualMeasure(band=band, c_hat=c_hat, solution=sol)
 
 
-@lru_cache(maxsize=8)
-def _probes(n: int) -> np.ndarray:
-    """The seeded probe vectors for length n (read-only: the cache shares them)."""
-    z = np.random.default_rng(PROBE_SEED).standard_normal((PROBE_COUNT, n))
-    z.flags.writeable = False
-    return z
-
-
 def check_delayed_martingale(dm: DualMeasure, delay: int, tol: float) -> bool:
     """Structural delayed-martingale check for a Gaussian measure.
 
@@ -115,7 +106,7 @@ def check_delayed_martingale(dm: DualMeasure, delay: int, tol: float) -> bool:
         return True
     from scipy.linalg.blas import dsbmv
 
-    z = _probes(band.shape[1])
+    z = np.random.default_rng(PROBE_SEED).standard_normal((PROBE_COUNT, band.shape[1]))
     stored = np.asfortranarray(band)
     y = np.array([dsbmv(len(band) - 1, 1.0 / sol.market.sigma**2, stored, row, lower=1) for row in z])
     lagged = causal_convolve(np.concatenate([y, y[:, ::-1]]), sol.b)

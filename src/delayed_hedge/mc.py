@@ -11,10 +11,10 @@ For a quadratic wealth V(x) = (1/2) x'Qx + c'x + k and X ~ N(mu 1, sigma^2 I),
                   * exp((1/2) b' M^-1 b - n mu^2 / (2 sigma^2)),
 
 with M = I/sigma^2 + Q and b = mu/sigma^2 1 - c, valid iff I + sigma^2 Q is
-positive definite.  For a general Q (``analytic_quadratic_utility``) one dense
-Cholesky factorization of M decides that and gives both the determinant and
-M^-1 b.  A strategy's Q is symmetric Toeplitz, so beyond ``DENSE_ORACLE_MAX_N``
-steps ``estimate_utility`` reads M by its first column instead
+positive definite.  For a general Q (``analytic_quadratic_utility``, the
+oracle) one dense Cholesky factorization of M decides that and gives both the
+determinant and M^-1 b.  A strategy's Q is symmetric Toeplitz, so
+``estimate_utility`` reads M by its first column instead
 (``toeplitz_quadratic_utility``): Durbin's recursion gives the reflection
 coefficients alpha_k, M is positive definite iff every |alpha_k| < 1, the
 log-determinant is a sum over them, and Levinson's recursion solves M^-1 b
@@ -53,11 +53,6 @@ MAX_PATH_STEPS = 10**7
 # loop takes n Python steps and O(n^2) work: at the cap it took 0.2 s on a
 # 2-vCPU host and peaked at 0.4 MB under tracemalloc (0.6-1.6 s at 16384).
 ANALYTIC_MAX_N = 8192
-
-# estimate_utility factors the dense M up to this n and runs the Durbin loop
-# beyond.  On a 2-vCPU host the dense call took 45-90 us up to n = 64, where
-# the loop's n Python steps took 2-3.4x as long; the two met near n = 128.
-DENSE_ORACLE_MAX_N = 64
 
 BRUTE_FORCE_MAX_N = 3
 
@@ -108,9 +103,9 @@ def estimate_utility(batch: PathBatch, w: StrategyWeights, m: DiscreteMarket) ->
     """Empirical mean and standard error of -exp(-V) over the batch.
 
     The analytic expectation of the same quadratic strategy is attached when
-    it exists and ``analytic_skip_reason`` gives none: the dense Cholesky up to
-    ``DENSE_ORACLE_MAX_N`` steps, Levinson-Durbin beyond.  Accumulation relies on
-    numpy's pairwise summation, which is deterministic for a given batch.
+    it exists and ``analytic_skip_reason`` gives none, evaluated by
+    Levinson-Durbin.  Accumulation relies on numpy's pairwise summation, which
+    is deterministic for a given batch.
     Moments that overflow come out non-finite, without a warning.
     """
     if batch.n != m.n:
@@ -123,12 +118,8 @@ def estimate_utility(batch: PathBatch, w: StrategyWeights, m: DiscreteMarket) ->
         ess = float(np.sum(np.abs(y)) ** 2 / np.sum(y * y))
     analytic = None
     if analytic_skip_reason(m) is None:
-        column, linear, constant = strategy_toeplitz_form(w, m)
         try:
-            if m.n <= DENSE_ORACLE_MAX_N:
-                analytic = analytic_quadratic_utility(SymToeplitz(column).to_dense(), linear, constant, m)
-            else:
-                analytic = toeplitz_quadratic_utility(column, linear, constant, m)
+            analytic = toeplitz_quadratic_utility(*strategy_toeplitz_form(w, m), m)
         except IntegrabilityError:
             pass
     return UtilityReport(

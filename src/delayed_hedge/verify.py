@@ -97,7 +97,7 @@ def matrix_suite(grid_size: int = len(N_VALUES)):
         target_trace = m.n * (1.0 - a * m.sigma_hat**2 / m.sigma**2)
         out["trace_identity"] = abs(float(np.trace(inv)) - target_trace) / max(abs(target_trace), 1.0)
         mask = np.abs(np.subtract.outer(np.arange(m.n), np.arange(m.n))) > m.delay
-        out["inverse_banded"] = float(np.max(np.abs(inv[mask])) / scale) if mask.any() else 0.0
+        out["inverse_banded"] = float(np.max(np.abs(dense_inv[mask])) / scale) if mask.any() else 0.0
         ok = m.n > toeplitz.MINOR_ENUMERATION_LIMIT or toeplitz.check_vanishing_minors(matrix, m.delay, tol=1e-9)
         out["vanishing_minors"] = 0.0 if ok else 1.0
         return out

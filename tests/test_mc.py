@@ -272,7 +272,7 @@ def test_reflection_coefficients_stop_at_the_first_that_is_not_below_one():
 
 
 def test_estimate_runs_the_levinson_oracle_without_an_n_by_n_array():
-    n = 2048  # well above DENSE_ORACLE_MAX_N; a dense fallback would peak near 170 MB, not more
+    n = 2048  # a dense fallback would peak near 170 MB, not more
     m = DiscreteMarket(n=n, delay=20, mu=0.1 / n, sigma=1.0 / math.sqrt(n), sigma_hat=1.3 / math.sqrt(n))
     batch, w = generate(m, 16, seed=1), strategy(m)
     estimate_utility(batch, w, m)  # scipy.special loaded outside the trace
@@ -284,3 +284,14 @@ def test_estimate_runs_the_levinson_oracle_without_an_n_by_n_array():
         tracemalloc.stop()
     assert report.analytic == pytest.approx(value(m), rel=1e-10)
     assert peak < n * n * 8 / 8  # one n x n float array is 34 MB; about 1.3 MB measured
+
+
+@pytest.mark.parametrize("n, delay", [(1, 0), (2, 1), (5, 2), (32, 4)])
+def test_estimate_runs_the_levinson_oracle_at_small_n(monkeypatch, n, delay):
+    def dense_oracle(*args):
+        raise AssertionError("estimate_utility ran the dense oracle")
+
+    monkeypatch.setattr("delayed_hedge.mc.analytic_quadratic_utility", dense_oracle)
+    m = DiscreteMarket(n=n, delay=delay, mu=0.1 / n, sigma=1.0 / math.sqrt(n), sigma_hat=1.3 / math.sqrt(n))
+    report = estimate_utility(generate(m, 16, seed=3), strategy(m), m)
+    assert report.analytic == pytest.approx(value(m), rel=1e-10)
