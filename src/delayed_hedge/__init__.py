@@ -29,7 +29,6 @@ from .market import (
 from .solver import (
     HedgeSolution,
     StrategyWeights,
-    evaluate_on_path,
     hedge_matrix,
     solve,
     solve_a,
@@ -69,7 +68,6 @@ __all__ = [
     "c_coefficients",
     "delay_steps",
     "discretize",
-    "evaluate_on_path",
     "gamma_kernel",
     "hedge_matrix",
     "kappa",

@@ -15,12 +15,14 @@ from typing import IO, Mapping, Sequence
 
 import numpy as np
 
+from .errors import DomainError
 from .kernel import KernelSpec, _piece, kappa, limit_value, simpson, smooth_pieces, spec_for_market
 from .market import ContinuousMarket, discretize
 from .solver import solve_a, weights_b
 
 CSV_FORMAT = "%.12g"
 _BLOCK_ROWS = 256  # pieces per Simpson call in l2_distance_to_kappa, bounding its node arrays
+_QUADSTEPS = 8  # Simpson panels per smooth piece in l2_distance_to_kappa
 
 
 @dataclass(frozen=True)
@@ -31,6 +33,8 @@ class StepFunction:
     values: np.ndarray
 
     def __call__(self, t: float) -> float:
+        if not 0.0 <= t <= 1.0:
+            raise DomainError(f"t must lie in [0, 1], got {t}")
         k = min(int(math.floor(t * self.n)), self.n - 1)
         return float(self.values[k])
 
@@ -51,11 +55,11 @@ def build_bn(c: ContinuousMarket, n: int) -> StepFunction:
     return StepFunction(n=n, values=n * b)
 
 
-def l2_distance_to_kappa(f: StepFunction, spec: KernelSpec, quadsteps: int = 8) -> float:
+def l2_distance_to_kappa(f: StepFunction, spec: KernelSpec) -> float:
     """Squared L2[0, 1] distance between the step function and kappa.
 
     Integration splits at every step boundary and every multiple of H, with
-    ``quadsteps`` Simpson panels per smooth piece; kappa is evaluated with the
+    ``_QUADSTEPS`` Simpson panels per smooth piece; kappa is evaluated with the
     piece's own polynomial so breakpoints see one-sided limits.  One Simpson
     call takes up to ``_BLOCK_ROWS`` pieces of one kernel interval.
     """
@@ -65,7 +69,7 @@ def l2_distance_to_kappa(f: StepFunction, spec: KernelSpec, quadsteps: int = 8) 
     blocks = np.union1d(np.flatnonzero(np.diff(k)) + 1, np.arange(_BLOCK_ROWS, len(k), _BLOCK_ROWS))
     total = 0.0
     for lo, hi, ks, level in zip(*(np.split(a, blocks) for a in (left, right, k, levels[:, None]))):
-        total += simpson(lambda t: (level - _piece(t, ks[0], spec)) ** 2, lo, hi, quadsteps).sum()
+        total += simpson(lambda t: (level - _piece(t, ks[0], spec)) ** 2, lo, hi, _QUADSTEPS).sum()
     return total
 
 

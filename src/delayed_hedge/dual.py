@@ -10,9 +10,11 @@ closes the identity V(x) + log(dQ/dP)(x) = C for every path x, and equals
 both the relative entropy of the dual measure and -log(-value).  C is the
 ``c_hat`` view of ``solver.solve``; every function here reads one solution.
 
-The covariance is stored as its (D+1) x n lower band (``toeplitz.inverse_band``),
-so building the measure, its entropy (banded Cholesky, O(n D^2)), its marginal
-and its martingale check cost O(n D) memory: no n x n array is built.
+The measure is stored in one form only, the (D+1) x n lower band of its
+covariance (``toeplitz.inverse_band``), so building it, its entropy (banded
+Cholesky, O(n D^2)), its marginal and its martingale check cost O(n D)
+memory: no n x n array is built.  ``toeplitz.band_to_dense`` is the dense
+oracle view.
 """
 
 from __future__ import annotations
@@ -25,51 +27,26 @@ import numpy as np
 from .errors import NumericalError
 from .market import DiscreteMarket
 from .solver import HedgeSolution, causal_convolve, evaluate_paths, solve, strategy
-from .toeplitz import band_to_dense, inverse_band
+from .toeplitz import inverse_band
 
 # Seeded probe vectors of the randomized check that the stored band inverts A.
 PROBE_COUNT = 3
 PROBE_SEED = 20231
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True)
 class DualMeasure:
     """Centered Gaussian law of the increments under the dual measure.
 
     ``band[d, j]`` is the covariance of increments j + d and j (0-based), zero
-    past the end of each diagonal.  A dense ``covariance`` may be passed
-    instead; it is stored as its full lower band (a covariance is symmetric, so
-    only its lower triangle is read), and the ``covariance`` property rebuilds
-    the dense matrix on demand.  ``solution`` is the ``HedgeSolution`` the
-    measure was built from (None for a hand-built measure).
+    past the end of each diagonal; ``toeplitz.band_to_dense`` gives the dense
+    matrix.  ``solution`` is the ``HedgeSolution`` the measure was built from
+    (None for a hand-built measure).
     """
 
     band: np.ndarray
     c_hat: float
     solution: HedgeSolution | None = field(default=None, repr=False, compare=False)
-
-    def __init__(self, band=None, *, c_hat: float, solution=None, covariance=None):
-        if (band is None) == (covariance is None):
-            raise TypeError("DualMeasure takes exactly one of band and covariance")
-        if covariance is not None:
-            covariance = np.asarray(covariance, dtype=float)
-            n = covariance.shape[0]
-            band = np.zeros((n, n))
-            for d in range(n):
-                band[d, : n - d] = np.diagonal(covariance, -d)
-        object.__setattr__(self, "band", band)
-        object.__setattr__(self, "c_hat", c_hat)
-        object.__setattr__(self, "solution", solution)
-
-    @property
-    def covariance(self) -> np.ndarray:
-        """The dense n x n covariance (an oracle view; builds the full matrix)."""
-        return band_to_dense(self.band)
-
-
-def dual_constant(m: DiscreteMarket) -> float:
-    """The verification constant C (equals -log(-value))."""
-    return solve(m).c_hat
 
 
 def build_dual(m: DiscreteMarket) -> DualMeasure:

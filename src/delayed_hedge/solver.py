@@ -33,9 +33,9 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DomainError, LengthMismatch, NumericalError
+from .errors import LengthMismatch, NumericalError
 from .market import DiscreteMarket, validate_discrete
-from .toeplitz import SymToeplitz, build_matrix, log_det_closed_form
+from .toeplitz import SymToeplitz, build_matrix, log_det_closed_form, require_root_domain
 
 # Residual guard for the explicit root; theory guarantees a real root, so a
 # discriminant below -CLAMP (relative) means the inputs are inconsistent.
@@ -126,8 +126,7 @@ def weights_b(m: DiscreteMarket, a: float, count: int) -> np.ndarray:
     D = m.delay
     if D == 0:
         return np.zeros(count)
-    if a * (D + 1) + 1.0 <= 0.0:
-        raise DomainError(f"a = {a} violates a > -1/(D+1) for D = {D}")
+    require_root_domain(a, D)
     b = np.empty(count)
     b[: min(D, count)] = a
     if count <= D:
@@ -254,12 +253,3 @@ def evaluate_paths(w: StrategyWeights, m: DiscreteMarket, x: np.ndarray):
     total = x.sum(axis=1)
     v = w.static_coeff * total**2 + (gammas * x).sum(axis=1) - w.static_coeff * m.n * m.sigma_hat**2
     return gammas, v
-
-
-def evaluate_on_path(w: StrategyWeights, m: DiscreteMarket, x: np.ndarray):
-    """Holdings gamma_1..gamma_n and terminal value V for one path of increments."""
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 1 or len(x) != m.n:
-        raise LengthMismatch(f"expected {m.n} increments, got shape {x.shape}")
-    gammas, v = evaluate_paths(w, m, x[None, :])
-    return gammas[0], float(v[0])

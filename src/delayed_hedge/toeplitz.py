@@ -61,13 +61,16 @@ def build_matrix(a: float, tail: np.ndarray, n: int) -> SymToeplitz:
     return SymToeplitz(first_row=first_row)
 
 
+def require_root_domain(a: float, delay: int) -> None:
+    """Raise DomainError unless a (D + 1) + 1 > 0, the domain of v, the weights and |A|."""
+    if a * (delay + 1) + 1.0 <= 0.0:
+        raise DomainError(f"a = {a} violates a > -1/(D+1) for D = {delay}")
+
+
 def v_vector(a: float, delay: int, n: int) -> np.ndarray:
     """First column of A^-1 (the solution of A v = e_0)."""
+    require_root_domain(a, delay)
     denom = a * (delay + 1) + 1.0
-    if denom <= 0.0:
-        raise DomainError(
-            f"a = {a} violates a > -1/(D+1) for D = {delay}; v is undefined"
-        )
     v = np.zeros(n)
     v[0] = (a * delay + 1.0) / denom
     v[1 : delay + 1] = -a / denom
@@ -119,25 +122,13 @@ def inverse_via_v(a: float, delay: int, n: int) -> np.ndarray:
 
 def log_det_closed_form(a: float, delay: int, n: int) -> float:
     """log |A| = (n - D) log(1 + (D+1) a) - (n - D - 1) log(1 + D a)."""
-    if a * (delay + 1) + 1.0 <= 0.0:
-        raise DomainError(f"a = {a} violates a > -1/(D+1) for D = {delay}")
+    require_root_domain(a, delay)
     return (n - delay) * math.log1p((delay + 1) * a) - (n - delay - 1) * math.log1p(delay * a)
 
 
 def det_closed_form(a: float, delay: int, n: int) -> float:
     """|A| = (1 + (D+1) a)^(n-D) / (1 + D a)^(n-D-1), always positive."""
     return math.exp(log_det_closed_form(a, delay, n))
-
-
-def check_banded(matrix: np.ndarray, delay: int, tol: float) -> bool:
-    """True iff every entry with |i - j| > delay is below tol * max |entry|."""
-    matrix = np.asarray(matrix, dtype=float)
-    n = matrix.shape[0]
-    mask = np.abs(np.subtract.outer(np.arange(n), np.arange(n))) > delay
-    if not mask.any():
-        return True
-    scale = np.max(np.abs(matrix))
-    return bool(np.all(np.abs(matrix[mask]) <= tol * scale))
 
 
 def check_vanishing_minors(matrix: SymToeplitz, delay: int, tol: float = 1e-9) -> bool:

@@ -312,7 +312,6 @@ def test_verify_dual_suite_reaches_n_1e5_without_dense_oracles(capsys, monkeypat
 
     for name in ("inverse_via_v", "band_to_dense", "dense_inverse", "dense_det"):
         monkeypatch.setattr(toeplitz, name, no_dense)
-    monkeypatch.setattr(dual, "band_to_dense", no_dense)
     monkeypatch.setattr(toeplitz.SymToeplitz, "to_dense", no_dense)
     built = []
     build_dual = dual.build_dual

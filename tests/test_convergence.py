@@ -6,7 +6,7 @@ import pathlib
 import numpy as np
 import pytest
 
-from delayed_hedge import ContinuousMarket, discretize, solve_a
+from delayed_hedge import ContinuousMarket, DomainError, discretize, solve_a
 from delayed_hedge.convergence import (
     StepFunction,
     Table,
@@ -31,6 +31,13 @@ def test_step_function_lookup():
     assert f(0.25) == 2.0
     assert f(0.999) == 4.0
     assert f(1.0) == 4.0  # last interval closed
+
+
+@pytest.mark.parametrize("t", [-0.1, 1.5])
+def test_step_function_rejects_t_outside_the_unit_interval(t):
+    f = StepFunction(n=4, values=np.array([1.0, 2.0, 3.0, 4.0]))
+    with pytest.raises(DomainError, match=r"\[0, 1\]"):
+        f(t)
 
 
 def test_build_bn_zero_for_consistent_market():

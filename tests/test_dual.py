@@ -10,13 +10,12 @@ from delayed_hedge.dual import (
     build_dual,
     check_delayed_martingale,
     check_marginal,
-    dual_constant,
     relative_entropy,
     verification_residual,
 )
 from delayed_hedge.mc import generate
 from delayed_hedge.solver import evaluate_paths, hedge_matrix, strategy
-from delayed_hedge.toeplitz import dense_det
+from delayed_hedge.toeplitz import band_to_dense, dense_det
 
 
 def market(n, delay, sigma_hat, mu=0.0, sigma=1.0):
@@ -25,7 +24,7 @@ def market(n, delay, sigma_hat, mu=0.0, sigma=1.0):
 
 def test_build_dual_consistent_market():
     dm = build_dual(market(5, 2, 1.0))
-    np.testing.assert_allclose(dm.covariance, np.eye(5), atol=0)
+    np.testing.assert_allclose(band_to_dense(dm.band), np.eye(5), atol=0)
     assert dm.c_hat == 0.0
 
 
@@ -37,14 +36,20 @@ def test_build_dual_drift_only():
 
 def test_constant_equals_negative_log_value():
     m = market(5, 2, 1.4, mu=0.1)
-    assert dual_constant(m) == pytest.approx(-math.log(-value(m)), rel=1e-13)
+    assert build_dual(m).c_hat == pytest.approx(-math.log(-value(m)), rel=1e-13)
 
 
 def test_delayed_martingale_structure():
     assert check_delayed_martingale(build_dual(market(4, 1, 1.0)), 1, 1e-12)
     assert check_delayed_martingale(build_dual(market(8, 2, 1.5)), 2, 1e-10)
-    # a covariance that couples every pair of increments is not 1-banded
-    coupled = DualMeasure(covariance=np.ones((4, 4)) + np.eye(4), c_hat=0.0)
+    # ones + eye couples every pair of increments, so it is not 1-banded
+    coupled_band = np.array([
+        [2.0, 2.0, 2.0, 2.0],
+        [1.0, 1.0, 1.0, 0.0],
+        [1.0, 1.0, 0.0, 0.0],
+        [1.0, 0.0, 0.0, 0.0],
+    ])
+    coupled = DualMeasure(band=coupled_band, c_hat=0.0)
     assert not check_delayed_martingale(coupled, 1, 1e-10)
 
 
@@ -52,10 +57,9 @@ def test_marginal_condition():
     m = market(7, 3, 0.6)
     dm = build_dual(m)
     assert check_marginal(dm, m, 1e-9)
-    bumped = dm.covariance.copy()
-    bumped[0, 1] += 0.01
-    bumped[1, 0] += 0.01
-    assert not check_marginal(DualMeasure(covariance=bumped, c_hat=dm.c_hat), m, 1e-9)
+    bumped = dm.band.copy()
+    bumped[1, 0] += 0.01  # covariance entries (1, 0) and (0, 1)
+    assert not check_marginal(DualMeasure(band=bumped, c_hat=dm.c_hat), m, 1e-9)
 
 
 def test_verification_residual_origin():
@@ -156,4 +160,4 @@ def _root(m):
 
 def test_covariance_is_spd():
     for m in [market(5, 2, 0.5), market(8, 3, 2.0), market(16, 7, 1.2, mu=0.2)]:
-        np.linalg.cholesky(build_dual(m).covariance)  # raises if not SPD
+        np.linalg.cholesky(band_to_dense(build_dual(m).band))  # raises if not SPD

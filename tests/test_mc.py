@@ -17,7 +17,7 @@ from delayed_hedge.mc import (
     strategy_toeplitz_form,
     toeplitz_quadratic_utility,
 )
-from delayed_hedge.solver import StrategyWeights, strategy
+from delayed_hedge.solver import StrategyWeights, evaluate_paths, strategy
 from delayed_hedge.toeplitz import SymToeplitz
 
 ACCEPTANCE_MARKET = DiscreteMarket(n=5, delay=2, mu=0.1, sigma=1.0, sigma_hat=1.3)
@@ -151,13 +151,9 @@ def test_quadratic_form_reproduces_pathwise_value():
     m = ACCEPTANCE_MARKET
     w = strategy(m)
     quad, lin, const = strategy_quadratic_form(w, m)
-    rng = np.random.default_rng(123)
-    from delayed_hedge import evaluate_on_path
-
-    for _ in range(5):
-        x = rng.normal(m.mu, m.sigma, size=m.n)
-        _, v = evaluate_on_path(w, m, x)
-        assert v == pytest.approx(0.5 * x @ quad @ x + lin @ x + const, rel=1e-12)
+    x = np.random.default_rng(123).normal(m.mu, m.sigma, size=(5, m.n))
+    _, v = evaluate_paths(w, m, x)
+    assert v == pytest.approx(0.5 * np.einsum("pi,ij,pj->p", x, quad, x) + x @ lin + const, rel=1e-12)
 
 
 def test_estimate_above_the_analytic_cap_builds_no_n_by_n_array():

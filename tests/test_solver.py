@@ -6,9 +6,9 @@ from hypothesis import given, settings, strategies as st
 
 from delayed_hedge import (
     DiscreteMarket,
+    LengthMismatch,
     SizeError,
     brute_force_optimum,
-    evaluate_on_path,
     hedge_matrix,
     solve,
     solve_a,
@@ -17,7 +17,7 @@ from delayed_hedge import (
     weights_b,
 )
 from delayed_hedge import dual, solver
-from delayed_hedge.dual import build_dual, dual_constant, verification_residual
+from delayed_hedge.dual import build_dual, verification_residual
 from delayed_hedge.solver import quadratic_coeffs
 from delayed_hedge.toeplitz import build_matrix, log_det_closed_form
 
@@ -166,8 +166,8 @@ def test_value_vanishes_in_static_limits():
 def test_evaluate_flat_path_prices_static_leg():
     m = market(5, 2, 1.3)
     w = strategy(m)
-    gammas, v = evaluate_on_path(w, m, np.zeros(5))
-    assert np.array_equal(gammas, np.zeros(5))
+    gammas, (v,) = solver.evaluate_paths(w, m, np.zeros((1, 5)))
+    assert np.array_equal(gammas, np.zeros((1, 5)))
     assert v == pytest.approx(-w.static_coeff * 5 * m.sigma_hat**2, rel=1e-15)
 
 
@@ -175,7 +175,7 @@ def test_evaluate_consistent_market_collects_drift_gains():
     m = market(4, 1, 1.0, mu=0.5)
     w = strategy(m)
     x = np.array([0.3, -0.2, 0.1, 0.4])
-    _, v = evaluate_on_path(w, m, x)
+    _, (v,) = solver.evaluate_paths(w, m, x[None, :])
     assert v == pytest.approx(0.5 * x.sum(), rel=1e-14)
 
 
@@ -184,7 +184,7 @@ def test_evaluate_matches_quadratic_form_oracle():
     w = strategy(m)
     rng = np.random.default_rng(11)
     x = rng.normal(m.mu, m.sigma, size=4)
-    _, v = evaluate_on_path(w, m, x)
+    _, (v,) = solver.evaluate_paths(w, m, x[None, :])
     A = hedge_matrix(m).to_dense()
     a = solve_a(m)
     oracle = (x @ (A - np.eye(4)) @ x + 2 * m.mu * x.sum() - 4 * a * m.sigma_hat**2) / (
@@ -195,8 +195,8 @@ def test_evaluate_matches_quadratic_form_oracle():
 
 def test_evaluate_rejects_wrong_length():
     m = market(4, 1, 1.0)
-    with pytest.raises(Exception, match="increments"):
-        evaluate_on_path(strategy(m), m, np.zeros(5))
+    with pytest.raises(LengthMismatch, match="paths of length"):
+        solver.evaluate_paths(strategy(m), m, np.zeros((1, 5)))
 
 
 # --- convolution path evaluation against the per-index loop -----------------
@@ -298,7 +298,7 @@ def test_solution_views_equal_standalone_functions(m):
     assert (sol.a, sol.log_det) == (a, log_det)
     exponent = m.n * (a * m.sigma_hat**2 - m.mu**2) / (2.0 * m.sigma**2)
     assert value(m) == sol.value == -math.exp(exponent - 0.5 * log_det)
-    assert dual_constant(m) == sol.c_hat == -exponent + 0.5 * log_det
+    assert build_dual(m).c_hat == sol.c_hat == -exponent + 0.5 * log_det
     w = strategy(m)
     assert np.array_equal(w.kernel, (b - a) / m.sigma**2)
     assert (w.merton, w.static_coeff) == (m.mu / m.sigma**2, a / (2.0 * m.sigma**2))
@@ -327,13 +327,12 @@ def call_counts(monkeypatch):
     [
         (solve, False),
         (value, False),
-        (dual_constant, False),
         (build_dual, False),
         (strategy, True),
         (hedge_matrix, True),
         (lambda m: verification_residual(m, np.ones(m.n)), True),
     ],
-    ids=["solve", "value", "dual_constant", "build_dual", "strategy", "hedge_matrix",
+    ids=["solve", "value", "build_dual", "strategy", "hedge_matrix",
          "verification_residual"],
 )
 def test_each_entry_point_solves_once(call_counts, entry, uses_weights):

@@ -7,7 +7,6 @@ from delayed_hedge.solver import solve_a, weights_b
 from delayed_hedge.toeplitz import (
     SymToeplitz,
     build_matrix,
-    check_banded,
     check_vanishing_minors,
     dense_det,
     band_to_dense,
@@ -15,6 +14,7 @@ from delayed_hedge.toeplitz import (
     det_closed_form,
     inverse_band,
     inverse_via_v,
+    log_det_closed_form,
     v_vector,
 )
 
@@ -57,6 +57,22 @@ def test_v_vector_solves_unit_equation():
 def test_v_vector_rejects_root_at_boundary():
     with pytest.raises(DomainError):
         v_vector(-0.5, 1, 5)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda a: v_vector(a, 1, 5),
+        lambda a: log_det_closed_form(a, 1, 5),
+        lambda a: weights_b(market(5, 1, 1.3), a, 4),
+    ],
+    ids=["v_vector", "log_det_closed_form", "weights_b"],
+)
+def test_root_domain_has_one_rule_and_one_message(call):
+    for a in (-0.5, -0.6):  # on and past a = -1/(D+1) for D = 1
+        with pytest.raises(DomainError, match=rf"^a = {a} violates a > -1/\(D\+1\) for D = 1$"):
+            call(a)
+    call(-0.49)
 
 
 def test_inverse_identity_cases():
@@ -103,16 +119,9 @@ def test_inverse_and_det_identities_sampled(n, delay, sigma_hat):
     # entry-sum and trace identities
     assert inv.sum() == pytest.approx(n * sigma_hat**2, rel=1e-9)
     assert np.trace(inv) == pytest.approx(n * (1.0 - a * sigma_hat**2), rel=1e-9)
-    assert check_banded(inv, delay, 1e-10)
-
-
-def test_check_banded():
-    assert check_banded(np.eye(4), 0, 1e-12)
-    m = market(8, 2, 1.5)
-    inv = inverse_via_v(solve_a(m), 2, 8)
-    assert check_banded(inv, 2, 1e-9)
-    # A itself is full Toeplitz, so it fails for any band short of n-1
-    assert not check_banded(hedge_matrix(m).to_dense(), 2, 1e-9)
+    # the LAPACK inverse is D-banded too (inverse_via_v writes exact zeros off the band)
+    off_band = np.abs(np.subtract.outer(np.arange(n), np.arange(n))) > delay
+    assert np.all(np.abs(dense[off_band]) <= 1e-10 * scale)
 
 
 def test_vanishing_minors_holds_for_model_matrix():
