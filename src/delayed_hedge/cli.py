@@ -163,13 +163,9 @@ def cmd_kernel(args) -> int:
     market = ContinuousMarket(H=args.H, theta=0.0, varsigma=1.0, varsigma_hat=math.sqrt(args.ratio))
     spec = kernel.spec_for_market(market)
     ts = np.linspace(0.0, 1.0, args.grid + 1)
-    rows = np.column_stack(
-        [
-            ts,
-            [kernel.kappa(t, spec) for t in ts],
-            [kernel.gamma_kernel(t, spec) for t in ts],
-        ]
-    )
+    kappas = np.array([kernel.kappa(t, spec) for t in ts])
+    # kappa is exactly the level below H, so this is gamma_kernel bit for bit
+    rows = np.column_stack([ts, kappas, kappas - spec.level])
     _emit_csv(args, convergence.Table(header=["t", "kappa", "gamma_kernel"], columns=rows), "kernel")
     return 0
 

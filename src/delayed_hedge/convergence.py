@@ -25,7 +25,7 @@ _BLOCK_ROWS = 256  # pieces per Simpson call in l2_distance_to_kappa, bounding i
 _QUADSTEPS = 8  # Simpson panels per smooth piece in l2_distance_to_kappa
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StepFunction:
     """Piecewise-constant function on [0, 1] with n equal intervals."""
 
@@ -39,7 +39,7 @@ class StepFunction:
         return float(self.values[k])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Table:
     """Column-oriented result table with a fixed header order."""
 

@@ -20,7 +20,7 @@ oracle view.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,29 +34,31 @@ PROBE_COUNT = 3
 PROBE_SEED = 20231
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DualMeasure:
     """Centered Gaussian law of the increments under the dual measure.
 
     ``band[d, j]`` is the covariance of increments j + d and j (0-based), zero
     past the end of each diagonal; ``toeplitz.band_to_dense`` gives the dense
-    matrix.  ``solution`` is the ``HedgeSolution`` the measure was built from
-    (None for a hand-built measure).
+    matrix.  ``solution`` is the ``HedgeSolution`` the measure was built from,
+    and C is its ``c_hat``.
     """
 
     band: np.ndarray
-    c_hat: float
-    solution: HedgeSolution | None = field(default=None, repr=False, compare=False)
+    solution: HedgeSolution
+
+    @property
+    def c_hat(self) -> float:
+        return self.solution.c_hat
 
 
 def build_dual(m: DiscreteMarket) -> DualMeasure:
     """Construct the dual measure for the market's optimal strategy."""
     sol = solve(m)
-    band = m.sigma**2 * inverse_band(sol.a, m.delay, m.n)
     c_hat, u = sol.c_hat, sol.value
     if abs(-math.exp(-c_hat) - u) > 1e-12 * abs(u):
         raise NumericalError(f"dual constant {c_hat} inconsistent with value {u}")
-    return DualMeasure(band=band, c_hat=c_hat, solution=sol)
+    return DualMeasure(band=m.sigma**2 * inverse_band(sol.a, m.delay, m.n), solution=sol)
 
 
 def check_delayed_martingale(dm: DualMeasure, delay: int, tol: float) -> bool:
@@ -66,7 +68,7 @@ def check_delayed_martingale(dm: DualMeasure, delay: int, tol: float) -> bool:
     filtration iff its covariance is D-banded.  Two tests:
 
     * every stored diagonal beyond ``delay`` stays below tol * max |entry|;
-    * when the solution is known, the band must invert A: for seeded probe
+    * the band must invert the solution's A: for seeded probe
       vectors z, |A (B z) - z| <= tol |z| with B = band / sigma^2 applied by
       the banded BLAS product (dsbmv), and A = (a + 1) I + T(b) by
       ``causal_convolve`` on y and on reversed y, so neither matrix is built
@@ -79,8 +81,6 @@ def check_delayed_martingale(dm: DualMeasure, delay: int, tol: float) -> bool:
     if len(band) > delay + 1 and np.any(np.abs(band[delay + 1 :]) > tol * np.max(np.abs(band))):
         return False
     sol = dm.solution
-    if sol is None:
-        return True
     from scipy.linalg.blas import dsbmv
 
     z = np.random.default_rng(PROBE_SEED).standard_normal((PROBE_COUNT, band.shape[1]))
@@ -101,12 +101,12 @@ def check_marginal(dm: DualMeasure, m: DiscreteMarket, tol: float) -> bool:
     return abs(total - target) <= tol * abs(target)
 
 
-def verification_residual(m: DiscreteMarket, x: np.ndarray):
+def verification_residual(m: DiscreteMarket, x: np.ndarray) -> np.ndarray:
     """V(x) + log(dQ/dP)(x) - C, which vanishes identically for the optimum.
 
-    ``x`` may be one path of shape (n,) (returns a float) or a batch of
-    shape (paths, n) (returns an array).  The dual log-density uses the
-    closed-form determinant; tests cross-check it against a factorization.
+    ``x`` is a batch of paths of shape (paths, n); one residual per path is
+    returned.  The dual log-density uses the closed-form determinant; tests
+    cross-check it against a factorization.
     The identity is checked for ``strategy(m)``, and the dual side is read
     from the solution those weights came from: its quadratic form is
     x'Ax = (a + 1)|x|^2 + 2 x.(b * x) with the causal convolution b * x of
@@ -115,19 +115,15 @@ def verification_residual(m: DiscreteMarket, x: np.ndarray):
     so a wrong strategy shows up as a nonzero residual.
     """
     x = np.asarray(x, dtype=float)
-    single = x.ndim == 1
-    paths = x[None, :] if single else x
     w = strategy(m)
     sol = w.solution
-    _, v = evaluate_paths(w, m, paths)
+    _, v = evaluate_paths(w, m, x)
 
-    lagged = np.sum(paths * causal_convolve(paths, sol.b), axis=1)
-    quad_dual = ((sol.a + 1.0) * np.sum(paths * paths, axis=1) + 2.0 * lagged) / m.sigma**2
-    quad_market = np.sum((paths - m.mu) ** 2, axis=1) / m.sigma**2
+    lagged = np.sum(x * causal_convolve(x, sol.b), axis=1)
+    quad_dual = ((sol.a + 1.0) * np.sum(x * x, axis=1) + 2.0 * lagged) / m.sigma**2
+    quad_market = np.sum((x - m.mu) ** 2, axis=1) / m.sigma**2
     log_ratio = 0.5 * (sol.log_det - quad_dual + quad_market)
-
-    residual = v + log_ratio - sol.c_hat
-    return float(residual[0]) if single else residual
+    return v + log_ratio - sol.c_hat
 
 
 def relative_entropy(dm: DualMeasure, m: DiscreteMarket) -> float:

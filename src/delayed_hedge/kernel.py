@@ -99,7 +99,7 @@ def _series(c: np.ndarray, k: int, ratio):
     return total
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class KernelSpec:
     """alpha, delay H, interval count K, and the interval constants c_1..c_K."""
 
@@ -173,10 +173,10 @@ def kappa(t: float, spec: KernelSpec) -> float:
 
 
 def gamma_kernel(u: float, spec: KernelSpec) -> float:
-    """Strategy weight at lag u: kappa_u minus the constant level (0 below H)."""
+    """Strategy weight at lag u: kappa_u minus the constant level (exactly 0 below H)."""
     if not 0.0 <= u <= 1.0:
         raise DomainError(f"lag must lie in [0, 1], got {u}")
-    return 0.0 if u < spec.H else kappa(u, spec) - spec.level
+    return kappa(u, spec) - spec.level
 
 
 def smooth_pieces(breaks, spec: KernelSpec):

@@ -57,7 +57,7 @@ ANALYTIC_MAX_N = 8192
 BRUTE_FORCE_MAX_N = 3
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PathBatch:
     """Batch of i.i.d. Gaussian increment paths, reproducible from the seed."""
 
@@ -106,15 +106,19 @@ def estimate_utility(batch: PathBatch, w: StrategyWeights, m: DiscreteMarket) ->
     it exists and ``analytic_skip_reason`` gives none, evaluated by
     Levinson-Durbin.  Accumulation relies on numpy's pairwise summation, which
     is deterministic for a given batch.
+    The moments are those of -exp(shift - V), shift = max(min V, 0), scaled
+    back by exp(-shift): on long horizons exp(-V) alone squares to zero.
     Moments that overflow come out non-finite, without a warning.
     """
     if batch.n != m.n:
         raise LengthMismatch(f"batch has n={batch.n}, market has n={m.n}")
     _, v = evaluate_paths(w, m, batch.increments)
+    shift = max(float(np.min(v)), 0.0)
+    scale = math.exp(-shift)
     with np.errstate(over="ignore", invalid="ignore"):
-        y = -np.exp(-v)
-        mean = float(np.mean(y))
-        stderr = float(np.std(y, ddof=1) / math.sqrt(batch.count)) if batch.count > 1 else 0.0
+        y = -np.exp(shift - v)
+        mean = float(np.mean(y)) * scale
+        stderr = float(np.std(y, ddof=1) / math.sqrt(batch.count)) * scale if batch.count > 1 else 0.0
         ess = float(np.sum(np.abs(y)) ** 2 / np.sum(y * y))
     analytic = None
     if analytic_skip_reason(m) is None:

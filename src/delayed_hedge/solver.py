@@ -35,7 +35,7 @@ import numpy as np
 
 from .errors import LengthMismatch, NumericalError
 from .market import DiscreteMarket, validate_discrete
-from .toeplitz import SymToeplitz, build_matrix, log_det_closed_form, require_root_domain
+from .toeplitz import SymToeplitz, log_det_closed_form, require_root_domain
 
 # Residual guard for the explicit root; theory guarantees a real root, so a
 # discriminant below -CLAMP (relative) means the inputs are inconsistent.
@@ -67,7 +67,7 @@ class QuadraticCoeffs:
         return max(abs(self.qa), abs(self.qb), abs(self.qc))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StrategyWeights:
     """Convolution form of the optimal strategy.
 
@@ -81,7 +81,7 @@ class StrategyWeights:
     merton: float
     kernel: np.ndarray
     static_coeff: float
-    solution: HedgeSolution | None = field(default=None, repr=False, compare=False)
+    solution: HedgeSolution | None = field(default=None, repr=False)
 
 
 def quadratic_coeffs(m: DiscreteMarket) -> QuadraticCoeffs:
@@ -180,7 +180,7 @@ class HedgeSolution:
 
     @property
     def matrix(self) -> SymToeplitz:
-        return build_matrix(self.a, self.b, self.market.n)
+        return SymToeplitz(np.concatenate([[self.a + 1.0], self.b]))
 
 
 def solve(m: DiscreteMarket) -> HedgeSolution:

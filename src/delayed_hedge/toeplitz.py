@@ -37,7 +37,7 @@ MINOR_ENUMERATION_LIMIT = 12
 CONDITION_LIMIT = 1e12
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SymToeplitz:
     """Symmetric Toeplitz matrix stored by its first row."""
 
@@ -50,15 +50,6 @@ class SymToeplitz:
     def to_dense(self) -> np.ndarray:
         idx = np.abs(np.subtract.outer(np.arange(self.n), np.arange(self.n)))
         return self.first_row[idx]
-
-
-def build_matrix(a: float, tail: np.ndarray, n: int) -> SymToeplitz:
-    """Assemble A from the root a and the weight tail (b_1, ..., b_{n-1})."""
-    tail = np.asarray(tail, dtype=float)
-    if len(tail) < n - 1:
-        raise DomainError(f"need {n - 1} tail weights, got {len(tail)}")
-    first_row = np.concatenate([[a + 1.0], tail[: n - 1]])
-    return SymToeplitz(first_row=first_row)
 
 
 def require_root_domain(a: float, delay: int) -> None:

@@ -60,9 +60,14 @@ def default_grid(grid_size: int = len(N_VALUES)):
     return markets
 
 
+def _worst(values) -> float:
+    """The largest of ``values``, NaN if any is NaN (Python's max drops a NaN that is not first)."""
+    return float(np.max(np.fromiter(values, dtype=float)))
+
+
 def _checks(suite: str, results, tols: dict):
     """One CheckResult per named residual: its worst value over all points."""
-    worst = {name: max(r[name] for r in results) for name in tols}
+    worst = {name: _worst(r[name] for r in results) for name in tols}
     return [CheckResult(f"{suite}.{name}", worst[name] <= tol, worst[name], tol) for name, tol in tols.items()]
 
 
@@ -163,37 +168,37 @@ def kernel_suite(grid_size: int = len(N_VALUES)):
         out = {}
         closed = kernel.c_closed_forms(spec.alpha, H)
         k_max = min(10, spec.K)
-        out["ck_vs_closed_forms"] = max(
+        out["ck_vs_closed_forms"] = _worst(
             abs(spec.c[k] - closed[k]) / max(abs(closed[k]), 1e-30) for k in range(k_max)
         )
         ts_below = np.linspace(0.0, H, 7)[:-1]
-        out["kappa_constant_below_H"] = max(abs(kernel.kappa(t, spec) - spec.level) for t in ts_below)
+        out["kappa_constant_below_H"] = _worst(abs(kernel.kappa(t, spec) - spec.level) for t in ts_below)
         target = spec.alpha**2 * H / (1.0 - spec.alpha * H)
         out["kappa_at_H"] = abs(kernel.kappa(H, spec) - target) / max(abs(target), 1.0)
         grid = np.linspace(H, 1.0, 200)
-        out["integral_equation"] = max(
+        out["integral_equation"] = _worst(
             abs(kernel.kappa_integral_residual(t, spec, quadsteps=2000)) for t in grid
         )
-        sup_kappa = max(abs(kernel.kappa(t, spec)) for t in np.linspace(0, 1, 101))
+        sup_kappa = _worst(abs(kernel.kappa(t, spec)) for t in np.linspace(0, 1, 101))
         lipschitz = 2.0 * abs(spec.alpha) * max(sup_kappa, 1.0)
-        worst_cont = 0.0
+        gaps = [0.0]
         for k in range(2, spec.K):
             if k * H > 1.0:
                 break
             for eps in (1e-4, 1e-6, 1e-8):
                 gap = abs(kernel.kappa(k * H, spec) - kernel.kappa(k * H - eps, spec))
-                worst_cont = max(worst_cont, gap / max(10.0 * lipschitz * eps, 1e-15))
-        out["continuity_at_kH"] = worst_cont
+                gaps.append(gap / max(10.0 * lipschitz * eps, 1e-15))
+        out["continuity_at_kH"] = _worst(gaps)
         ts, ys = kernel.kappa_ode_grid(spec, step=1e-4)
-        out["ode_oracle"] = max(abs(kernel.kappa(t, spec) - y) for t, y in zip(ts, ys))
+        out["ode_oracle"] = _worst(abs(kernel.kappa(t, spec) - y) for t, y in zip(ts, ys))
         return out
 
     results = [point(hr) for hr in KERNEL_POINTS]
-    alpha_domain = -math.inf
-    for H in np.linspace(0.05, 1.0, 20):
-        for lr in np.linspace(-2.0, 2.0, 21):
-            a = kernel.alpha(float(H), 1.0, math.exp(lr))
-            alpha_domain = max(alpha_domain, a * H - 1.0)
+    alpha_domain = _worst(
+        kernel.alpha(float(H), 1.0, math.exp(lr)) * H - 1.0
+        for H in np.linspace(0.05, 1.0, 20)
+        for lr in np.linspace(-2.0, 2.0, 21)
+    )
     tols = {
         "ck_vs_closed_forms": 1e-10,
         "kappa_constant_below_H": 0.0,
@@ -210,7 +215,7 @@ def kernel_suite(grid_size: int = len(N_VALUES)):
 def convergence_suite(grid_size: int = len(N_VALUES)):
     """Discretization limits: value gap, root asymptotics, L2 rate, figures (``grid_size`` unused)."""
     checks = []
-    worst_gap, worst_rate = 0.0, 0.0
+    last_gaps, rates = [], []
     decreasing = True
     for vsh in (1.0 / math.sqrt(2.0), math.sqrt(2.0)):
         cm = ContinuousMarket(H=0.2, theta=0.0, varsigma=1.0, varsigma_hat=vsh)
@@ -218,29 +223,29 @@ def convergence_suite(grid_size: int = len(N_VALUES)):
         sols = {n: solver.solve(discretize(cm, n)) for n in (100, 1000, 10000)}
         gaps = [abs(sol.value - lv) for sol in sols.values()]
         decreasing &= gaps[0] > gaps[1] > gaps[2]
-        worst_gap = max(worst_gap, gaps[-1])
+        last_gaps.append(gaps[-1])
         spec = kernel.spec_for_market(cm)
         target = spec.alpha / (1.0 - spec.alpha * cm.H)
         scaled_err = {n: abs(n * sol.a - target) for n, sol in sols.items()}
         fitted = RATE_SLACK * 100 * scaled_err[100]
-        for n in (1000, 10000):
-            worst_rate = max(worst_rate, scaled_err[n] * n / fitted)
+        rates += [scaled_err[n] * n / fitted for n in (1000, 10000)]
+    worst_gap, worst_rate = _worst(last_gaps), _worst(rates)
     checks.append(CheckResult("convergence.limit_gap_at_1e4", decreasing and worst_gap < 1e-2, worst_gap, 1e-2))
     checks.append(CheckResult("convergence.an_rate_fitted_C", worst_rate <= 1.0, worst_rate, 1.0))
 
-    worst_l2 = 0.0
+    l2_factors = []
     for ratio in (0.5, 2.0):
         cm = ContinuousMarket(H=0.2, theta=0.0, varsigma=1.0, varsigma_hat=math.sqrt(ratio))
         spec = kernel.spec_for_market(cm)
-        scaled = []
-        for n in (100, 200, 400, 800):
-            dist = convergence.l2_distance_to_kappa(convergence.build_bn(cm, n), spec)
-            scaled.append(n * dist)
+        scaled = np.array(
+            [n * convergence.l2_distance_to_kappa(convergence.build_bn(cm, n), spec) for n in (100, 200, 400, 800)]
+        )
         med = float(np.median(scaled))
-        worst_l2 = max(worst_l2, max(max(scaled) / med, med / min(scaled)))
+        l2_factors += [float(np.max(scaled)) / med, med / float(np.min(scaled))]
+    worst_l2 = _worst(l2_factors)
     checks.append(CheckResult("convergence.l2_rate_factor", worst_l2 <= 3.0, worst_l2, 3.0))
 
-    worst_fig1 = 0.0
+    fig1_gaps = []
     signs_ok = True
     for ratio in (0.5, 2.0):
         cm = ContinuousMarket(H=0.2, theta=0.0, varsigma=1.0, varsigma_hat=math.sqrt(ratio))
@@ -249,9 +254,10 @@ def convergence_suite(grid_size: int = len(N_VALUES)):
         shifted = table.columns[:, 1]
         col = table.columns[:, 2]
         sup = np.max(np.abs(shifted))
-        worst_fig1 = max(worst_fig1, float(np.max(np.abs(col - shifted)) / sup))
+        fig1_gaps.append(float(np.max(np.abs(col - shifted)) / sup))
         tail = shifted[t >= cm.H]
         signs_ok &= bool(np.all(tail <= 0) if ratio < 1.0 else np.all(tail >= 0))
+    worst_fig1 = _worst(fig1_gaps)
     checks.append(CheckResult("convergence.fig1_sup_gap", worst_fig1 < 0.05, worst_fig1, 0.05))
     checks.append(CheckResult("convergence.fig1_signs", signs_ok, 0.0 if signs_ok else 1.0, 0.5))
 
@@ -259,7 +265,7 @@ def convergence_suite(grid_size: int = len(N_VALUES)):
     lr_grid = [round(x, 10) for x in np.arange(-2.0, 2.01, 0.5)]
     table = convergence.figure2_data(h_grid, lr_grid)
     rows = table.columns
-    worst_eq = max(abs(rows[i, 2] + 1.0) for i in range(len(rows)) if rows[i, 1] == 0.0)
+    worst_eq = _worst(abs(rows[i, 2] + 1.0) for i in range(len(rows)) if rows[i, 1] == 0.0)
     mono_ok = True
     for H in h_grid:
         sub = rows[rows[:, 0] == H]

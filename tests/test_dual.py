@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from delayed_hedge import DiscreteMarket, dual, toeplitz, value
+from delayed_hedge import DiscreteMarket, LengthMismatch, dual, toeplitz, value
 from delayed_hedge.dual import (
     DualMeasure,
     build_dual,
@@ -14,7 +14,7 @@ from delayed_hedge.dual import (
     verification_residual,
 )
 from delayed_hedge.mc import generate
-from delayed_hedge.solver import evaluate_paths, hedge_matrix, strategy
+from delayed_hedge.solver import evaluate_paths, hedge_matrix, solve, strategy
 from delayed_hedge.toeplitz import band_to_dense, dense_det
 
 
@@ -49,7 +49,7 @@ def test_delayed_martingale_structure():
         [1.0, 1.0, 0.0, 0.0],
         [1.0, 0.0, 0.0, 0.0],
     ])
-    coupled = DualMeasure(band=coupled_band, c_hat=0.0)
+    coupled = DualMeasure(band=coupled_band, solution=solve(market(4, 1, 1.0)))
     assert not check_delayed_martingale(coupled, 1, 1e-10)
 
 
@@ -59,12 +59,17 @@ def test_marginal_condition():
     assert check_marginal(dm, m, 1e-9)
     bumped = dm.band.copy()
     bumped[1, 0] += 0.01  # covariance entries (1, 0) and (0, 1)
-    assert not check_marginal(DualMeasure(band=bumped, c_hat=dm.c_hat), m, 1e-9)
+    assert not check_marginal(DualMeasure(band=bumped, solution=dm.solution), m, 1e-9)
 
 
 def test_verification_residual_origin():
     m = market(4, 1, 1.0)
-    assert verification_residual(m, np.zeros(4)) == pytest.approx(0.0, abs=1e-15)
+    assert verification_residual(m, np.zeros((1, 4)))[0] == pytest.approx(0.0, abs=1e-15)
+
+
+def test_verification_residual_takes_a_batch_of_paths_only():
+    with pytest.raises(LengthMismatch, match="paths of length"):
+        verification_residual(market(4, 1, 1.0), np.zeros(4))
 
 
 def test_verification_residual_seeded_paths():

@@ -55,38 +55,38 @@ def test_band_matches_the_dense_covariance(m):
     assert check_delayed_martingale(dm, m.delay, 1e-10)
 
 
-def test_solution_is_left_out_of_compare_and_repr():
-    dm = build_dual(market(6, 2, 1.3))
-    assert "solution" not in repr(dm)
-    assert {f.name for f in dataclasses.fields(dm) if f.compare} == {"band", "c_hat"}
+def test_measure_is_its_band_and_solution():
+    m = market(6, 2, 1.3)
+    dm = build_dual(m)
+    assert [f.name for f in dataclasses.fields(dm)] == ["band", "solution"]
+    assert dm.c_hat == dm.solution.c_hat == solve(m).c_hat
+    with pytest.raises(TypeError):
+        DualMeasure(band=dm.band)  # the solution is required
 
 
 @pytest.mark.parametrize("m", MARKETS[1:], ids=lambda m: f"n{m.n}-D{m.delay}")
 def test_probe_rejects_a_band_that_does_not_invert_a(m):
     dm = build_dual(m)
-    scaled = DualMeasure(band=dm.band * (1.0 + 1e-6), c_hat=dm.c_hat, solution=dm.solution)
+    scaled = DualMeasure(band=dm.band * (1.0 + 1e-6), solution=dm.solution)
     assert not check_delayed_martingale(scaled, m.delay, 1e-10)
     bumped = dm.band.copy()
     bumped[min(1, m.delay), m.n // 3] += 1e-6 * np.max(np.abs(bumped))
-    assert not check_delayed_martingale(DualMeasure(band=bumped, c_hat=dm.c_hat, solution=dm.solution), m.delay, 1e-10)
-    # without the solution the probe cannot run, and only the stored rows are checked
-    assert check_delayed_martingale(DualMeasure(band=bumped, c_hat=dm.c_hat), m.delay, 1e-10)
+    assert not check_delayed_martingale(DualMeasure(band=bumped, solution=dm.solution), m.delay, 1e-10)
 
 
 def test_rows_beyond_the_delay_must_vanish():
     dm = build_dual(market(8, 2, 1.5))
     wide = np.vstack([dm.band, np.full((1, 8), 1e-3)])
-    assert not check_delayed_martingale(DualMeasure(band=wide, c_hat=dm.c_hat), 2, 1e-10)
-    assert check_delayed_martingale(DualMeasure(band=wide, c_hat=dm.c_hat), 3, 1e-10)
+    assert not check_delayed_martingale(DualMeasure(band=wide, solution=dm.solution), 2, 1e-10)
     # within a wider delay the row is allowed, but it no longer inverts A
-    assert not check_delayed_martingale(DualMeasure(band=wide, c_hat=dm.c_hat, solution=dm.solution), 3, 1e-10)
+    assert not check_delayed_martingale(DualMeasure(band=wide, solution=dm.solution), 3, 1e-10)
 
 
 def test_entropy_rejects_a_covariance_that_is_not_positive_definite():
     m = market(3, 1, 1.0)
+    band = np.array([[-1.0, -1.0, -1.0], [1.0, 1.0, 0.0], [1.0, 0.0, 0.0]])  # the band of ones - 2 eye
     with pytest.raises(NumericalError):
-        # the band of ones - 2 eye
-        relative_entropy(DualMeasure(band=np.array([[-1.0, -1.0, -1.0], [1.0, 1.0, 0.0], [1.0, 0.0, 0.0]]), c_hat=0.0), m)
+        relative_entropy(DualMeasure(band=band, solution=solve(m)), m)
 
 
 def test_dual_layer_at_n_4096_builds_no_n_by_n_array():

@@ -8,6 +8,7 @@ from delayed_hedge import DiscreteMarket, IntegrabilityError, LengthMismatch, Si
 from delayed_hedge.mc import (
     ANALYTIC_MAX_N,
     MAX_PATH_STEPS,
+    PathBatch,
     analytic_quadratic_utility,
     brute_force_optimum,
     estimate_utility,
@@ -178,6 +179,20 @@ def test_estimate_moments_overflow_without_warnings():
     with np.errstate(all="raise"):
         report = estimate_utility(generate(m, 100, seed=1), w, m)
     assert not math.isfinite(report.std_error)
+
+
+def test_moments_stay_finite_when_every_v_is_near_400():
+    # exp(-400) ~ 2e-174 squares below the smallest double, so unshifted moments lose ess and std_error
+    m = DiscreteMarket(n=4, delay=0, mu=1.0, sigma=1.0, sigma_hat=1.0)  # V is the sum of the increments
+    x = 100.0 + 0.1 * np.random.default_rng(7).standard_normal((100, 4))
+    v = x.sum(axis=1)
+    report = estimate_utility(PathBatch(n=4, count=100, seed=7, increments=x), strategy(m), m)
+    assert report.empirical_mean == pytest.approx(-np.mean(np.exp(-v)), rel=1e-12)
+    weights = np.exp(400.0 - v)
+    assert report.std_error == pytest.approx(math.exp(-400.0) * np.std(weights, ddof=1) / 10.0, rel=1e-12)
+    assert report.std_error > 0.0
+    assert report.ess == pytest.approx(weights.sum() ** 2 / np.sum(weights * weights), rel=1e-12)
+    assert 90.0 < report.ess <= 100.0
 
 
 @pytest.mark.parametrize("n, delay", [(2, 0), (3, 1), (3, 0)])

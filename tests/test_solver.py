@@ -16,10 +16,13 @@ from delayed_hedge import (
     value,
     weights_b,
 )
-from delayed_hedge import dual, solver
+from delayed_hedge import ContinuousMarket, dual, solver
+from delayed_hedge.convergence import build_bn, figure2_data
 from delayed_hedge.dual import build_dual, verification_residual
+from delayed_hedge.kernel import kernel_spec
+from delayed_hedge.mc import generate
 from delayed_hedge.solver import quadratic_coeffs
-from delayed_hedge.toeplitz import build_matrix, log_det_closed_form
+from delayed_hedge.toeplitz import log_det_closed_form
 
 
 def market(n, delay, sigma_hat, mu=0.0, sigma=1.0):
@@ -303,7 +306,7 @@ def test_solution_views_equal_standalone_functions(m):
     assert np.array_equal(w.kernel, (b - a) / m.sigma**2)
     assert (w.merton, w.static_coeff) == (m.mu / m.sigma**2, a / (2.0 * m.sigma**2))
     assert np.array_equal(sol.b, b)
-    assert np.array_equal(hedge_matrix(m).first_row, build_matrix(a, b, m.n).first_row)
+    assert np.array_equal(hedge_matrix(m).first_row, np.concatenate([[a + 1.0], b]))
 
 
 @pytest.fixture
@@ -330,7 +333,7 @@ def call_counts(monkeypatch):
         (build_dual, False),
         (strategy, True),
         (hedge_matrix, True),
-        (lambda m: verification_residual(m, np.ones(m.n)), True),
+        (lambda m: verification_residual(m, np.ones((1, m.n))), True),
     ],
     ids=["solve", "value", "build_dual", "strategy", "hedge_matrix",
          "verification_residual"],
@@ -345,6 +348,27 @@ def test_weights_are_built_on_first_access_only(call_counts):
     assert call_counts["weights_b"] == 0
     _ = (sol.strategy, sol.matrix, sol.b)
     assert call_counts["weights_b"] == 1
+
+
+EQ_MARKET = market(6, 2, 1.3, mu=0.1)
+ARRAY_RESULTS = {
+    "StrategyWeights": lambda: strategy(EQ_MARKET),
+    "DualMeasure": lambda: build_dual(EQ_MARKET),
+    "SymToeplitz": lambda: hedge_matrix(EQ_MARKET),
+    "PathBatch": lambda: generate(EQ_MARKET, 100, seed=1),
+    "KernelSpec": lambda: kernel_spec(0.2, 1.0, 1.5),
+    "StepFunction": lambda: build_bn(ContinuousMarket(H=0.2, theta=0.0, varsigma=1.0, varsigma_hat=1.5), 8),
+    "Table": lambda: figure2_data([0.2, 0.5], [0.0, 0.5]),
+}
+
+
+@pytest.mark.parametrize("name", ARRAY_RESULTS)
+def test_array_holding_results_compare_by_identity(name):
+    first, second = ARRAY_RESULTS[name](), ARRAY_RESULTS[name]()
+    assert type(first).__name__ == name
+    assert first == first
+    assert first != second  # no element-wise array comparison, so nothing raises
+    assert hash(first) != hash(second)
 
 
 # --- brute force -----------------------------------------------------------

@@ -6,7 +6,6 @@ from delayed_hedge import DiscreteMarket, DomainError, SingularMatrix, SizeError
 from delayed_hedge.solver import solve_a, weights_b
 from delayed_hedge.toeplitz import (
     SymToeplitz,
-    build_matrix,
     check_vanishing_minors,
     dense_det,
     band_to_dense,
@@ -161,11 +160,6 @@ def test_dense_oracles():
 def test_dense_oracles_reject_singular():
     with pytest.raises(SingularMatrix):
         dense_inverse(np.ones((3, 3)))
-
-
-def test_build_matrix_requires_enough_tail():
-    with pytest.raises(DomainError):
-        build_matrix(0.1, np.zeros(2), 4)
 
 
 def _row_recurrence(a, delay, n):
