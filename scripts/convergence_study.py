@@ -18,7 +18,7 @@ def main() -> None:
     for ratio in (0.5, 2.0):
         market = ContinuousMarket(H=0.2, theta=0.0, varsigma=1.0, varsigma_hat=math.sqrt(ratio))
         spec = spec_for_market(market)
-        target = spec.alpha / (1.0 - spec.alpha * market.H)
+        target = spec.level
         print(f"== ratio varsigma_hat^2/varsigma^2 = {ratio} ==")
         print(f"limit value U = {limit_value(market):+.10f}   n*a_n -> {target:+.10f}")
         for n in (100, 1000, 10000):

@@ -41,7 +41,6 @@ from .kernel import (
     KernelSpec,
     alpha,
     c_coefficients,
-    gamma_kernel,
     kappa,
     kappa_integral_residual,
     kernel_spec,
@@ -68,7 +67,6 @@ __all__ = [
     "c_coefficients",
     "delay_steps",
     "discretize",
-    "gamma_kernel",
     "hedge_matrix",
     "kappa",
     "kappa_integral_residual",

@@ -107,13 +107,17 @@ _positive_int = _arg_type(int, lambda v: v >= 1, "an integer >= 1")
 _grid_steps = _arg_type(int, lambda v: 1 <= v < MAX_POINTS, f"an integer in [1, {MAX_POINTS})")
 _positive_float = _arg_type(float, lambda v: 0.0 < v < math.inf, "a finite number > 0")
 _seed = _arg_type(int, lambda v: 0 <= v < 2**64, "an integer in [0, 2^64)")
-# these two keep the text, which the config echo prints
+# these two keep the text, which the config echo prints, so it must be one line
 _ns = _arg_type(
     str,
-    lambda text: min(_parse_ns(text)) >= 1 and sum(_parse_ns(text)) <= MAX_POINTS,
+    lambda text: text.splitlines() == [text] and min(_parse_ns(text)) >= 1 and sum(_parse_ns(text)) <= MAX_POINTS,
     f"comma-separated integers >= 1 summing to at most {MAX_POINTS}",
 )
-_grid = _arg_type(str, lambda text: len(_parse_grid(text)) > 0, "a comma list or lo:hi:step with step > 0")
+_grid = _arg_type(
+    str,
+    lambda text: text.splitlines() == [text] and len(_parse_grid(text)) > 0,
+    "a comma list or lo:hi:step with step > 0",
+)
 
 
 def cmd_solve(args) -> int:
@@ -164,7 +168,7 @@ def cmd_kernel(args) -> int:
     spec = kernel.spec_for_market(market)
     ts = np.linspace(0.0, 1.0, args.grid + 1)
     kappas = np.array([kernel.kappa(t, spec) for t in ts])
-    # kappa is exactly the level below H, so this is gamma_kernel bit for bit
+    # the strategy kernel gamma = kappa - level, exactly 0 below H where kappa is the level
     rows = np.column_stack([ts, kappas, kappas - spec.level])
     _emit_csv(args, convergence.Table(header=["t", "kappa", "gamma_kernel"], columns=rows), "kernel")
     return 0

@@ -1,10 +1,10 @@
 """Discretization bridge: scaled weight steps, L2 distance to the kernel,
 and the data tables behind the two convergence figures.
 
-The step function b^n takes the value n * b_{k+1} on [k/n, (k+1)/n) (last
-interval closed); its squared L2 distance to kappa decays like 1/n, with the
-non-smooth point at t = H contributing the dominant term.  The distance is
-integrated over node arrays, one Simpson call per block of one kernel piece.
+The step function b^n is held as its values n * b_{k+1} on [k/n, (k+1)/n)
+(last interval closed); its squared L2 distance to kappa decays like 1/n,
+with the non-smooth point at t = H dominating.  The distance is integrated
+over node arrays, one Simpson call per block of one kernel piece.
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ from typing import IO, Mapping, Sequence
 
 import numpy as np
 
-from .errors import DomainError
 from .kernel import KernelSpec, _piece, kappa, limit_value, simpson, smooth_pieces, spec_for_market
 from .market import ContinuousMarket, discretize
 from .solver import solve_a, weights_b
@@ -26,20 +25,6 @@ _QUADSTEPS = 8  # Simpson panels per smooth piece in l2_distance_to_kappa
 
 
 @dataclass(frozen=True, eq=False)
-class StepFunction:
-    """Piecewise-constant function on [0, 1] with n equal intervals."""
-
-    n: int
-    values: np.ndarray
-
-    def __call__(self, t: float) -> float:
-        if not 0.0 <= t <= 1.0:
-            raise DomainError(f"t must lie in [0, 1], got {t}")
-        k = min(int(math.floor(t * self.n)), self.n - 1)
-        return float(self.values[k])
-
-
-@dataclass(frozen=True, eq=False)
 class Table:
     """Column-oriented result table with a fixed header order."""
 
@@ -47,25 +32,26 @@ class Table:
     columns: np.ndarray  # shape (rows, len(header))
 
 
-def build_bn(c: ContinuousMarket, n: int) -> StepFunction:
-    """Scaled weight steps b^n for the discretized market."""
+def build_bn(c: ContinuousMarket, n: int) -> np.ndarray:
+    """Scaled weights n*b_1..n*b_n of the discretized market: the values of b^n."""
     m = discretize(c, n)
     a = solve_a(m)
-    b = weights_b(m, a, n)
-    return StepFunction(n=n, values=n * b)
+    return n * weights_b(m, a, n)
 
 
-def l2_distance_to_kappa(f: StepFunction, spec: KernelSpec) -> float:
-    """Squared L2[0, 1] distance between the step function and kappa.
+def l2_distance_to_kappa(values: np.ndarray, spec: KernelSpec) -> float:
+    """Squared L2[0, 1] distance between kappa and the step function b^n that
+    takes ``values[k]`` on [k/n, (k+1)/n), n = len(values).
 
     Integration splits at every step boundary and every multiple of H, with
     ``_QUADSTEPS`` Simpson panels per smooth piece; kappa is evaluated with the
     piece's own polynomial so breakpoints see one-sided limits.  One Simpson
     call takes up to ``_BLOCK_ROWS`` pieces of one kernel interval.
     """
-    steps = np.arange(f.n + 1) / f.n
+    n = len(values)
+    steps = np.arange(n + 1) / n
     left, right, k = smooth_pieces(steps, spec)
-    levels = f.values[np.searchsorted(steps, left, side="right") - 1]  # the step holding each left end
+    levels = values[np.searchsorted(steps, left, side="right") - 1]  # the step holding each left end
     blocks = np.union1d(np.flatnonzero(np.diff(k)) + 1, np.arange(_BLOCK_ROWS, len(k), _BLOCK_ROWS))
     total = 0.0
     for lo, hi, ks, level in zip(*(np.split(a, blocks) for a in (left, right, k, levels[:, None]))):

@@ -77,8 +77,7 @@ def c_coefficients(alpha_value: float, H: float) -> np.ndarray:
     """
     K = interval_count(H)
     c = np.zeros(K)
-    if K >= 1:
-        c[0] = -alpha_value
+    c[0] = -alpha_value
     growth = math.exp(alpha_value * H)
     for k in range(1, K):
         c[k] = growth * _series(c, k, -alpha_value * H)
@@ -101,12 +100,16 @@ def _series(c: np.ndarray, k: int, ratio):
 
 @dataclass(frozen=True, eq=False)
 class KernelSpec:
-    """alpha, delay H, interval count K, and the interval constants c_1..c_K."""
+    """alpha, delay H and the interval constants c_1..c_K."""
 
     alpha: float
     H: float
-    K: int
     c: np.ndarray
+
+    @property
+    def K(self) -> int:
+        """Interval count ceil(1/H), the length of ``c``."""
+        return len(self.c)
 
     @property
     def level(self) -> float:
@@ -136,7 +139,7 @@ def kernel_spec(H: float, varsigma: float, varsigma_hat: float) -> KernelSpec:
         raise NumericalError(
             f"kernel constants are not finite at H = {H}, varsigma_hat^2/varsigma^2 = {ratio:g} (alpha H = {a * H:g})"
         )
-    return KernelSpec(alpha=a, H=H, K=K, c=c)
+    return KernelSpec(alpha=a, H=H, c=c)
 
 
 def spec_for_market(c: ContinuousMarket) -> KernelSpec:
@@ -149,18 +152,11 @@ def _piece(t, k: int, spec: KernelSpec):
 
     At a float (``math.exp``) or a node array (``np.exp``); outside [kH, (k+1)H)
     it is the one-sided analytic continuation quadrature needs at breakpoints.
+    Interval 0 has no series terms, so its polynomial is the level itself.
     """
-    if k <= 0:
-        return np.full_like(t, spec.level) if isinstance(t, np.ndarray) else spec.level
     u = t - k * spec.H
     total = _series(spec.c, k, (-spec.alpha) * u)
     return spec.level + (np.exp if isinstance(u, np.ndarray) else math.exp)(spec.alpha * u) * total
-
-
-def _interval_index(t: float, spec: KernelSpec) -> int:
-    # Right-continuous everywhere except t = 1 (and t = KH when 1/H is an
-    # integer), which belongs to the last interval by left-evaluation.
-    return min(math.floor(t / spec.H), spec.K - 1)
 
 
 def kappa(t: float, spec: KernelSpec) -> float:
@@ -169,14 +165,9 @@ def kappa(t: float, spec: KernelSpec) -> float:
         raise DomainError(f"t must lie in [0, 1], got {t}")
     if t < spec.H:
         return spec.level
-    return _piece(t, _interval_index(t, spec), spec)
-
-
-def gamma_kernel(u: float, spec: KernelSpec) -> float:
-    """Strategy weight at lag u: kappa_u minus the constant level (exactly 0 below H)."""
-    if not 0.0 <= u <= 1.0:
-        raise DomainError(f"lag must lie in [0, 1], got {u}")
-    return kappa(u, spec) - spec.level
+    # Right-continuous everywhere except t = 1 (and t = KH when 1/H is an
+    # integer), which belongs to the last interval by left-evaluation.
+    return _piece(t, min(math.floor(t / spec.H), len(spec.c) - 1), spec)
 
 
 def smooth_pieces(breaks, spec: KernelSpec):
@@ -199,27 +190,20 @@ def simpson(f, lo, hi, panels: int):
     return h / 3.0 * (vals[..., 0] + vals[..., -1] + 4.0 * odd + 2.0 * even)
 
 
-def integrate_kappa(spec: KernelSpec, lo: float, hi: float, quadsteps: int) -> float:
-    """Integral of kappa over [lo, hi], split at multiples of H.
-
-    Each smooth piece is integrated with its own polynomial (one-sided at the
-    jump in H) and gets a share of ``quadsteps`` Simpson panels proportional
-    to its length.
-    """
-    if hi < lo:
-        raise DomainError(f"empty integration range [{lo}, {hi}]")
-    total = 0.0
-    for left, right, k in zip(*(a.tolist() for a in smooth_pieces([lo, hi], spec))):
-        panels = max(1, int(math.ceil(quadsteps * (right - left) / spec.H)))
-        total += simpson(lambda t: _piece(t, k, spec), left, right, panels)
-    return total
-
-
 def kappa_integral_residual(t: float, spec: KernelSpec, quadsteps: int = 2000) -> float:
-    """kappa_t - alpha * integral of kappa over [t - H, t] (zero in theory)."""
+    """kappa_t - alpha * integral of kappa over [t - H, t] (zero in theory).
+
+    The integral is split at multiples of H; each smooth piece is integrated
+    with its own polynomial (one-sided at the jump in H) and gets a share of
+    ``quadsteps`` Simpson panels proportional to its length.
+    """
     if not spec.H <= t <= 1.0:
         raise DomainError(f"t must lie in [H, 1], got {t}")
-    return kappa(t, spec) - spec.alpha * integrate_kappa(spec, t - spec.H, t, quadsteps)
+    integral = 0.0
+    for left, right, k in zip(*(a.tolist() for a in smooth_pieces([t - spec.H, t], spec))):
+        panels = max(1, int(math.ceil(quadsteps * (right - left) / spec.H)))
+        integral += simpson(lambda u: _piece(u, k, spec), left, right, panels)
+    return kappa(t, spec) - spec.alpha * integral
 
 
 def limit_value(c: ContinuousMarket) -> float:

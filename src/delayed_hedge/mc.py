@@ -61,10 +61,16 @@ BRUTE_FORCE_MAX_N = 3
 class PathBatch:
     """Batch of i.i.d. Gaussian increment paths, reproducible from the seed."""
 
-    n: int
-    count: int
     seed: int
     increments: np.ndarray  # shape (count, n)
+
+    @property
+    def count(self) -> int:
+        return self.increments.shape[0]
+
+    @property
+    def n(self) -> int:
+        return self.increments.shape[1]
 
 
 @dataclass(frozen=True)
@@ -96,7 +102,7 @@ def generate(m: DiscreteMarket, count: int, seed: int) -> PathBatch:
     # top 53 bits, centered: uniform on the open interval (0, 1)
     uniform = ((raw >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53
     increments = m.mu + m.sigma * ndtri(uniform)
-    return PathBatch(n=m.n, count=count, seed=seed, increments=increments)
+    return PathBatch(seed=seed, increments=increments)
 
 
 def estimate_utility(batch: PathBatch, w: StrategyWeights, m: DiscreteMarket) -> UtilityReport:
@@ -110,8 +116,6 @@ def estimate_utility(batch: PathBatch, w: StrategyWeights, m: DiscreteMarket) ->
     back by exp(-shift): on long horizons exp(-V) alone squares to zero.
     Moments that overflow come out non-finite, without a warning.
     """
-    if batch.n != m.n:
-        raise LengthMismatch(f"batch has n={batch.n}, market has n={m.n}")
     _, v = evaluate_paths(w, m, batch.increments)
     shift = max(float(np.min(v)), 0.0)
     scale = math.exp(-shift)

@@ -214,8 +214,11 @@ def causal_convolve(x: np.ndarray, taps: np.ndarray) -> np.ndarray:
     lower-triangular Toeplitz matrix; beyond, one batched real FFT at a
     power-of-two length >= 2N - 1, which keeps the circular product free
     of wrap-around: O(P n log n) time, O(P n) memory, no n x n array.
+    Fewer than n - 1 taps raise ``LengthMismatch`` on both paths.
     """
     n = x.shape[1]
+    if len(taps) < n - 1:
+        raise LengthMismatch(f"need n - 1 = {n - 1} taps for paths of length n={n}, got {len(taps)}")
     y = np.zeros_like(x)
     nonzero = np.flatnonzero(taps[: n - 1])
     if nonzero.size == 0:

@@ -225,7 +225,7 @@ def convergence_suite(grid_size: int = len(N_VALUES)):
         decreasing &= gaps[0] > gaps[1] > gaps[2]
         last_gaps.append(gaps[-1])
         spec = kernel.spec_for_market(cm)
-        target = spec.alpha / (1.0 - spec.alpha * cm.H)
+        target = spec.level
         scaled_err = {n: abs(n * sol.a - target) for n, sol in sols.items()}
         fitted = RATE_SLACK * 100 * scaled_err[100]
         rates += [scaled_err[n] * n / fitted for n in (1000, 10000)]

@@ -429,6 +429,9 @@ def _reject_constant(name):
 @example(argv=["fig2", "--h-grid=0.2:1:0.2", "--logratio-grid=1e300"])
 @example(argv=["kernel", "--H=1e-300", "--ratio=1e300", "--grid=50"])
 @example(argv=["kernel", "--H=0.2", "--ratio=1e300", "--grid=50"])
+# text flags echoed into the CSV '#' line, which a line break would split
+@example(argv=["fig1", "--H=0.2", "--ratio=0.5", "--ns=100\n", "--grid=50"])
+@example(argv=["fig2", "--h-grid=0.2:1:0.2\n", "--logratio-grid=-1:1:0.5"])
 def test_fuzzed_flags_exit_cleanly(argv):
     out, err = io.StringIO(), io.StringIO()
     start = time.perf_counter()

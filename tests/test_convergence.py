@@ -6,9 +6,8 @@ import pathlib
 import numpy as np
 import pytest
 
-from delayed_hedge import ContinuousMarket, DomainError, discretize, solve_a
+from delayed_hedge import ContinuousMarket, discretize, solve_a
 from delayed_hedge.convergence import (
-    StepFunction,
     Table,
     build_bn,
     figure1_data,
@@ -25,42 +24,28 @@ def cm(ratio, H=0.2):
     return ContinuousMarket(H=H, theta=0.0, varsigma=1.0, varsigma_hat=math.sqrt(ratio))
 
 
-def test_step_function_lookup():
-    f = StepFunction(n=4, values=np.array([1.0, 2.0, 3.0, 4.0]))
-    assert f(0.0) == 1.0
-    assert f(0.25) == 2.0
-    assert f(0.999) == 4.0
-    assert f(1.0) == 4.0  # last interval closed
-
-
-@pytest.mark.parametrize("t", [-0.1, 1.5])
-def test_step_function_rejects_t_outside_the_unit_interval(t):
-    f = StepFunction(n=4, values=np.array([1.0, 2.0, 3.0, 4.0]))
-    with pytest.raises(DomainError, match=r"\[0, 1\]"):
-        f(t)
-
-
 def test_build_bn_zero_for_consistent_market():
-    f = build_bn(cm(1.0), 50)
-    assert np.array_equal(f.values, np.zeros(50))
+    assert np.array_equal(build_bn(cm(1.0), 50), np.zeros(50))
 
 
 def test_build_bn_head_is_scaled_root():
-    f = build_bn(cm(2.0), 50)
+    values = build_bn(cm(2.0), 50)
     m = discretize(cm(2.0), 50)
     a_n = solve_a(m)
-    np.testing.assert_allclose(f.values[: m.delay], 50 * a_n, rtol=0, atol=0)
+    np.testing.assert_allclose(values[: m.delay], 50 * a_n, rtol=0, atol=0)
 
 
 def test_build_bn_approaches_kernel():
     market = cm(0.5)
     spec = spec_for_market(market)
-    f = build_bn(market, 1000)
+    values = build_bn(market, 1000)
     from delayed_hedge.kernel import kappa
 
     ts = np.linspace(0.001, 0.999, 400)
     sup_kappa = max(abs(kappa(t, spec)) for t in ts)
-    gap = max(abs(f(t) - kappa(t, spec)) for t in ts if abs(t * 1000 - round(t * 1000)) > 1e-6)
+    gap = max(
+        abs(values[math.floor(t * 1000)] - kappa(t, spec)) for t in ts if abs(t * 1000 - round(t * 1000)) > 1e-6
+    )
     assert gap < 0.05 * sup_kappa
 
 
@@ -77,16 +62,17 @@ def test_l2_distance_shrinks():
     assert d800 < d100
 
 
-def _l2_per_step(f, spec, quadsteps=8):
+def _l2_per_step(values, spec, quadsteps=8):
     """Per-step L2 loop with scalar kernel evaluation at every Simpson node."""
     total = 0.0
-    for k in range(f.n):
-        lo, hi = k / f.n, (k + 1) / f.n
+    n = len(values)
+    for k in range(n):
+        lo, hi = k / n, (k + 1) / n
         breaks = sorted({lo, hi} | {j * spec.H for j in range(spec.K + 1) if lo < j * spec.H < hi})
         for left, right in zip(breaks[:-1], breaks[1:]):
             piece = min(int(math.floor(0.5 * (left + right) / spec.H)), spec.K - 1)
             nodes = np.linspace(left, right, 2 * quadsteps + 1)
-            vals = np.array([(f.values[k] - _piece(t, piece, spec)) ** 2 for t in nodes])
+            vals = np.array([(values[k] - _piece(t, piece, spec)) ** 2 for t in nodes])
             h = (right - left) / (2 * quadsteps)
             total += h / 3.0 * (vals[0] + vals[-1] + 4.0 * vals[1:-1:2].sum() + 2.0 * vals[2:-2:2].sum())
     return total
@@ -98,8 +84,8 @@ def _l2_per_step(f, spec, quadsteps=8):
 def test_l2_distance_matches_per_step_loop(n, H, ratio):
     market = cm(ratio, H)
     spec = spec_for_market(market)
-    f = build_bn(market, n)
-    assert l2_distance_to_kappa(f, spec) == pytest.approx(_l2_per_step(f, spec), rel=1e-12, abs=0)
+    values = build_bn(market, n)
+    assert l2_distance_to_kappa(values, spec) == pytest.approx(_l2_per_step(values, spec), rel=1e-12, abs=0)
 
 
 def test_l2_rate_is_one_over_n():

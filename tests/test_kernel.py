@@ -13,7 +13,6 @@ from delayed_hedge.kernel import (
     alpha,
     c_closed_forms,
     c_coefficients,
-    gamma_kernel,
     interval_count,
     kappa,
     kappa_integral_residual,
@@ -185,6 +184,16 @@ def test_array_piece_matches_scalar_piece(H, ratio):
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-13 * max(1.0, np.abs(want).max()))
 
 
+@pytest.mark.parametrize("H", [0.2, 0.15, 0.02])
+@pytest.mark.parametrize("ratio", [0.5, 2.0])
+def test_first_piece_is_exactly_the_level(H, ratio):
+    # interval 0 sums a series of no terms, so its polynomial is the level to the bit
+    spec = spec_of(H, ratio)
+    ts = np.linspace(0.0, H, 9)
+    assert all(_piece(t, 0, spec) == spec.level for t in ts.tolist())
+    assert np.array_equal(_piece(ts, 0, spec), np.full_like(ts, spec.level))
+
+
 @pytest.mark.parametrize("panels", [1, 8, 2000])
 @pytest.mark.parametrize("H,ratio", [(0.2, 2.0), (0.15, 0.5), (0.02, 2.0)])
 def test_simpson_with_array_ends_matches_scalar_rows(H, ratio, panels):
@@ -295,26 +304,26 @@ def test_integral_equation_domain():
         kappa_integral_residual(0.1, spec_of(0.2, 2.0))
 
 
-# --- strategy kernel -------------------------------------------------------
+# --- strategy kernel: gamma_u = kappa_u - level ----------------------------
 
 def test_gamma_kernel_zero_before_delay():
     spec = spec_of(0.2, 0.5)
     for u in (0.0, 0.1, 0.19):
-        assert gamma_kernel(u, spec) == 0.0
+        assert kappa(u, spec) - spec.level == 0.0
 
 
 def test_gamma_kernel_jump_size():
     for H, ratio in [(0.2, 0.5), (0.15, 2.0)]:
         spec = spec_of(H, ratio)
-        assert gamma_kernel(H, spec) == pytest.approx(-spec.alpha, rel=1e-12)
+        assert kappa(H, spec) - spec.level == pytest.approx(-spec.alpha, rel=1e-12)
 
 
 def test_gamma_kernel_sign_matches_ratio():
     spec = spec_of(0.2, 0.5)
-    vals = [gamma_kernel(u, spec) for u in np.linspace(0.2, 1.0, 50)]
+    vals = [kappa(u, spec) - spec.level for u in np.linspace(0.2, 1.0, 50)]
     assert all(v < 0 for v in vals)
     spec = spec_of(0.2, 2.0)
-    vals = [gamma_kernel(u, spec) for u in np.linspace(0.2, 1.0, 50)]
+    vals = [kappa(u, spec) - spec.level for u in np.linspace(0.2, 1.0, 50)]
     assert all(v > 0 for v in vals)
 
 

@@ -186,7 +186,7 @@ def test_moments_stay_finite_when_every_v_is_near_400():
     m = DiscreteMarket(n=4, delay=0, mu=1.0, sigma=1.0, sigma_hat=1.0)  # V is the sum of the increments
     x = 100.0 + 0.1 * np.random.default_rng(7).standard_normal((100, 4))
     v = x.sum(axis=1)
-    report = estimate_utility(PathBatch(n=4, count=100, seed=7, increments=x), strategy(m), m)
+    report = estimate_utility(PathBatch(seed=7, increments=x), strategy(m), m)
     assert report.empirical_mean == pytest.approx(-np.mean(np.exp(-v)), rel=1e-12)
     weights = np.exp(400.0 - v)
     assert report.std_error == pytest.approx(math.exp(-400.0) * np.std(weights, ddof=1) / 10.0, rel=1e-12)

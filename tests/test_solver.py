@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -16,11 +17,11 @@ from delayed_hedge import (
     value,
     weights_b,
 )
-from delayed_hedge import ContinuousMarket, dual, solver
-from delayed_hedge.convergence import build_bn, figure2_data
+from delayed_hedge import dual, solver
+from delayed_hedge.convergence import figure2_data
 from delayed_hedge.dual import build_dual, verification_residual
-from delayed_hedge.kernel import kernel_spec
-from delayed_hedge.mc import generate
+from delayed_hedge.kernel import KernelSpec, kernel_spec
+from delayed_hedge.mc import PathBatch, generate
 from delayed_hedge.solver import quadratic_coeffs
 from delayed_hedge.toeplitz import log_det_closed_form
 
@@ -270,6 +271,16 @@ def test_evaluate_paths_matches_loop_for_hand_built_kernels(kind, n):
     _assert_matches_loop(w, m, x, first_exact=first_exact)
 
 
+# n = 10 takes the direct product, n = 300 the FFT
+@pytest.mark.parametrize("n", [10, 300])
+def test_short_hand_built_kernel_raises_length_mismatch(n):
+    m = market(n, 0, 1.3, mu=0.05)
+    w = solver.StrategyWeights(merton=0.4, kernel=np.array([0.5, -0.25]), static_coeff=-0.2)
+    x = np.random.default_rng(n).normal(m.mu, m.sigma, size=(3, n))
+    with pytest.raises(LengthMismatch, match=f"need n - 1 = {n - 1} taps"):
+        solver.evaluate_paths(w, m, x)
+
+
 def test_solution_bundle():
     m = market(6, 2, 1.3, mu=0.1)
     sol = solve(m)
@@ -357,7 +368,6 @@ ARRAY_RESULTS = {
     "SymToeplitz": lambda: hedge_matrix(EQ_MARKET),
     "PathBatch": lambda: generate(EQ_MARKET, 100, seed=1),
     "KernelSpec": lambda: kernel_spec(0.2, 1.0, 1.5),
-    "StepFunction": lambda: build_bn(ContinuousMarket(H=0.2, theta=0.0, varsigma=1.0, varsigma_hat=1.5), 8),
     "Table": lambda: figure2_data([0.2, 0.5], [0.0, 0.5]),
 }
 
@@ -369,6 +379,16 @@ def test_array_holding_results_compare_by_identity(name):
     assert first == first
     assert first != second  # no element-wise array comparison, so nothing raises
     assert hash(first) != hash(second)
+
+
+def test_lengths_are_read_off_the_arrays():
+    assert [f.name for f in dataclasses.fields(KernelSpec)] == ["alpha", "H", "c"]
+    assert [f.name for f in dataclasses.fields(PathBatch)] == ["seed", "increments"]
+    spec = kernel_spec(0.15, 1.0, 1.5)
+    assert spec.K == len(spec.c) == 7
+    batch = generate(EQ_MARKET, 100, seed=1)
+    assert batch.increments.shape == (100, 6)
+    assert (batch.count, batch.n) == (100, 6)
 
 
 # --- brute force -----------------------------------------------------------
