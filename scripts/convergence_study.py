@@ -9,7 +9,7 @@ import sys
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
-from delayed_hedge import ContinuousMarket, discretize, solve_a, value
+from delayed_hedge import ContinuousMarket, discretize, solve
 from delayed_hedge.convergence import build_bn, l2_distance_to_kappa
 from delayed_hedge.kernel import limit_value, spec_for_market
 
@@ -20,11 +20,12 @@ def main() -> None:
         spec = spec_for_market(market)
         target = spec.level
         print(f"== ratio varsigma_hat^2/varsigma^2 = {ratio} ==")
-        print(f"limit value U = {limit_value(market):+.10f}   n*a_n -> {target:+.10f}")
+        limit = limit_value(market)
+        print(f"limit value U = {limit:+.10f}   n*a_n -> {target:+.10f}")
         for n in (100, 1000, 10000):
-            m = discretize(market, n)
-            gap = abs(value(m) - limit_value(market))
-            an_err = abs(n * solve_a(m) - target)
+            sol = solve(discretize(market, n))
+            gap = abs(sol.value - limit)
+            an_err = abs(n * sol.a - target)
             print(f"  n={n:6d}  |value_n - U| = {gap:.3e}   |n a_n - limit| = {an_err:.3e}")
         for n in (100, 200, 400, 800):
             dist = l2_distance_to_kappa(build_bn(market, n), spec)

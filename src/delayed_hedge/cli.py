@@ -34,8 +34,8 @@ def _check_points(count: int, what: str) -> None:
         raise SizeError(f"{what}: {count} exceeds the cap of MAX_POINTS = {MAX_POINTS}")
 
 
-def _config(args, skip=("func", "out")) -> dict:
-    return {k: v for k, v in vars(args).items() if k not in skip and v is not None}
+def _config(args) -> dict:
+    return {k: v for k, v in vars(args).items() if k not in ("func", "out") and v is not None}
 
 
 def _open_out(args):
@@ -65,8 +65,9 @@ def _emit_csv(args, table: convergence.Table, command: str) -> None:
 
 
 def _market_from(args) -> DiscreteMarket:
-    m = DiscreteMarket(n=args.n, delay=args.delay, mu=args.mu, sigma=args.sigma, sigma_hat=args.sigma_hat, s0=args.s0)
-    return validate_discrete(m)
+    return validate_discrete(
+        DiscreteMarket(n=args.n, delay=args.delay, mu=args.mu, sigma=args.sigma, sigma_hat=args.sigma_hat)
+    )
 
 
 def _parse_grid(text: str):
@@ -106,6 +107,7 @@ def _arg_type(convert, ok, rule: str):
 _positive_int = _arg_type(int, lambda v: v >= 1, "an integer >= 1")
 _grid_steps = _arg_type(int, lambda v: 1 <= v < MAX_POINTS, f"an integer in [1, {MAX_POINTS})")
 _positive_float = _arg_type(float, lambda v: 0.0 < v < math.inf, "a finite number > 0")
+_finite_float = _arg_type(float, math.isfinite, "a finite number")
 _seed = _arg_type(int, lambda v: 0 <= v < 2**64, "an integer in [0, 2^64)")
 # these two keep the text, which the config echo prints, so it must be one line
 _ns = _arg_type(
@@ -149,12 +151,13 @@ def cmd_simulate(args) -> int:
     if args.paths < 100:
         raise DelayedHedgeError(f"need at least 100 paths, got {args.paths}")
     batch = mc.generate(m, args.paths, args.seed)  # first: it enforces the path-step cap
-    w = solver.strategy(m)
+    sol = solver.solve(m)
+    w = sol.strategy
     if args.perturb is not None:
         w = dataclasses.replace(w, kernel=args.perturb * w.kernel)
     report = mc.estimate_utility(batch, w, m)
     payload = report.to_json()
-    payload["value_formula"] = solver.value(m)
+    payload["value_formula"] = sol.value
     skipped = mc.analytic_skip_reason(m)
     if skipped is not None:
         payload["analytic_skipped"] = skipped
@@ -213,7 +216,7 @@ def _add_market_flags(sub) -> None:
     sub.add_argument("--sigma", type=float, required=True, help="per-step volatility")
     sub.add_argument("--sigma-hat", dest="sigma_hat", type=float, required=True,
                      help="static-pricing volatility")
-    sub.add_argument("--s0", type=float, default=0.0, help="initial price (reporting only)")
+    sub.add_argument("--s0", type=_finite_float, default=0.0, help="initial price (only echoed in config)")
 
 
 def build_parser() -> argparse.ArgumentParser:

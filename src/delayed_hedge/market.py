@@ -26,7 +26,6 @@ class DiscreteMarket:
     mu: float
     sigma: float
     sigma_hat: float
-    s0: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -37,15 +36,13 @@ class ContinuousMarket:
     theta: float
     varsigma: float
     varsigma_hat: float
-    p0: float = 0.0
 
 
-def _require_finite(fields: dict, ratio_name: str, vol: float, pricing_vol: float) -> None:
-    """Reject non-finite ``fields``, and squared volatilities or a variance
+def _require_finite(name: str, drift: float, ratio_name: str, vol: float, pricing_vol: float) -> None:
+    """Reject a non-finite ``drift``, and squared volatilities or a variance
     ratio that overflow or underflow: the closed forms divide by both squares."""
-    for name, v in fields.items():
-        if not math.isfinite(v):
-            raise DomainError(f"{name} must be finite, got {v}")
+    if not math.isfinite(drift):
+        raise DomainError(f"{name} must be finite, got {drift}")
     top, bottom = vol * vol, pricing_vol * pricing_vol
     if not (0.0 < top < math.inf and 0.0 < bottom < math.inf and 0.0 < top / bottom < math.inf):
         raise DomainError(f"{ratio_name} must be finite and positive, got ({vol!r} / {pricing_vol!r})^2")
@@ -63,7 +60,7 @@ def validate_discrete(m: DiscreteMarket) -> DiscreteMarket:
         raise DomainError(f"sigma must be positive, got {m.sigma}")
     if not m.sigma_hat > 0:
         raise DomainError(f"sigma_hat must be positive, got {m.sigma_hat}")
-    _require_finite({"mu": m.mu, "s0": m.s0}, "sigma^2 / sigma_hat^2", m.sigma, m.sigma_hat)
+    _require_finite("mu", m.mu, "sigma^2 / sigma_hat^2", m.sigma, m.sigma_hat)
     return m
 
 
@@ -75,7 +72,7 @@ def validate_continuous(c: ContinuousMarket) -> ContinuousMarket:
         raise DomainError(f"varsigma must be positive, got {c.varsigma}")
     if not c.varsigma_hat > 0:
         raise DomainError(f"varsigma_hat must be positive, got {c.varsigma_hat}")
-    _require_finite({"theta": c.theta, "p0": c.p0}, "varsigma^2 / varsigma_hat^2", c.varsigma, c.varsigma_hat)
+    _require_finite("theta", c.theta, "varsigma^2 / varsigma_hat^2", c.varsigma, c.varsigma_hat)
     return c
 
 
@@ -92,23 +89,20 @@ def delay_steps(H: float, n: int) -> int:
 def discretize(c: ContinuousMarket, n: int) -> DiscreteMarket:
     """Sample the continuous market on the n-point grid {1/n, ..., 1}.
 
-    The delay becomes D = ceil(H * n), the per-step drift theta / n and the
-    per-step volatilities varsigma / sqrt(n), varsigma_hat / sqrt(n).
+    The delay becomes D = min(ceil(H * n), n - 1), the per-step drift theta / n
+    and the per-step volatilities varsigma / sqrt(n), varsigma_hat / sqrt(n).
+    At D = n - 1 every lag i - j < n lies within the delay, so the holdings
+    already use no observed increment: every H > (n - 1) / n gives this same
+    no-information market.
     """
     validate_continuous(c)
     if n < 2:
         raise DomainError(f"discretization needs n >= 2, got {n}")
-    D = delay_steps(c.H, n)
-    if D >= n:
-        raise DomainError(
-            f"delay ceil(H*n) = {D} must be < n = {n}; H = {c.H} is too large for this n"
-        )
     root_n = math.sqrt(n)
     return DiscreteMarket(
         n=n,
-        delay=D,
+        delay=min(delay_steps(c.H, n), n - 1),
         mu=c.theta / n,
         sigma=c.varsigma / root_n,
         sigma_hat=c.varsigma_hat / root_n,
-        s0=c.p0,
     )

@@ -136,7 +136,7 @@ def dual_suite(grid_size: int = len(N_VALUES)):
         residuals = dual.verification_residual(m, batch.increments)
         c_hat = dm.c_hat
         entropy = dual.relative_entropy(dm, m)
-        v = solver.value(m)
+        v = dm.solution.value
         scale = max(abs(c_hat), 1.0)
         return {
             "verification_pathwise": float(np.max(np.abs(residuals))),
@@ -214,71 +214,49 @@ def kernel_suite(grid_size: int = len(N_VALUES)):
 
 def convergence_suite(grid_size: int = len(N_VALUES)):
     """Discretization limits: value gap, root asymptotics, L2 rate, figures (``grid_size`` unused)."""
-    checks = []
-    last_gaps, rates = [], []
-    decreasing = True
-    for vsh in (1.0 / math.sqrt(2.0), math.sqrt(2.0)):
-        cm = ContinuousMarket(H=0.2, theta=0.0, varsigma=1.0, varsigma_hat=vsh)
+
+    def point(ratio: float):
+        cm = ContinuousMarket(H=0.2, theta=0.0, varsigma=1.0, varsigma_hat=math.sqrt(ratio))
+        spec = kernel.spec_for_market(cm)
         lv = kernel.limit_value(cm)
         sols = {n: solver.solve(discretize(cm, n)) for n in (100, 1000, 10000)}
         gaps = [abs(sol.value - lv) for sol in sols.values()]
-        decreasing &= gaps[0] > gaps[1] > gaps[2]
-        last_gaps.append(gaps[-1])
-        spec = kernel.spec_for_market(cm)
-        target = spec.level
-        scaled_err = {n: abs(n * sol.a - target) for n, sol in sols.items()}
+        scaled_err = {n: abs(n * sol.a - spec.level) for n, sol in sols.items()}
         fitted = RATE_SLACK * 100 * scaled_err[100]
-        rates += [scaled_err[n] * n / fitted for n in (1000, 10000)]
-    worst_gap, worst_rate = _worst(last_gaps), _worst(rates)
-    checks.append(CheckResult("convergence.limit_gap_at_1e4", decreasing and worst_gap < 1e-2, worst_gap, 1e-2))
-    checks.append(CheckResult("convergence.an_rate_fitted_C", worst_rate <= 1.0, worst_rate, 1.0))
-
-    l2_factors = []
-    for ratio in (0.5, 2.0):
-        cm = ContinuousMarket(H=0.2, theta=0.0, varsigma=1.0, varsigma_hat=math.sqrt(ratio))
-        spec = kernel.spec_for_market(cm)
-        scaled = np.array(
+        scaled_l2 = np.array(
             [n * convergence.l2_distance_to_kappa(convergence.build_bn(cm, n), spec) for n in (100, 200, 400, 800)]
         )
-        med = float(np.median(scaled))
-        l2_factors += [float(np.max(scaled)) / med, med / float(np.min(scaled))]
-    worst_l2 = _worst(l2_factors)
-    checks.append(CheckResult("convergence.l2_rate_factor", worst_l2 <= 3.0, worst_l2, 3.0))
-
-    fig1_gaps = []
-    signs_ok = True
-    for ratio in (0.5, 2.0):
-        cm = ContinuousMarket(H=0.2, theta=0.0, varsigma=1.0, varsigma_hat=math.sqrt(ratio))
-        table = convergence.figure1_data(cm, ns=[1000], grid=500)
-        t = table.columns[:, 0]
-        shifted = table.columns[:, 1]
-        col = table.columns[:, 2]
-        sup = np.max(np.abs(shifted))
-        fig1_gaps.append(float(np.max(np.abs(col - shifted)) / sup))
+        med = float(np.median(scaled_l2))
+        t, shifted, col = convergence.figure1_data(cm, ns=[1000], grid=500).columns.T
         tail = shifted[t >= cm.H]
-        signs_ok &= bool(np.all(tail <= 0) if ratio < 1.0 else np.all(tail >= 0))
-    worst_fig1 = _worst(fig1_gaps)
-    checks.append(CheckResult("convergence.fig1_sup_gap", worst_fig1 < 0.05, worst_fig1, 0.05))
-    checks.append(CheckResult("convergence.fig1_signs", signs_ok, 0.0 if signs_ok else 1.0, 0.5))
+        signs_ok = bool(np.all(tail <= 0) if ratio < 1.0 else np.all(tail >= 0))
+        return {
+            # a gap that does not fall with n fails the check, whatever its size
+            "limit_gap_at_1e4": gaps[-1] if gaps[0] > gaps[1] > gaps[2] else math.inf,
+            "an_rate_fitted_C": _worst(scaled_err[n] * n / fitted for n in (1000, 10000)),
+            "l2_rate_factor": _worst((float(np.max(scaled_l2)) / med, med / float(np.min(scaled_l2)))),
+            "fig1_sup_gap": float(np.max(np.abs(col - shifted)) / np.max(np.abs(shifted))),
+            "fig1_signs": 0.0 if signs_ok else 1.0,
+        }
 
     h_grid = [0.01, 0.1, 0.2, 0.5, 1.0]
     lr_grid = [round(x, 10) for x in np.arange(-2.0, 2.01, 0.5)]
-    table = convergence.figure2_data(h_grid, lr_grid)
-    rows = table.columns
-    worst_eq = _worst(abs(rows[i, 2] + 1.0) for i in range(len(rows)) if rows[i, 1] == 0.0)
+    rows = convergence.figure2_data(h_grid, lr_grid).columns
     mono_ok = True
     for H in h_grid:
-        sub = rows[rows[:, 0] == H]
-        u = sub[:, 2]
-        lr = sub[:, 1]
-        pos = u[lr >= 0]
-        neg = u[lr <= 0]
-        mono_ok &= bool(np.all(np.diff(pos) >= -1e-14) and np.all(np.diff(neg) <= 1e-14))
+        lr, u = rows[rows[:, 0] == H, 1:].T
+        mono_ok &= bool(np.all(np.diff(u[lr >= 0]) >= -1e-14) and np.all(np.diff(u[lr <= 0]) <= 1e-14))
     u_small = kernel.limit_value(ContinuousMarket(H=0.01, theta=0.0, varsigma=1.0, varsigma_hat=math.e))
-    checks.append(CheckResult("convergence.fig2_equal_vols", worst_eq <= 1e-12, worst_eq, 1e-12))
-    checks.append(CheckResult("convergence.fig2_monotone", mono_ok, 0.0 if mono_ok else 1.0, 0.5))
-    checks.append(CheckResult("convergence.fig2_small_H", abs(u_small) < 0.05, abs(u_small), 0.05))
-    return checks
+    fig2 = {
+        "fig2_equal_vols": _worst(np.abs(rows[rows[:, 1] == 0.0, 2] + 1.0)),
+        "fig2_monotone": 0.0 if mono_ok else 1.0,
+        "fig2_small_H": abs(u_small),
+    }
+    limit_tols = {"limit_gap_at_1e4": 1e-2, "an_rate_fitted_C": 1.0, "l2_rate_factor": 3.0,
+                  "fig1_sup_gap": 0.05, "fig1_signs": 0.5}
+    fig2_tols = {"fig2_equal_vols": 1e-12, "fig2_monotone": 0.5, "fig2_small_H": 0.05}
+    return (_checks("convergence", [point(ratio) for ratio in (0.5, 2.0)], limit_tols)
+            + _checks("convergence", [fig2], fig2_tols))
 
 
 SUITES = {

@@ -151,6 +151,14 @@ def test_fig1_header_contract(capsys):
     assert lines[1] == "t,kappa_shifted,n100,n1000"
 
 
+def test_fig1_at_full_delay_clamps_to_n_minus_1(capsys):
+    code, out = run_cli(capsys, "fig1", "--H", "1", "--ratio", "2", "--ns", "10,100", "--grid", "10")
+    assert code == 0
+    rows = [[float(p) for p in line.split(",")] for line in out.strip().splitlines()[2:]]
+    assert len(rows) == 11
+    assert all(math.isfinite(x) for row in rows for x in row)
+
+
 def test_fig2_default_row(capsys):
     code, out = run_cli(capsys, "fig2", "--h-grid", "0.2,0.4", "--logratio-grid=-1,0,1")
     assert code == 0
@@ -228,6 +236,8 @@ MARKET = ["--n", "4", "--delay", "1", "--sigma", "1", "--sigma-hat", "1.3"]
         ["simulate", *MARKET, "--paths", "1000", "--perturb", "nan"],
         ["simulate", *MARKET, "--paths", str(mc.MAX_PATH_STEPS // 4 + 1)],
         ["solve", *MARKET, "--threads", "0"],
+        ["solve", *MARKET, "--s0", "inf"],
+        ["simulate", *MARKET, "--s0", "nan"],
         ["solve", "--n", str(MAX_POINTS + 2), "--delay", "1", "--sigma", "1", "--sigma-hat", "1.3"],
         ["kernel", "--H", "0.2", "--ratio", "2", "--grid", str(MAX_POINTS)],
         ["fig1", "--ratio", "2", "--grid", str(MAX_POINTS)],

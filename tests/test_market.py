@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import pytest
@@ -11,11 +12,18 @@ from delayed_hedge import (
     discretize,
     validate_continuous,
     validate_discrete,
+    value,
 )
+from delayed_hedge.kernel import limit_value
+
+
+def test_markets_hold_only_model_parameters():
+    assert [f.name for f in dataclasses.fields(DiscreteMarket)] == ["n", "delay", "mu", "sigma", "sigma_hat"]
+    assert [f.name for f in dataclasses.fields(ContinuousMarket)] == ["H", "theta", "varsigma", "varsigma_hat"]
 
 
 def test_validate_accepts_valid_market():
-    m = DiscreteMarket(n=4, delay=1, mu=0.0, sigma=1.0, sigma_hat=1.0, s0=0.0)
+    m = DiscreteMarket(n=4, delay=1, mu=0.0, sigma=1.0, sigma_hat=1.0)
     assert validate_discrete(m) is m
 
 
@@ -38,7 +46,7 @@ def test_validate_rejects(kwargs, fragment):
     "kwargs",
     [
         dict(mu=math.nan),
-        dict(s0=math.inf),
+        dict(mu=math.inf),
         dict(sigma=math.inf),
         dict(sigma=1e200, sigma_hat=1e200),  # squares overflow
         dict(sigma_hat=1e-200),  # sigma_hat^2 underflows to zero
@@ -53,7 +61,7 @@ def test_validate_rejects_non_finite(kwargs):
 
 @pytest.mark.parametrize(
     "kwargs",
-    [dict(theta=math.nan), dict(p0=-math.inf), dict(varsigma=1e-200), dict(varsigma_hat=math.inf)],
+    [dict(theta=math.nan), dict(theta=-math.inf), dict(varsigma=1e-200), dict(varsigma_hat=math.inf)],
 )
 def test_validate_continuous_rejects_non_finite(kwargs):
     fields = dict(H=0.2, theta=0.0, varsigma=1.0, varsigma_hat=1.0) | kwargs
@@ -83,10 +91,19 @@ def test_discretize_rounds_up():
     assert discretize(c, 10).delay == 3
 
 
-def test_discretize_rejects_full_delay():
-    c = ContinuousMarket(H=1.0, theta=0.0, varsigma=1.0, varsigma_hat=1.0)
-    with pytest.raises(DomainError):
-        discretize(c, 10)
+def test_discretize_clamps_the_delay_below_n():
+    # D = n - 1 is already the no-information market, so it is also the limit's at H = 1
+    for theta in (0.0, 0.2):
+        for ratio in (0.5, 2.0):
+            c = ContinuousMarket(H=1.0, theta=theta, varsigma=1.0, varsigma_hat=math.sqrt(ratio))
+            for n in (2, 10, 1000, 10**5):
+                m = discretize(c, n)
+                assert m.delay == n - 1
+                assert abs(value(m) - limit_value(c)) <= 1e-14
+    # H = 0.995 exceeds (n - 1) / n only for n < 200
+    c = ContinuousMarket(H=0.995, theta=0.0, varsigma=1.0, varsigma_hat=1.0)
+    for n, D in ((2, 1), (10, 9), (199, 198), (1000, 995), (10**5, 99500)):
+        assert discretize(c, n).delay == D
 
 
 def test_delay_steps_no_float_ceiling_misfire():
@@ -101,9 +118,8 @@ def test_delay_steps_no_float_ceiling_misfire():
     n=st.integers(min_value=4, max_value=5000),
 )
 def test_delay_fraction_converges(h, n):
-    d = delay_steps(h, n)
-    if d >= n:  # H too coarse for this n; discretize would reject
-        return
+    d = discretize(ContinuousMarket(H=h, theta=0.0, varsigma=1.0, varsigma_hat=1.0), n).delay
+    assert d == min(delay_steps(h, n), n - 1)
     assert abs(d / n - h) <= 1.0 / n + 1e-12
 
 

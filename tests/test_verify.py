@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 
-from delayed_hedge import kernel, verify
+from delayed_hedge import convergence, kernel, verify
 
 
 def test_a_nan_after_the_first_point_fails_its_check():
@@ -28,3 +28,16 @@ def test_a_nan_mid_grid_in_the_ode_oracle_fails_the_kernel_suite(monkeypatch):
     assert not checks["kernel.ode_oracle"].passed
     assert math.isnan(checks["kernel.ode_oracle"].worst)
     assert all(c.passed for name, c in checks.items() if name != "kernel.ode_oracle")
+
+
+def test_a_nan_l2_distance_for_the_second_market_fails_only_the_l2_rate(monkeypatch):
+    l2 = convergence.l2_distance_to_kappa
+
+    def nan_for_ratio_2(values, spec):
+        return math.nan if spec.alpha < 0 else l2(values, spec)  # alpha < 0 for ratio 2 alone
+
+    monkeypatch.setattr(convergence, "l2_distance_to_kappa", nan_for_ratio_2)
+    checks = {c.name: c for c in verify.convergence_suite()}
+    assert not checks["convergence.l2_rate_factor"].passed
+    assert math.isnan(checks["convergence.l2_rate_factor"].worst)
+    assert all(c.passed for name, c in checks.items() if name != "convergence.l2_rate_factor")
