@@ -25,8 +25,12 @@ and the limit static option is alpha / (2 varsigma^2 (1 - alpha H)) * (P_1 - P_0
 An independent RK4 method-of-steps integrator and the first ten c_k in closed
 form are provided as cross-check oracles for the recursion.
 Quadrature and the oracles evaluate one interval's polynomial on whole node
-arrays; scalar ``kappa`` keeps ``math.exp``.  ``kernel_spec`` builds at most
-``MAX_INTERVALS`` intervals (H >= 0.001).
+arrays; scalar ``kappa`` keeps ``math.exp``.  The constants are a tuple of
+Python floats, and the scalar loops (the recurrence, scalar ``kappa``, the RK4
+steps) run on Python floats: numpy scalars would give the same bits at about
+twice the cost, so ``kappa`` and ``kappa_integral_residual`` convert ``t`` on
+entry.  ``kernel_spec`` builds at most ``MAX_INTERVALS`` intervals
+(H >= 0.001), and ``kappa_ode_grid`` at most ``MAX_ODE_NODES`` nodes.
 """
 
 from __future__ import annotations
@@ -34,6 +38,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Sequence
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -69,22 +74,20 @@ def interval_count(H: float) -> int:
     return math.ceil(1 / Fraction(str(H)))
 
 
-def c_coefficients(alpha_value: float, H: float) -> np.ndarray:
+def c_coefficients(alpha_value: float, H: float) -> tuple[float, ...]:
     """The K = ceil(1/H) interval constants c_1..c_K of the kernel.
 
     c[k] (0-based) holds c_{k+1}, which is exp(alpha H) times the interval
     series of c_1..c_k at ratio -alpha H (``_series``).
     """
-    K = interval_count(H)
-    c = np.zeros(K)
-    c[0] = -alpha_value
+    c = [-alpha_value]
     growth = math.exp(alpha_value * H)
-    for k in range(1, K):
-        c[k] = growth * _series(c, k, -alpha_value * H)
-    return c
+    for k in range(1, interval_count(H)):
+        c.append(growth * _series(c, k, -alpha_value * H))
+    return tuple(c)
 
 
-def _series(c: np.ndarray, k: int, ratio):
+def _series(c: Sequence[float], k: int, ratio):
     """sum_{j<k} c[k-1-j] ratio^j / j!, with an incrementally updated term (no factorials).
 
     ``ratio`` is -alpha H for the recurrence of c_coefficients and -alpha (t - kH)
@@ -100,11 +103,11 @@ def _series(c: np.ndarray, k: int, ratio):
 
 @dataclass(frozen=True, eq=False)
 class KernelSpec:
-    """alpha, delay H and the interval constants c_1..c_K."""
+    """alpha, delay H and the interval constants c_1..c_K (Python floats)."""
 
     alpha: float
     H: float
-    c: np.ndarray
+    c: tuple[float, ...]
 
     @property
     def K(self) -> int:
@@ -118,7 +121,7 @@ class KernelSpec:
 
 
 # kernel_spec builds at most this many intervals (H >= 0.001): c_coefficients is O(K^2), about
-# 0.24 s at K = 1000 on a 2-vCPU host.  alpha and limit_value need no c_k and take any H.
+# 0.09 s at K = 1000 on a 2-vCPU host.  alpha and limit_value need no c_k and take any H.
 MAX_INTERVALS = 1000
 
 
@@ -132,9 +135,8 @@ def kernel_spec(H: float, varsigma: float, varsigma_hat: float) -> KernelSpec:
     K = interval_count(H)
     if K > MAX_INTERVALS:
         raise SizeError(f"kernel needs K = ceil(1/H) <= {MAX_INTERVALS} intervals (H >= 0.001), got K = {K}")
-    with np.errstate(over="ignore", invalid="ignore"):
-        c = c_coefficients(a, H)
-    if not (math.isfinite(a) and np.isfinite(c).all()):
+    c = c_coefficients(a, H)
+    if not (math.isfinite(a) and all(map(math.isfinite, c))):
         ratio = varsigma_hat**2 / varsigma**2
         raise NumericalError(
             f"kernel constants are not finite at H = {H}, varsigma_hat^2/varsigma^2 = {ratio:g} (alpha H = {a * H:g})"
@@ -160,7 +162,12 @@ def _piece(t, k: int, spec: KernelSpec):
 
 
 def kappa(t: float, spec: KernelSpec) -> float:
-    """The kernel kappa at t in [0, 1]; exactly the constant level for t < H."""
+    """The kernel kappa at t in [0, 1]; exactly the constant level for t < H.
+
+    ``t`` is taken as a Python float, so an ``np.float64`` gets the same fast
+    scalar path and a float back.
+    """
+    t = float(t)
     if not 0.0 <= t <= 1.0:
         raise DomainError(f"t must lie in [0, 1], got {t}")
     if t < spec.H:
@@ -197,6 +204,7 @@ def kappa_integral_residual(t: float, spec: KernelSpec, quadsteps: int = 2000) -
     with its own polynomial (one-sided at the jump in H) and gets a share of
     ``quadsteps`` Simpson panels proportional to its length.
     """
+    t = float(t)
     if not spec.H <= t <= 1.0:
         raise DomainError(f"t must lie in [H, 1], got {t}")
     integral = 0.0
@@ -229,6 +237,11 @@ def limit_static_coeff(c: ContinuousMarket) -> float:
 # Independent oracles
 # ---------------------------------------------------------------------------
 
+# kappa_ode_grid holds at most this many nodes: at the cap (H = 0.2, step 1e-6) it took 0.9 s and
+# peaked at 54 MB under tracemalloc on a 2-vCPU host.  The oracle checks run step 1e-4 (about 10^4 nodes).
+MAX_ODE_NODES = 10**6
+
+
 def kappa_ode_grid(spec: KernelSpec, step: float = 1e-4):
     """Integrate the delay equation kappa' = alpha (kappa_t - kappa_{t-H}) by RK4.
 
@@ -238,17 +251,26 @@ def kappa_ode_grid(spec: KernelSpec, step: float = 1e-4):
     alpha * H * level, taken from the integral equation itself, so the
     integrator shares nothing with the series representation.  Returns
     (ts, values) on [H, min(KH, 1)].
+
+    Each interval takes m = max(4, ceil(H / step)) steps.  ``step`` must be
+    finite and positive (``DomainError``), and the K m nodes, history
+    included, at most ``MAX_ODE_NODES`` (``SizeError``, before anything is
+    allocated).
     """
     H, K, al = spec.H, spec.K, spec.alpha
-    m = max(4, int(math.ceil(H / step)))
+    if not (math.isfinite(step) and step > 0.0):
+        raise DomainError(f"step must be finite and positive, got {step}")
+    m = max(4, math.ceil(min(H / step, MAX_ODE_NODES + 1)))  # min: a tiny step must not overflow ceil
+    if K * m > MAX_ODE_NODES:
+        raise SizeError(f"step {step} needs more than {MAX_ODE_NODES} nodes ({K} intervals of H / step each)")
     h = H / m
-    history = np.full(m + 1, spec.level)  # kappa on [0, H], left limit at H
+    history = [spec.level] * (m + 1)  # kappa on [0, H], left limit at H
     y = al * H * spec.level
     # Lagrange weights for the midpoints of a grid's first, interior and last step
     first, inside, last = np.array([[5, 15, -5, 1], [-1, 9, 9, -1], [1, -5, 15, 5]]) / 16.0
     ys = [[y]]
     for interval in range(1, K):
-        windows = sliding_window_view(history, 4)
+        windows = sliding_window_view(np.array(history), 4)
         g_half = np.concatenate([[windows[0] @ first], windows @ inside, [windows[-1] @ last]]).tolist()
         current = [y]
         for i in range(m):
@@ -258,7 +280,7 @@ def kappa_ode_grid(spec: KernelSpec, step: float = 1e-4):
             k4 = al * (y + h * k3 - history[i + 1])
             y = y + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
             current.append(y)
-        history = np.array(current)
+        history = current
         ys.append(current[1:])
     ts = np.concatenate([[H]] + [interval * H + np.arange(1, m + 1) * h for interval in range(1, K)])
     ys = np.concatenate(ys)

@@ -27,13 +27,14 @@ Nelder-Mead optimality oracle is ``mc.brute_force_optimum``.
 
 from __future__ import annotations
 
+import array
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 
-from .errors import LengthMismatch, NumericalError
+from .errors import DomainError, LengthMismatch, NumericalError
 from .market import DiscreteMarket, validate_discrete
 from .toeplitz import SymToeplitz, log_det_closed_form, require_root_domain
 
@@ -121,22 +122,23 @@ def solve_a(m: DiscreteMarket) -> float:
 def weights_b(m: DiscreteMarket, a: float, count: int) -> np.ndarray:
     """First ``count`` weights b_1, b_2, ... via the depth-D recursion.
 
-    The window sum of the last D weights is updated in O(1) per step.
+    The window sum of the last D weights is updated in O(1) per step, on an
+    ``array.array`` of doubles: its items read back as Python floats, which give
+    numpy scalars' bits at about half the cost, and it holds 8 bytes per weight.
     """
+    if count < 0:
+        raise DomainError(f"weight count must be >= 0, got {count}")
     D = m.delay
     if D == 0:
         return np.zeros(count)
     require_root_domain(a, D)
-    b = np.empty(count)
-    b[: min(D, count)] = a
-    if count <= D:
-        return b
+    b = array.array("d", [a]) * count  # b_1 .. b_D = a
     ratio = a / (a * D + 1.0)
     window = a * D  # sum of b_{i-D} .. b_{i-1}
     for i in range(D, count):
-        b[i] = ratio * window
-        window += b[i] - b[i - D]
-    return b
+        b[i] = bi = ratio * window
+        window += bi - b[i - D]
+    return np.frombuffer(b, dtype=float)
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import math
@@ -116,6 +117,24 @@ def test_kernel_csv_zero_weights_before_delay(capsys):
         t, _, gam = (float(p) for p in line.split(","))
         if t < 0.2:
             assert gam == 0.0
+
+
+# SHA-256 of the rows below the '#' line as the ndarray-based scalar loops wrote them (commit
+# 3733e8d).  K = 50 runs the interval series far deeper than the K = 5 of the fig1 tables.
+@pytest.mark.parametrize(
+    "argv, sha256",
+    [
+        (["--H", "0.02", "--ratio", "0.5", "--grid", "1000"],
+         "e4b29ea9cf70ec852fa0ae0cef3641c0cabe0ef3deeb0e9661cab117318f3a0d"),
+        (["--H", "0.2", "--ratio", "2", "--grid", "500"],
+         "3cf37b0caed39a97057b3fa85c9c91bff1e34ddafc5904d4651567b04c968031"),
+    ],
+)
+def test_kernel_csv_rows_keep_their_bits(capsys, argv, sha256):
+    code, out = run_cli(capsys, "kernel", *argv)
+    assert code == 0
+    rows = "".join(line for line in out.splitlines(keepends=True) if not line.startswith("#"))
+    assert hashlib.sha256(rows.encode()).hexdigest() == sha256
 
 
 def test_limit_consistent(capsys):

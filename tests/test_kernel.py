@@ -128,9 +128,20 @@ def test_kappa_jump_value():
         assert kappa(H, spec) == pytest.approx(target, abs=1e-12 * max(1.0, abs(target)))
 
 
+# np.float64 passes isinstance(x, float) but runs the scalar loops at about twice the cost
 @pytest.mark.parametrize("t", [0.0, 0.1, 0.2, 0.55, 0.6, 1.0])
 def test_scalar_kappa_returns_a_float(t):
-    assert isinstance(kappa(t, spec_of(0.2, 2.0)), float)
+    spec = spec_of(0.2, 2.0)
+    assert type(kappa(t, spec)) is float
+    assert type(kappa(np.float64(t), spec)) is float
+    assert kappa(np.float64(t), spec) == kappa(t, spec)
+
+
+@pytest.mark.parametrize("H", [0.2, 0.15, 0.02, 0.001])
+def test_constants_are_a_tuple_of_python_floats(H):
+    spec = spec_of(H, 2.0)
+    assert type(spec.c) is tuple
+    assert all(type(c) is float for c in spec.c)
 
 
 def test_scalar_kappa_keeps_math_exp(monkeypatch):
@@ -159,7 +170,7 @@ def test_series_keeps_the_written_out_recurrence_bit_for_bit(H, ratio):
             total += c[k - 1 - j] * term
             term *= (-al * H) / (j + 1)
         c.append(math.exp(al * H) * total)
-    assert spec.c.tolist() == c
+    assert list(spec.c) == c
     for t in np.linspace(H, 1.0, 97).tolist():
         k = min(math.floor(t / H), spec.K - 1)
         u = t - k * H
@@ -278,6 +289,78 @@ def test_ode_grid_half_step_weights_match_rebuilt_lagrange_weights(H, ratio, ste
     want_ts, want_ys = _ode_grid_with_interp(spec, step)
     assert np.array_equal(ts, want_ts)
     np.testing.assert_allclose(ys, want_ys, rtol=0, atol=1e-13)
+
+
+def _ode_grid_on_ndarray(spec, step):
+    """kappa_ode_grid with its history in an ndarray, read back one np.float64 at a time."""
+    H, K, al = spec.H, spec.K, spec.alpha
+    m = max(4, int(math.ceil(H / step)))
+    h = H / m
+    history = np.full(m + 1, spec.level)
+    y = al * H * spec.level
+    first, inside, last = np.array([[5, 15, -5, 1], [-1, 9, 9, -1], [1, -5, 15, 5]]) / 16.0
+    ys = [[y]]
+    for interval in range(1, K):
+        windows = np.lib.stride_tricks.sliding_window_view(history, 4)
+        g_half = np.concatenate([[windows[0] @ first], windows @ inside, [windows[-1] @ last]])
+        current = np.empty(m + 1)
+        current[0] = y
+        for i in range(m):
+            k1 = al * (y - history[i])
+            k2 = al * (y + 0.5 * h * k1 - g_half[i])
+            k3 = al * (y + 0.5 * h * k2 - g_half[i])
+            k4 = al * (y + h * k3 - history[i + 1])
+            y = y + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            current[i + 1] = y
+        history = current
+        ys.append(current[1:])
+    ts = np.concatenate([[H]] + [interval * H + np.arange(1, m + 1) * h for interval in range(1, K)])
+    ys = np.concatenate(ys)
+    keep = ts <= 1.0 + 1e-12
+    return ts[keep], ys[keep]
+
+
+@pytest.mark.parametrize("H", [0.02, 0.15, 0.8])
+@pytest.mark.parametrize("ratio", [0.5, 2.0])
+def test_ode_grid_on_lists_matches_the_ndarray_history_bit_for_bit(H, ratio):
+    spec = spec_of(H, ratio)
+    ts, ys = kappa_ode_grid(spec, step=1e-3)
+    want_ts, want_ys = _ode_grid_on_ndarray(spec, 1e-3)
+    assert np.array_equal(ts, want_ts)
+    assert np.array_equal(ys, want_ys)
+
+
+@pytest.mark.parametrize("step", [0.0, -1e-3, -math.inf, math.inf, math.nan])
+def test_ode_grid_refuses_a_step_that_is_not_finite_and_positive(step):
+    with pytest.raises(DomainError, match="step"):
+        kappa_ode_grid(spec_of(0.2, 2.0), step=step)
+
+
+@pytest.mark.parametrize("step", [1e-12, 5e-324])
+def test_ode_grid_refuses_a_tiny_step_before_allocating(step):
+    import tracemalloc
+
+    spec = spec_of(0.2, 2.0)
+    tracemalloc.start()
+    try:
+        with pytest.raises(SizeError, match=str(kernel_module.MAX_ODE_NODES)):
+            kappa_ode_grid(spec, step=step)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100_000
+
+
+def test_ode_grid_node_cap_counts_every_interval_with_its_history(monkeypatch):
+    spec = spec_of(0.2, 2.0)  # K = 5
+    monkeypatch.setattr(kernel_module, "MAX_ODE_NODES", 5 * 40)
+    ts, _ = kappa_ode_grid(spec, step=0.2 / 40)  # 40 steps per interval: exactly at the cap
+    assert len(ts) == 4 * 40 + 1
+    with pytest.raises(SizeError):
+        kappa_ode_grid(spec, step=0.2 / 40.5)  # 41 steps per interval
+    monkeypatch.setattr(kernel_module, "MAX_ODE_NODES", 5 * 4 - 1)
+    with pytest.raises(SizeError):
+        kappa_ode_grid(spec, step=1.0)  # the floor of 4 steps per interval counts too
 
 
 def test_kappa_continuous_at_interval_joins():

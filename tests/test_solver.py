@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from delayed_hedge import (
     DiscreteMarket,
+    DomainError,
     LengthMismatch,
     SizeError,
     brute_force_optimum,
@@ -85,6 +86,37 @@ def test_weights_zero_cases():
     assert np.array_equal(weights_b(m, 0.0, 5), np.zeros(5))
     m0 = market(6, 0, 1.7)
     assert np.array_equal(weights_b(m0, solve_a(m0), 5), np.zeros(5))
+
+
+@pytest.mark.parametrize("delay", [0, 2])
+def test_weights_refuse_a_negative_count(delay):
+    m = market(6, delay, 1.3)
+    with pytest.raises(DomainError, match="count"):
+        weights_b(m, solve_a(m), -1)
+
+
+def _weights_on_ndarray(m, a, count):
+    """The window recursion of weights_b written into an ndarray, one np.float64 at a time."""
+    D = m.delay
+    b = np.empty(count)
+    b[: min(D, count)] = a
+    ratio = a / (a * D + 1.0)
+    window = a * D
+    for i in range(D, count):
+        b[i] = ratio * window
+        window += b[i] - b[i - D]
+    return b
+
+
+@pytest.mark.parametrize("delay", [1, 3, 64])
+@pytest.mark.parametrize("sigma_hat", [0.8, 1.3])
+def test_weights_on_a_list_match_the_ndarray_recurrence_bit_for_bit(delay, sigma_hat):
+    m = market(10**4 + 1, delay, sigma_hat)
+    a = solve_a(m)
+    for count in (0, delay - 1, delay, 10**4):
+        got = weights_b(m, a, count)
+        assert got.dtype == np.float64
+        assert np.array_equal(got, _weights_on_ndarray(m, a, count))
 
 
 def test_weights_unit_delay_geometric():
