@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericalError
+from .errors import DomainError, NumericalError
 from .market import DiscreteMarket
 from .solver import HedgeSolution, causal_convolve, evaluate_paths, solve, strategy
 from .toeplitz import inverse_band
@@ -61,6 +61,12 @@ def build_dual(m: DiscreteMarket) -> DualMeasure:
     return DualMeasure(band=m.sigma**2 * inverse_band(sol.a, m.delay, m.n), solution=sol)
 
 
+def _require_own_market(dm: DualMeasure, m: DiscreteMarket) -> None:
+    """Raise DomainError unless ``m`` is the market the measure was built for."""
+    if m != dm.solution.market:
+        raise DomainError(f"market {m} differs from the dual measure's {dm.solution.market}")
+
+
 def check_delayed_martingale(dm: DualMeasure, delay: int, tol: float) -> bool:
     """Structural delayed-martingale check for a Gaussian measure.
 
@@ -95,7 +101,9 @@ def check_marginal(dm: DualMeasure, m: DiscreteMarket, tol: float) -> bool:
     """True iff Var(S_n - S_0) under the dual measure equals n sigma_hat^2.
 
     The variance of the sum is the diagonal sum plus twice the off-diagonal sums.
+    Raises DomainError unless ``m`` is the measure's own market.
     """
+    _require_own_market(dm, m)
     total = 2.0 * float(dm.band.sum()) - float(dm.band[0].sum())
     target = m.n * m.sigma_hat**2
     return abs(total - target) <= tol * abs(target)
@@ -133,8 +141,9 @@ def relative_entropy(dm: DualMeasure, m: DiscreteMarket) -> float:
     computed from the stored band itself: the trace comes off the main
     diagonal and log |A| from a banded Cholesky factorization (LAPACK pbtrf,
     O(n D^2)), so agreement with c_hat genuinely tests the closed-form
-    determinant.
+    determinant.  Raises DomainError unless ``m`` is the measure's own market.
     """
+    _require_own_market(dm, m)
     from scipy.linalg import LinAlgError, cholesky_banded
 
     band = dm.band

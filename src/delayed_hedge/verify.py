@@ -10,7 +10,8 @@ discretization limits.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import time
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -37,6 +38,7 @@ class CheckResult:
     passed: bool
     worst: float
     tol: float
+    seconds: float = 0.0  # wall time of the suite that ran the check, set by ``run``
 
     def to_json(self) -> dict:
         return {
@@ -45,6 +47,7 @@ class CheckResult:
             # a non-finite residual is a failed check, reported as null
             "worst_residual": self.worst if math.isfinite(self.worst) else None,
             "tolerance": self.tol,
+            "seconds": self.seconds,
         }
 
 
@@ -268,7 +271,12 @@ SUITES = {
 
 
 def run(suite: str = "all", grid_size: int = len(N_VALUES)):
-    """Run one suite (or all); returns (all_passed, [CheckResult])."""
+    """Run one suite (or all); returns (all_passed, [CheckResult]), each check timed with its suite."""
     names = list(SUITES) if suite == "all" else [suite]
-    checks = [check for name in names for check in SUITES[name](grid_size)]
+    checks = []
+    for name in names:
+        start = time.perf_counter()
+        results = SUITES[name](grid_size)
+        seconds = time.perf_counter() - start
+        checks += [replace(check, seconds=seconds) for check in results]
     return all(c.passed for c in checks), checks

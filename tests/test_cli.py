@@ -205,6 +205,15 @@ def test_verify_matrix_small_grid(capsys):
     assert doc["all_passed"] is True
 
 
+def test_verify_matrix_times_its_suite_on_every_check(capsys):
+    code, doc = run_json(capsys, "verify", "--suite", "matrix")
+    assert code == 0
+    seconds = {c["seconds"] for c in doc["checks"]}
+    assert len(seconds) == 1  # every check carries the one suite's wall time
+    (suite_seconds,) = seconds
+    assert math.isfinite(suite_seconds) and suite_seconds >= 0.0
+
+
 def test_verify_dual_small_grid_threaded(capsys):
     code, doc = run_json(capsys, "verify", "--suite", "dual", "--grid-size", "2", "--threads", "2")
     assert code == 0
@@ -220,9 +229,10 @@ def test_verify_reports_a_non_finite_residual_as_a_failed_check(capsys, monkeypa
     code, doc = run_json(capsys, "verify", "--suite", "matrix")
     assert code == 1
     assert doc["all_passed"] is False
-    assert doc["checks"] == [
-        {"name": "stub.residual", "passed": False, "worst_residual": None, "tolerance": 1e-9}
-    ]
+    (check,) = doc["checks"]
+    seconds = check.pop("seconds")
+    assert math.isfinite(seconds) and seconds >= 0.0
+    assert check == {"name": "stub.residual", "passed": False, "worst_residual": None, "tolerance": 1e-9}
 
 
 def test_out_file_roundtrip(tmp_path, capsys):

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from delayed_hedge import DiscreteMarket, LengthMismatch, dual, toeplitz, value
+from delayed_hedge import DiscreteMarket, DomainError, LengthMismatch, dual, toeplitz, value
 from delayed_hedge.dual import (
     DualMeasure,
     build_dual,
@@ -143,6 +143,21 @@ def test_relative_entropy_values():
     m = market(6, 2, 1.3, mu=0.1)
     dm = build_dual(m)
     assert relative_entropy(dm, m) == pytest.approx(dm.c_hat, rel=1e-10)
+
+
+def test_entropy_and_marginal_refuse_a_market_the_measure_was_not_built_for():
+    m = market(8, 2, 1.3, mu=0.1)
+    dm = build_dual(m)
+    # read silently, this market gave entropy 2.273 against c_hat 0.204 and passed the marginal check
+    other = market(8, 2, 1.3, mu=0.3, sigma=2.0)
+    with pytest.raises(DomainError, match="differs from the dual measure's"):
+        relative_entropy(dm, other)
+    with pytest.raises(DomainError, match="differs from the dual measure's"):
+        check_marginal(dm, other, 1e-9)
+    # an equal market built separately is the measure's own
+    same = market(8, 2, 1.3, mu=0.1)
+    assert relative_entropy(dm, same) == pytest.approx(dm.c_hat, rel=1e-10)
+    assert check_marginal(dm, same, 1e-9)
 
 
 def test_closed_form_log_det_against_factorization():

@@ -1,3 +1,6 @@
+import tracemalloc
+from itertools import combinations
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -5,6 +8,8 @@ from hypothesis import given, settings, strategies as st
 from delayed_hedge import DiscreteMarket, DomainError, SingularMatrix, SizeError, hedge_matrix
 from delayed_hedge.solver import solve_a, weights_b
 from delayed_hedge.toeplitz import (
+    MINOR_CHUNK,
+    MINOR_ENUMERATION_LIMIT,
     SymToeplitz,
     check_vanishing_minors,
     dense_det,
@@ -144,6 +149,114 @@ def test_vanishing_minors_detects_perturbation():
 def test_vanishing_minors_size_guard():
     with pytest.raises(SizeError):
         check_vanishing_minors(SymToeplitz(np.eye(13)[0]), 1)
+
+
+@pytest.mark.parametrize("delay", [-1, -3])
+def test_vanishing_minors_rejects_a_negative_delay(delay):
+    with pytest.raises(DomainError, match=rf"^delay must be non-negative, got {delay}$"):
+        check_vanishing_minors(SymToeplitz(np.eye(6)[0]), delay)
+
+
+def _pairwise_minors(matrix, delay, tol):
+    """The per-pair ``np.ix_`` enumeration the gathered chunks replaced: (verdict, [(chunk, dets)])."""
+    n = matrix.n
+    k = delay + 1
+    if k > n:
+        return True, []
+    dense = matrix.to_dense()
+    subsets = list(combinations(range(n), k))  # tuples: np.ix_ gathers the same entries, the filter runs faster
+    pairs = [(rows, cols) for rows in subsets for cols in subsets if rows[0] > cols[-1] - delay]
+    chunks = []
+    for start in range(0, len(pairs), 4096):
+        sub = np.stack([dense[np.ix_(r, c)] for r, c in pairs[start : start + 4096]])
+        dets = np.linalg.det(sub)
+        chunks.append((sub, dets))
+        scale = np.maximum(np.prod(np.linalg.norm(sub, axis=2), axis=1), 1e-300)
+        if np.any(np.abs(dets) > tol * scale):
+            return False, chunks
+    return True, chunks
+
+
+def _gathered_minors(monkeypatch, matrix, delay, tol):
+    """``check_vanishing_minors`` with every chunk it stacks and the determinants it gets recorded."""
+    det = np.linalg.det
+    chunks = []
+
+    def recording_det(sub):
+        dets = det(sub)
+        chunks.append((sub.copy(), dets))
+        return dets
+
+    with monkeypatch.context() as patch:
+        patch.setattr(np.linalg, "det", recording_det)
+        verdict = check_vanishing_minors(matrix, delay, tol=tol)
+    return verdict, chunks
+
+
+@pytest.mark.parametrize("n", range(2, MINOR_ENUMERATION_LIMIT + 1))
+def test_gathered_minors_repeat_the_pairwise_enumeration_bit_for_bit(monkeypatch, n):
+    rng = np.random.default_rng(n)
+    for delay in range(n):
+        for sigma_hat in (rng.uniform(0.5, 0.95), rng.uniform(1.05, 2.0)):
+            row = hedge_matrix(market(n, delay, sigma_hat)).first_row
+            bumped = row.copy()
+            bumped[-1] += 0.01  # the off-band entry when delay < n - 1, an in-band one at delay = n - 1
+            for matrix in (SymToeplitz(row), SymToeplitz(bumped)):
+                want_verdict, want = _pairwise_minors(matrix, delay, 1e-9)
+                got_verdict, got = _gathered_minors(monkeypatch, matrix, delay, 1e-9)
+                assert got_verdict == want_verdict
+                assert len(got) == len(want)
+                for (got_chunk, got_dets), (want_chunk, want_dets) in zip(got, want):
+                    assert np.array_equal(got_chunk, want_chunk)
+                    assert np.array_equal(got_dets, want_dets)
+
+
+@pytest.mark.parametrize("delay", range(1, 11))
+def test_vanishing_minors_detect_an_off_band_entry_at_the_cap(delay):
+    row = hedge_matrix(market(12, delay, 1.3)).first_row.copy()
+    assert check_vanishing_minors(SymToeplitz(row), delay, tol=1e-9)
+    row[delay + 1] += 0.01
+    assert not check_vanishing_minors(SymToeplitz(row), delay, tol=1e-9)
+
+
+class _DenseView:
+    """A matrix given by its dense entries, for perturbations no Toeplitz first row can make."""
+
+    def __init__(self, dense):
+        self.dense = dense
+        self.n = len(dense)
+
+    def to_dense(self):
+        return self.dense
+
+
+@pytest.mark.parametrize("delay", [3, 4, 5])
+def test_vanishing_minors_detect_a_corner_entry_in_the_last_chunk(monkeypatch, delay):
+    # entry (11, 10) lies only in the minors of the last row subset {11 - D, ..., 11},
+    # the end of the row-major pair order, so every chunk runs before the verdict
+    n = 12
+    subsets = np.array(list(combinations(range(n), delay + 1)))
+    pair_count = np.count_nonzero(subsets[:, :1] > subsets[:, -1] - delay)
+    assert pair_count > MINOR_CHUNK
+    dense = hedge_matrix(market(n, delay, 1.3)).to_dense()
+    dense[n - 1, n - 2] += 0.01
+    dense[n - 2, n - 1] += 0.01
+    verdict, chunks = _gathered_minors(monkeypatch, _DenseView(dense), delay, 1e-9)
+    assert not verdict
+    assert len(chunks) == -(-pair_count // MINOR_CHUNK) > 1
+
+
+def test_vanishing_minors_peak_memory_at_the_cap():
+    # n = 12, D = 5 is the largest case in both time and memory; see MINOR_ENUMERATION_LIMIT
+    matrix = hedge_matrix(market(MINOR_ENUMERATION_LIMIT, 5, 1.3))
+    check_vanishing_minors(matrix, 5)  # numpy's linalg loaded outside the trace
+    tracemalloc.start()
+    try:
+        assert check_vanishing_minors(matrix, 5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6
 
 
 def test_dense_oracles():
