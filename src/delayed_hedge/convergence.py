@@ -68,8 +68,10 @@ def figure1_data(
     """Scaled discrete weights against the shifted kernel on a uniform t-grid.
 
     Columns: t, kappa_shifted = kappa_t - alpha/(1 - alpha H), then one column
-    per n with n (b_ceil(tn) - a_n).  With ``include_unshifted`` the raw
-    kappa and n*b columns are appended for the unshifted comparison.
+    per n with n (b_{k+1} - a_n), k = min(floor(t n), n - 1): the weight of
+    the step of b^n that holds t, with the floor taken of the float product
+    t * n.  With ``include_unshifted`` the raw kappa and n*b columns are
+    appended for the unshifted comparison.
     """
     spec = spec_for_market(c)
     ts = np.linspace(0.0, 1.0, grid + 1)
@@ -101,9 +103,13 @@ def figure2_data(h_grid: Sequence[float], logratio_grid: Sequence[float]) -> Tab
 
 
 def write_csv(table: Table, stream: IO[str], metadata: Mapping | None = None) -> None:
-    """CSV with an optional '#'-prefixed metadata line, '%.12g' values."""
+    """CSV with an optional '#'-prefixed metadata line, '%.12g' values.
+
+    Every row is formatted by one ``%`` on the repeated row template, which
+    applies ``CSV_FORMAT`` to each cell as a per-cell call would.
+    """
     if metadata:
         stream.write("# " + " ".join(f"{k}={v}" for k, v in metadata.items()) + "\n")
     stream.write(",".join(table.header) + "\n")
-    for row in table.columns:
-        stream.write(",".join(CSV_FORMAT % x for x in row) + "\n")
+    template = ",".join([CSV_FORMAT] * len(table.header)) + "\n"
+    stream.write(template * len(table.columns) % tuple(table.columns.ravel().tolist()))

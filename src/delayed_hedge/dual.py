@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import DomainError, NumericalError
 from .market import DiscreteMarket
-from .solver import HedgeSolution, causal_convolve, evaluate_paths, solve, strategy
+from .solver import HedgeSolution, as_paths, causal_convolve, quadratic_forms, solve, strategy, wealth
 from .toeplitz import inverse_band
 
 # Seeded probe vectors of the randomized check that the stored band inverts A.
@@ -118,16 +118,17 @@ def verification_residual(m: DiscreteMarket, x: np.ndarray) -> np.ndarray:
     The identity is checked for ``strategy(m)``, and the dual side is read
     from the solution those weights came from: its quadratic form is
     x'Ax = (a + 1)|x|^2 + 2 x.(b * x) with the causal convolution b * x of
-    ``causal_convolve``, so no n x n matrix is built and each path costs
-    O(n log n).  The weights' own kernel is evaluated, never the solution's,
-    so a wrong strategy shows up as a nonzero residual.
+    ``causal_convolve``.  One ``quadratic_forms`` call gives x.(b * x) and
+    the x.(kernel * x) of V (``solver.wealth``) from one forward FFT of the
+    paths, so no n x n matrix is built and each path costs O(n log n).  The
+    weights' own kernel is evaluated, never the solution's, so a wrong
+    strategy shows up as a nonzero residual.
     """
-    x = np.asarray(x, dtype=float)
+    x = as_paths(x, m)
     w = strategy(m)
     sol = w.solution
-    _, v = evaluate_paths(w, m, x)
-
-    lagged = np.sum(x * causal_convolve(x, sol.b), axis=1)
+    own, lagged = quadratic_forms(x, w.kernel, sol.b)
+    v = wealth(w, m, x, form=own)
     quad_dual = ((sol.a + 1.0) * np.sum(x * x, axis=1) + 2.0 * lagged) / m.sigma**2
     quad_market = np.sum((x - m.mu) ** 2, axis=1) / m.sigma**2
     log_ratio = 0.5 * (sol.log_det - quad_dual + quad_market)

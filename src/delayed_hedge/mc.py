@@ -39,14 +39,17 @@ import numpy as np
 
 from .errors import IntegrabilityError, LengthMismatch, OptimizerFailure, SizeError
 from .market import DiscreteMarket, validate_discrete
-from .solver import StrategyWeights, evaluate_paths
+from .solver import StrategyWeights, wealth
 from .toeplitz import SymToeplitz
 
 GENERATOR_ID = "philox4x64/ndtri-v1"
 
 # Cap on paths * n for one batch.  Under tracemalloc, generate peaks at 24
-# bytes per path-step and estimate_utility at 40 more on top of the 8 of the
-# increments it keeps, so a batch at the cap stays near 0.5 GB.
+# bytes per path-step and estimate_utility at 16 to 32 more on top of the 8 of
+# the increments it keeps: the half spectrum of the paths, 16 (L/2 + 1) / n
+# bytes per step for the FFT length L (16.4 at n = 1000, 32.0 at n = 1025 and
+# 8193), or two arrays of the paths' shape on the direct branch (15.8 at
+# n = 100).  A batch at the cap stays near 0.25 GB, 0.4 GB at worst.
 MAX_PATH_STEPS = 10**7
 
 # Largest n for which estimate_utility runs the analytic oracle.  Its Durbin
@@ -110,13 +113,14 @@ def estimate_utility(batch: PathBatch, w: StrategyWeights, m: DiscreteMarket) ->
 
     The analytic expectation of the same quadratic strategy is attached when
     it exists and ``analytic_skip_reason`` gives none, evaluated by
-    Levinson-Durbin.  Accumulation relies on numpy's pairwise summation, which
-    is deterministic for a given batch.
+    Levinson-Durbin.  V comes from ``solver.wealth``, which needs no holdings.
+    Accumulation relies on numpy's pairwise summation, which is deterministic
+    for a given batch.
     The moments are those of -exp(shift - V), shift = max(min V, 0), scaled
     back by exp(-shift): on long horizons exp(-V) alone squares to zero.
     Moments that overflow come out non-finite, without a warning.
     """
-    _, v = evaluate_paths(w, m, batch.increments)
+    v = wealth(w, m, batch.increments)
     shift = max(float(np.min(v)), 0.0)
     scale = math.exp(-shift)
     with np.errstate(over="ignore", invalid="ignore"):

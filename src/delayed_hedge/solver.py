@@ -20,9 +20,12 @@ with |A| the closed-form Toeplitz determinant.
 
 ``solve`` computes a and log |A| once; ``strategy``, ``value`` and
 ``hedge_matrix`` are views of the ``HedgeSolution`` it returns.
-``evaluate_paths`` sums the holdings of a batch of paths as one causal
-convolution (``causal_convolve``).  The module needs numpy alone; the
-Nelder-Mead optimality oracle is ``mc.brute_force_optimum``.
+``evaluate_paths`` gets the holdings of a batch of paths as one causal
+convolution (``causal_convolve``).  Terminal wealth alone (``wealth``) needs
+no holdings: past two sums over each path it is the quadratic form
+x.(kernel * x), which ``quadratic_forms`` reads off one forward FFT of the
+paths, shared by every form taken of the same batch.  The module needs numpy
+alone; the Nelder-Mead optimality oracle is ``mc.brute_force_optimum``.
 """
 
 from __future__ import annotations
@@ -206,6 +209,27 @@ def hedge_matrix(m: DiscreteMarket) -> SymToeplitz:
     return solve(m).matrix
 
 
+def _lagged_taps(taps: np.ndarray, n: int):
+    """(d, taps[d : n - 1]) for the first nonzero lag d of the n - 1 taps that
+    paths of length n use, or None when they are all zero.
+
+    Fewer than n - 1 taps raise ``LengthMismatch``.
+    """
+    if len(taps) < n - 1:
+        raise LengthMismatch(f"need n - 1 = {n - 1} taps for paths of length n={n}, got {len(taps)}")
+    nonzero = np.flatnonzero(taps[: n - 1])
+    if nonzero.size == 0:
+        return None
+    d = int(nonzero[0])
+    return d, taps[d : n - 1]
+
+
+def _fft_length(size: int) -> int:
+    """The power of two >= 2 size - 1: a circular product of that length holds
+    every lag below ``size`` free of wrap-around."""
+    return 1 << (2 * size - 2).bit_length()
+
+
 def causal_convolve(x: np.ndarray, taps: np.ndarray) -> np.ndarray:
     """y[:, i] = sum_{l=1..i} taps[l-1] x[:, i-l] for every row of ``x``.
 
@@ -219,26 +243,78 @@ def causal_convolve(x: np.ndarray, taps: np.ndarray) -> np.ndarray:
     Fewer than n - 1 taps raise ``LengthMismatch`` on both paths.
     """
     n = x.shape[1]
-    if len(taps) < n - 1:
-        raise LengthMismatch(f"need n - 1 = {n - 1} taps for paths of length n={n}, got {len(taps)}")
+    lag = _lagged_taps(taps, n)
     y = np.zeros_like(x)
-    nonzero = np.flatnonzero(taps[: n - 1])
-    if nonzero.size == 0:
+    if lag is None:
         return y
-    d = int(nonzero[0])
-    size = n - 1 - d
-    head, lagged = x[:, :size], taps[d : d + size]
+    d, lagged = lag
+    size = len(lagged)
+    head = x[:, :size]
     if size <= DIRECT_CONVOLVE_MAX:
         # lower[k, j] = lagged[k - j] for j <= k, else 0
         padded = np.concatenate([np.zeros(size - 1), lagged])
         lower = padded[size - 1 + np.subtract.outer(np.arange(size), np.arange(size))]
         y[:, d + 1 :] = head @ lower.T
         return y
-    length = 1 << (2 * size - 2).bit_length()
+    length = _fft_length(size)
     spectrum = np.fft.rfft(head, length)
     spectrum *= np.fft.rfft(lagged, length)
     y[:, d + 1 :] = np.fft.irfft(spectrum, length)[:, :size]
     return y
+
+
+def quadratic_forms(x: np.ndarray, *taps: np.ndarray) -> np.ndarray:
+    """Per-row sum_i x[:, i] (taps * x)[:, i] for each taps array, with the
+    causal convolution taps * x of ``causal_convolve``.
+
+    Each form is sum_l taps[l-1] r_l over the lags l = 1 .. n - 1 of the
+    row's autocorrelation r_l = sum_i x_i x_{i-l}.  Taps with at most
+    DIRECT_CONVOLVE_MAX outputs past their first nonzero lag take the form
+    from ``causal_convolve``.  The others share one rfft X of the rows at a
+    power-of-two L >= 2n - 1, where no lag wraps around, and one rfft T of
+    (0, taps) each; by Parseval the form is (1/L) sum_k w_k |X_k|^2 Re T_k
+    over the half spectrum, with w = 1 at DC and Nyquist and 2 elsewhere
+    (Oppenheim & Schafer, Discrete-Time Signal Processing, 8.5).  |X_k|^2
+    is formed in X's own memory and each form is a row sum of it times the
+    weights: O(P n log n) time, no inverse transform, and past ``x`` one
+    complex P x (L/2 + 1) array plus a real one for each form but the last.
+    Returns shape (len(taps), paths).  Fewer than n - 1 taps raise
+    ``LengthMismatch``.
+    """
+    n = x.shape[1]
+    forms = np.zeros((len(taps), x.shape[0]))
+    spectral = []
+    for i, t in enumerate(taps):
+        lag = _lagged_taps(t, n)
+        if lag is None:
+            continue
+        if len(lag[1]) <= DIRECT_CONVOLVE_MAX:
+            forms[i] = np.sum(x * causal_convolve(x, t), axis=1)
+        else:
+            spectral.append(i)
+    if not spectral:
+        return forms
+    length = _fft_length(n)
+    weights = np.array([np.fft.rfft(np.concatenate([[0.0], taps[i][: n - 1]]), length).real for i in spectral])
+    weights[:, 1:-1] *= 2.0
+    weights /= length
+    squares = np.fft.rfft(x, length).view(float)  # (re, im) pairs of X_k
+    squares *= squares
+    power = squares[:, ::2]  # |X_k|^2, summed into the real slots in place
+    power += squares[:, 1::2]
+    for k, (i, row) in enumerate(zip(spectral, weights)):
+        # numpy's pairwise row sum; a BLAS product over the spectrum was up to
+        # 4x less accurate.  The last form scales |X_k|^2 in place.
+        forms[i] = np.multiply(power, row, out=power if k == len(spectral) - 1 else None).sum(axis=1)
+    return forms
+
+
+def as_paths(x, m: DiscreteMarket) -> np.ndarray:
+    """``x`` as a float array of shape (paths, n), else ``LengthMismatch``."""
+    x = np.asarray(x, dtype=float)
+    if x.ndim != 2 or x.shape[1] != m.n:
+        raise LengthMismatch(f"expected paths of length n={m.n}, got shape {x.shape}")
+    return x
 
 
 def evaluate_paths(w: StrategyWeights, m: DiscreteMarket, x: np.ndarray):
@@ -249,12 +325,25 @@ def evaluate_paths(w: StrategyWeights, m: DiscreteMarket, x: np.ndarray):
     ``w.kernel`` with the past increments (``causal_convolve``: O(paths * n
     log n) for long paths); the first D + 1 holdings are exactly merton.  The
     static leg costs its pricing-measure expectation static_coeff * n *
-    sigma_hat^2.
+    sigma_hat^2.  ``wealth`` gives V alone without the holdings.
     """
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 2 or x.shape[1] != m.n:
-        raise LengthMismatch(f"expected paths of length n={m.n}, got shape {x.shape}")
+    x = as_paths(x, m)
     gammas = w.merton + causal_convolve(x, w.kernel)
     total = x.sum(axis=1)
     v = w.static_coeff * total**2 + (gammas * x).sum(axis=1) - w.static_coeff * m.n * m.sigma_hat**2
     return gammas, v
+
+
+def wealth(w: StrategyWeights, m: DiscreteMarket, x: np.ndarray, form: np.ndarray | None = None) -> np.ndarray:
+    """Terminal wealth V of ``evaluate_paths`` without the holdings.
+
+    V = s (sum x)^2 + merton sum x + x.(kernel * x) - s n sigma_hat^2 with
+    s = static_coeff, the form read off ``quadratic_forms`` unless the
+    caller passes it as ``form``.  Equal to ``evaluate_paths``' V up to
+    rounding, not bit for bit.
+    """
+    x = as_paths(x, m)
+    if form is None:
+        (form,) = quadratic_forms(x, w.kernel)
+    total = x.sum(axis=1)
+    return w.static_coeff * total**2 + w.merton * total + form - w.static_coeff * m.n * m.sigma_hat**2

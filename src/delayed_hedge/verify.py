@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -28,8 +28,9 @@ LARGE_DUAL_MARKETS = tuple(
     DiscreteMarket(n=n, delay=20, mu=0.1 / n, sigma=1.0 / math.sqrt(n), sigma_hat=ratio / math.sqrt(n))
     for n, ratio in ((10**4, 1.3), (10**5, 0.8))
 )
-LARGE_DUAL_PATHS = 8  # keeps the FFT of the pathwise identity near 35 MB at n = 10^5
+LARGE_DUAL_PATHS = 8  # keeps the pathwise identity near 29 MB under tracemalloc at n = 10^5
 RATE_SLACK = 1.5  # safety factor on constants fitted from the smallest n
+LIMIT_H = 0.2  # the H of the convergence suite's two markets
 
 
 @dataclass
@@ -39,6 +40,8 @@ class CheckResult:
     worst: float
     tol: float
     seconds: float = 0.0  # wall time of the suite that ran the check, set by ``run``
+    # the point that gave ``worst``: a market's fields or {"H", "ratio"}; None for a table-wide check
+    worst_at: dict | None = None
 
     def to_json(self) -> dict:
         return {
@@ -48,6 +51,7 @@ class CheckResult:
             "worst_residual": self.worst if math.isfinite(self.worst) else None,
             "tolerance": self.tol,
             "seconds": self.seconds,
+            "worst_at": self.worst_at,
         }
 
 
@@ -63,15 +67,32 @@ def default_grid(grid_size: int = len(N_VALUES)):
     return markets
 
 
+def _argworst(values) -> tuple:
+    """(worst, index) of ``values``: the first NaN, else the first maximum
+    (Python's max drops a NaN that is not first)."""
+    values = np.fromiter(values, dtype=float)
+    index = int(np.argmax(values))
+    return float(values[index]), index
+
+
 def _worst(values) -> float:
-    """The largest of ``values``, NaN if any is NaN (Python's max drops a NaN that is not first)."""
-    return float(np.max(np.fromiter(values, dtype=float)))
+    """The largest of ``values``, NaN if any is NaN."""
+    return _argworst(values)[0]
 
 
-def _checks(suite: str, results, tols: dict):
-    """One CheckResult per named residual: its worst value over all points."""
-    worst = {name: _worst(r[name] for r in results) for name in tols}
-    return [CheckResult(f"{suite}.{name}", worst[name] <= tol, worst[name], tol) for name, tol in tols.items()]
+def _kernel_point(H: float, ratio: float) -> dict:
+    return {"H": float(H), "ratio": float(ratio)}
+
+
+def _checks(suite: str, results, tols: dict, points=None):
+    """One CheckResult per named residual: its worst value over all results,
+    at ``points[i]`` when ``results[i]`` gave it (None without ``points``)."""
+    checks = []
+    for name, tol in tols.items():
+        worst, index = _argworst(r[name] for r in results)
+        at = None if points is None else points[index]
+        checks.append(CheckResult(f"{suite}.{name}", worst <= tol, worst, tol, worst_at=at))
+    return checks
 
 
 def matrix_suite(grid_size: int = len(N_VALUES)):
@@ -110,7 +131,8 @@ def matrix_suite(grid_size: int = len(N_VALUES)):
         out["vanishing_minors"] = 0.0 if ok else 1.0
         return out
 
-    results = [point(m) for m in default_grid(grid_size)]
+    grid = default_grid(grid_size)
+    results = [point(m) for m in grid]
     tols = {
         "root_residual": 1e-12,
         "root_margin": 0.0,
@@ -123,7 +145,7 @@ def matrix_suite(grid_size: int = len(N_VALUES)):
         "inverse_banded": 1e-10,
         "vanishing_minors": 0.5,
     }
-    return _checks("matrix", results, tols)
+    return _checks("matrix", results, tols, [asdict(m) for m in grid])
 
 
 def dual_suite(grid_size: int = len(N_VALUES)):
@@ -159,7 +181,7 @@ def dual_suite(grid_size: int = len(N_VALUES)):
         "marginal": 0.5,
         "delayed_martingale": 0.5,
     }
-    return _checks("dual", results, tols)
+    return _checks("dual", results, tols, [asdict(m) for m in grid + list(LARGE_DUAL_MARKETS)])
 
 
 def kernel_suite(grid_size: int = len(N_VALUES)):
@@ -197,11 +219,9 @@ def kernel_suite(grid_size: int = len(N_VALUES)):
         return out
 
     results = [point(hr) for hr in KERNEL_POINTS]
-    alpha_domain = _worst(
-        kernel.alpha(float(H), 1.0, math.exp(lr)) * H - 1.0
-        for H in np.linspace(0.05, 1.0, 20)
-        for lr in np.linspace(-2.0, 2.0, 21)
-    )
+    domain = [(float(H), float(lr)) for H in np.linspace(0.05, 1.0, 20) for lr in np.linspace(-2.0, 2.0, 21)]
+    alpha_domain, index = _argworst(kernel.alpha(H, 1.0, math.exp(lr)) * H - 1.0 for H, lr in domain)
+    H, lr = domain[index]
     tols = {
         "ck_vs_closed_forms": 1e-10,
         "kappa_constant_below_H": 0.0,
@@ -210,8 +230,9 @@ def kernel_suite(grid_size: int = len(N_VALUES)):
         "continuity_at_kH": 1.0,
         "ode_oracle": 1e-7,
     }
-    checks = _checks("kernel", results, tols)
-    checks.append(CheckResult("kernel.alpha_H_below_one", alpha_domain < 0.0, alpha_domain, 0.0))
+    checks = _checks("kernel", results, tols, [_kernel_point(*hr) for hr in KERNEL_POINTS])
+    checks.append(CheckResult("kernel.alpha_H_below_one", alpha_domain < 0.0, alpha_domain, 0.0,
+                              worst_at=_kernel_point(H, math.exp(2.0 * lr))))
     return checks
 
 
@@ -219,7 +240,7 @@ def convergence_suite(grid_size: int = len(N_VALUES)):
     """Discretization limits: value gap, root asymptotics, L2 rate, figures (``grid_size`` unused)."""
 
     def point(ratio: float):
-        cm = ContinuousMarket(H=0.2, theta=0.0, varsigma=1.0, varsigma_hat=math.sqrt(ratio))
+        cm = ContinuousMarket(H=LIMIT_H, theta=0.0, varsigma=1.0, varsigma_hat=math.sqrt(ratio))
         spec = kernel.spec_for_market(cm)
         lv = kernel.limit_value(cm)
         sols = {n: solver.solve(discretize(cm, n)) for n in (100, 1000, 10000)}
@@ -258,7 +279,9 @@ def convergence_suite(grid_size: int = len(N_VALUES)):
     limit_tols = {"limit_gap_at_1e4": 1e-2, "an_rate_fitted_C": 1.0, "l2_rate_factor": 3.0,
                   "fig1_sup_gap": 0.05, "fig1_signs": 0.5}
     fig2_tols = {"fig2_equal_vols": 1e-12, "fig2_monotone": 0.5, "fig2_small_H": 0.05}
-    return (_checks("convergence", [point(ratio) for ratio in (0.5, 2.0)], limit_tols)
+    ratios = (0.5, 2.0)
+    return (_checks("convergence", [point(ratio) for ratio in ratios], limit_tols,
+                    [_kernel_point(LIMIT_H, ratio) for ratio in ratios])
             + _checks("convergence", [fig2], fig2_tols))
 
 

@@ -232,7 +232,8 @@ def test_verify_reports_a_non_finite_residual_as_a_failed_check(capsys, monkeypa
     (check,) = doc["checks"]
     seconds = check.pop("seconds")
     assert math.isfinite(seconds) and seconds >= 0.0
-    assert check == {"name": "stub.residual", "passed": False, "worst_residual": None, "tolerance": 1e-9}
+    assert check == {"name": "stub.residual", "passed": False, "worst_residual": None, "tolerance": 1e-9,
+                     "worst_at": None}
 
 
 def test_out_file_roundtrip(tmp_path, capsys):

@@ -8,6 +8,7 @@ import pytest
 
 from delayed_hedge import ContinuousMarket, discretize, solve_a
 from delayed_hedge.convergence import (
+    CSV_FORMAT,
     Table,
     build_bn,
     figure1_data,
@@ -152,6 +153,37 @@ def test_write_csv_format():
     assert lines[0] == "# cmd=demo n=2\n"
     assert lines[1] == "x,y\n"
     assert lines[2] == "0.5,0.333333333333\n"
+
+
+def _per_cell_csv(table: Table) -> str:
+    """The writer ``write_csv`` replaced: one ``CSV_FORMAT`` call per cell."""
+    lines = [",".join(table.header) + "\n"]
+    lines += [",".join(CSV_FORMAT % x for x in row) + "\n" for row in table.columns]
+    return "".join(lines)
+
+
+@pytest.mark.parametrize("rows", [0, 1, 7])
+def test_write_csv_matches_the_per_cell_writer_byte_for_byte(rows):
+    values = [math.nan, math.inf, -math.inf, -0.0, 0.0, 1.0 / 3.0, -2.5e-300, 1e300, 123456789012345.0,
+              -1e-7, 5e-324, 3.7e12]
+    columns = np.random.default_rng(rows).choice(values, size=(rows, 4))
+    if rows:
+        columns[0] = [math.nan, math.inf, -math.inf, -0.0]
+    table = Table(header=["a", "b", "c", "d"], columns=columns)
+    buf = io.StringIO()
+    write_csv(table, buf)
+    assert buf.getvalue().encode() == _per_cell_csv(table).encode()
+
+
+@pytest.mark.parametrize("name", ["fig1", "fig2"])
+def test_write_csv_matches_the_per_cell_writer_on_the_figure_tables(name):
+    if name == "fig1":
+        table = figure1_data(cm(0.5), ns=[10, 100], grid=50, include_unshifted=True)
+    else:
+        table = figure2_data([0.1, 0.5], [-1.0, 0.0, 0.5])
+    buf = io.StringIO()
+    write_csv(table, buf)
+    assert buf.getvalue() == _per_cell_csv(table)
 
 
 def test_make_figures_reproduces_the_committed_tables(tmp_path, monkeypatch):

@@ -134,6 +134,22 @@ def test_verification_residual_matches_dense_quadratic(monkeypatch, m, scale):
         assert np.max(np.abs(residual)) < 1e-9
 
 
+@pytest.mark.parametrize("lag", [3, 150, 298])
+def test_verification_residual_sees_one_kernel_lag_moved_by_1e_6(monkeypatch, lag):
+    m = market(300, 2, 1.3, mu=0.1)  # 297 outputs past the delay: both forms take the FFT
+    x = generate(m, 20, seed=7).increments
+    assert np.max(np.abs(verification_residual(m, x))) < 1e-9
+
+    def perturbed_strategy(market):
+        w = strategy(market)
+        kernel = w.kernel.copy()
+        kernel[lag - 1] += 1e-6  # 1-based lag
+        return dataclasses.replace(w, kernel=kernel)
+
+    monkeypatch.setattr(dual, "strategy", perturbed_strategy)
+    assert np.max(np.abs(verification_residual(m, x))) > 1e-8
+
+
 def test_relative_entropy_values():
     assert relative_entropy(build_dual(market(5, 2, 1.0)), market(5, 2, 1.0)) == pytest.approx(
         0.0, abs=1e-14

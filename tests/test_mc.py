@@ -157,6 +157,33 @@ def test_quadratic_form_reproduces_pathwise_value():
     assert v == pytest.approx(0.5 * np.einsum("pi,ij,pj->p", x, quad, x) + x @ lin + const, rel=1e-12)
 
 
+def _moments(v: np.ndarray) -> np.ndarray:
+    """(mean, std_error, ess) of -exp(-V) as ``estimate_utility`` takes them, from V itself."""
+    shift = max(float(np.min(v)), 0.0)
+    y = -np.exp(shift - v)
+    scale = math.exp(-shift)
+    stderr = float(np.std(y, ddof=1) / math.sqrt(len(v))) * scale
+    return np.array([float(np.mean(y)) * scale, stderr, float(np.sum(np.abs(y)) ** 2 / np.sum(y * y))])
+
+
+@pytest.mark.parametrize(
+    "m, paths",
+    [
+        (DiscreteMarket(n=100, delay=3, mu=0.1, sigma=1.0, sigma_hat=1.3), 500),  # direct product
+        (DiscreteMarket(n=300, delay=3, mu=0.1, sigma=1.0, sigma_hat=1.3), 200),  # FFT, every V > 0: shifted
+        (DiscreteMarket(n=1025, delay=20, mu=0.1 / 1025, sigma=1025**-0.5, sigma_hat=0.8 * 1025**-0.5), 100),
+    ],
+    ids=lambda v: f"n{v.n}" if isinstance(v, DiscreteMarket) else str(v),
+)
+def test_estimate_moments_match_those_of_evaluate_paths_wealth(m, paths):
+    batch, w = generate(m, paths, seed=3), strategy(m)
+    report = estimate_utility(batch, w, m)
+    _, v = evaluate_paths(w, m, batch.increments)
+    reference = _moments(v)
+    got = np.array([report.empirical_mean, report.std_error, report.ess])
+    assert np.all(np.abs(got - reference) <= 1e-12 * np.abs(reference))
+
+
 def test_estimate_above_the_analytic_cap_builds_no_n_by_n_array():
     n = ANALYTIC_MAX_N + 1
     m = DiscreteMarket(n=n, delay=3, mu=0.1, sigma=1.0, sigma_hat=1.3)

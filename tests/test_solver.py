@@ -251,23 +251,42 @@ def _loop_evaluate_paths(w, m, x):
     return gammas, v
 
 
-def _assert_matches_loop(w, m, x, first_exact):
-    gammas, v = solver.evaluate_paths(w, m, x)
-    ref_gammas, ref_v = _loop_evaluate_paths(w, m, x)
-    # both sides sum at most n products: a dot-product rounding bound each
+def _loop_tolerances(w, m, x, ref_gammas):
+    """(holdings, wealth) rounding bounds: both sides sum at most n products, a dot-product bound each."""
     eps, n = np.finfo(float).eps, m.n
     x_max = float(np.max(np.abs(x)))
     gamma_tol = n * eps * (abs(w.merton) + x_max * float(np.sum(np.abs(w.kernel))))
-    assert np.max(np.abs(gammas - ref_gammas)) <= gamma_tol
     v_scale = abs(w.static_coeff) * (n * x_max) ** 2 + n * x_max * float(np.max(np.abs(ref_gammas)))
     v_tol = n * eps * v_scale + n * x_max * gamma_tol + n * eps * abs(w.static_coeff) * n * m.sigma_hat**2
+    return gamma_tol, v_tol
+
+
+def _assert_matches_loop(w, m, x, first_exact):
+    """evaluate_paths, and the holdings-free ``quadratic_forms`` and ``wealth``, against the loop."""
+    gammas, v = solver.evaluate_paths(w, m, x)
+    ref_gammas, ref_v = _loop_evaluate_paths(w, m, x)
+    gamma_tol, v_tol = _loop_tolerances(w, m, x, ref_gammas)
+    assert np.max(np.abs(gammas - ref_gammas)) <= gamma_tol
     assert np.max(np.abs(v - ref_v)) <= v_tol
+    # the loop's sum of gamma x without the Merton part is the kernel's quadratic form
+    ref_form = np.sum((ref_gammas - w.merton) * x, axis=1)
+    (form,) = solver.quadratic_forms(x, w.kernel)
+    assert np.max(np.abs(form - ref_form)) <= v_tol
+    assert np.max(np.abs(solver.wealth(w, m, x) - ref_v)) <= v_tol
+    assert np.array_equal(solver.wealth(w, m, x, form=form), solver.wealth(w, m, x))
     assert np.array_equal(gammas[:, :first_exact], ref_gammas[:, :first_exact])
     assert np.all(gammas[:, :first_exact] == w.merton)
 
 
+# n = 129 and 130 sit on each side of the crossover at D = 0; 2048 takes the FFT
 SOLUTION_CASES = sorted(
-    {(n, D, ratio) for n in (1, 2, 7, 256) for D in (0, 1, n - 1) if D < n for ratio in (0.7, 1.4)}
+    {
+        (n, D, ratio)
+        for n in (1, 2, 7, solver.DIRECT_CONVOLVE_MAX + 1, solver.DIRECT_CONVOLVE_MAX + 2, 256, 2048)
+        for D in (0, 1, n - 1)
+        if D < n
+        for ratio in (0.7, 1.4)
+    }
 )
 
 
@@ -291,7 +310,7 @@ def _hand_kernel(kind, n, rng):
 
 
 # a random kernel has n - 1 outputs: the middle two n sit on each side of the crossover
-@pytest.mark.parametrize("n", [2, 7, solver.DIRECT_CONVOLVE_MAX + 1, solver.DIRECT_CONVOLVE_MAX + 2, 256])
+@pytest.mark.parametrize("n", [2, 7, solver.DIRECT_CONVOLVE_MAX + 1, solver.DIRECT_CONVOLVE_MAX + 2, 256, 2048])
 @pytest.mark.parametrize("kind", ["random", "zero", "leading-zeros"])
 def test_evaluate_paths_matches_loop_for_hand_built_kernels(kind, n):
     rng = np.random.default_rng(n)
@@ -311,6 +330,38 @@ def test_short_hand_built_kernel_raises_length_mismatch(n):
     x = np.random.default_rng(n).normal(m.mu, m.sigma, size=(3, n))
     with pytest.raises(LengthMismatch, match=f"need n - 1 = {n - 1} taps"):
         solver.evaluate_paths(w, m, x)
+    with pytest.raises(LengthMismatch, match=f"need n - 1 = {n - 1} taps"):
+        solver.wealth(w, m, x)
+    full = np.random.default_rng(n + 1).normal(size=n - 1)  # one full taps array does not excuse the short one
+    with pytest.raises(LengthMismatch, match=f"need n - 1 = {n - 1} taps"):
+        solver.quadratic_forms(x, full, w.kernel)
+
+
+# --- V without the holdings: quadratic_forms and wealth ---------------------
+
+def test_quadratic_forms_share_one_call_across_branches():
+    n = 300
+    rng = np.random.default_rng(5)
+    x = rng.normal(size=(6, n))
+    sparse = np.zeros(n - 1)
+    sparse[-10:] = rng.normal(size=10)  # 10 outputs past its first nonzero lag: the direct product
+    dense, other = rng.normal(size=(2, n - 1))  # 299 outputs each: the FFT
+    forms = solver.quadratic_forms(x, dense, sparse, np.zeros(n - 1), other)
+    assert forms.shape == (4, 6)
+    assert np.array_equal(forms[1], np.sum(x * solver.causal_convolve(x, sparse), axis=1))
+    assert np.array_equal(forms[2], np.zeros(6))
+    for form, taps in ((forms[0], dense), (forms[3], other)):
+        assert form == pytest.approx(np.sum(x * solver.causal_convolve(x, taps), axis=1), rel=1e-12)
+        # the shared spectrum, scaled in place for the last form only, gives each form as taken alone
+        assert np.array_equal(form, solver.quadratic_forms(x, taps)[0])
+
+
+def test_wealth_takes_a_batch_of_paths_of_length_n_only():
+    m = market(4, 1, 1.0)
+    with pytest.raises(LengthMismatch, match="paths of length"):
+        solver.wealth(strategy(m), m, np.zeros(4))
+    with pytest.raises(LengthMismatch, match="paths of length"):
+        solver.wealth(strategy(m), m, np.zeros((2, 5)))
 
 
 def test_solution_bundle():

@@ -1,10 +1,12 @@
 """Reductions behind the ``verify`` checks."""
 
+import json
 import math
+from dataclasses import asdict
 
 import numpy as np
 
-from delayed_hedge import convergence, kernel, verify
+from delayed_hedge import convergence, kernel, toeplitz, verify
 
 
 def test_a_nan_after_the_first_point_fails_its_check():
@@ -12,6 +14,35 @@ def test_a_nan_after_the_first_point_fails_its_check():
     (check,) = verify._checks("s", [{"r": 0.0}, {"r": math.nan}, {"r": 1e-12}], {"r": 1e-9})
     assert not check.passed
     assert math.isnan(check.worst)
+
+
+def test_worst_at_names_the_point_of_the_first_nan_else_of_the_first_maximum():
+    points = ["p0", "p1", "p2", "p3"]
+    results = [{"r": 0.0, "s": 1.0}, {"r": 2.0, "s": 3.0}, {"r": math.nan, "s": 3.0}, {"r": math.nan, "s": 0.0}]
+    r, s = verify._checks("x", results, {"r": 1e-9, "s": 5.0}, points)
+    assert (r.worst_at, s.worst_at) == ("p2", "p1")
+    assert (r.passed, s.passed) == (False, True)
+    # without points every check names none
+    assert verify._checks("x", results, {"r": 1e-9})[0].worst_at is None
+
+
+def test_matrix_suite_names_the_market_of_each_worst_residual(monkeypatch):
+    det = toeplitz.det_closed_form
+
+    def wrong_at_n4_d1(a, delay, n):
+        # relative error a / (1 + a): largest at the largest root, sigma_hat = 0.5 (mu = 0 comes first)
+        return det(a, delay, n) * (1.0 + abs(a) if (n, delay) == (4, 1) else 1.0)
+
+    monkeypatch.setattr(toeplitz, "det_closed_form", wrong_at_n4_d1)
+    grid = [asdict(m) for m in verify.default_grid(2)]
+    checks = {c.name: c for c in verify.matrix_suite(grid_size=2)}
+    for check in checks.values():
+        assert check.worst_at in grid
+        doc = json.loads(json.dumps(check.to_json()))
+        assert doc["worst_at"] == check.worst_at
+    failed = checks["matrix.det_vs_dense"]
+    assert not failed.passed
+    assert failed.worst_at == {"n": 4, "delay": 1, "mu": 0.0, "sigma": 1.0, "sigma_hat": 0.5}
 
 
 def test_a_nan_mid_grid_in_the_ode_oracle_fails_the_kernel_suite(monkeypatch):
@@ -40,4 +71,5 @@ def test_a_nan_l2_distance_for_the_second_market_fails_only_the_l2_rate(monkeypa
     checks = {c.name: c for c in verify.convergence_suite()}
     assert not checks["convergence.l2_rate_factor"].passed
     assert math.isnan(checks["convergence.l2_rate_factor"].worst)
+    assert checks["convergence.l2_rate_factor"].worst_at == {"H": 0.2, "ratio": 2.0}
     assert all(c.passed for name, c in checks.items() if name != "convergence.l2_rate_factor")
