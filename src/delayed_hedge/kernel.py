@@ -31,13 +31,26 @@ steps) run on Python floats: numpy scalars would give the same bits at about
 twice the cost, so ``kappa`` and ``kappa_integral_residual`` convert ``t`` on
 entry.  ``kernel_spec`` builds at most ``MAX_INTERVALS`` intervals
 (H >= 0.001), and ``kappa_ode_grid`` at most ``MAX_ODE_NODES`` nodes.
+
+``kappa_integral_residual`` reads the window integral off running Simpson
+integrals that a spec builds once per interval and ``quadsteps`` (panels per
+length H), the first time a window reaches that interval: one array
+evaluation of the interval's polynomial on 2 quadsteps + 1 nodes, cumulated
+into quadsteps + 1 floats.  Each window end then adds one Simpson panel of its
+own, so a spec costs O(K quadsteps) once and each t O(1) table lookups and a
+few scalar evaluations of O(K) terms.  A spec keeps the tables of one
+``quadsteps`` at a time, at most K (quadsteps + 1) 8 bytes: 16 MB at
+K = MAX_INTERVALS and quadsteps = 2000 (one table more at H = 1, where the
+window ending at t = 1 = H reaches interval 1).
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -114,10 +127,34 @@ class KernelSpec:
         """Interval count ceil(1/H), the length of ``c``."""
         return len(self.c)
 
-    @property
+    @cached_property
     def level(self) -> float:
         """Constant value of kappa on [0, H)."""
         return self.alpha / (1.0 - self.alpha * self.H)
+
+    @cached_property
+    def _tables(self) -> dict[int, dict[int, np.ndarray]]:
+        """{quadsteps: {k: running integrals of interval k}}, with at most one quadsteps key."""
+        return {}
+
+    def _integral_table(self, k: int, quadsteps: int) -> np.ndarray:
+        """Simpson integrals of interval k's polynomial over [kH, kH + j H / quadsteps], j = 0..quadsteps.
+
+        Built on first use from one array evaluation of ``_piece`` on the
+        2 quadsteps + 1 nodes of [kH, (k+1)H] and kept; asking for another
+        ``quadsteps`` drops every table kept for the previous one.
+        """
+        tables = self._tables.get(quadsteps)
+        if tables is None:
+            self._tables.clear()
+            tables = self._tables[quadsteps] = {}
+        table = tables.get(k)
+        if table is None:
+            half = self.H / quadsteps * 0.5  # node 2j sits at kH + j H / quadsteps, as in _running_integral
+            vals = _piece(k * self.H + np.arange(2 * quadsteps + 1) * half, k, self)
+            panels = half / 3.0 * (vals[:-2:2] + 4.0 * vals[1::2] + vals[2::2])
+            table = tables[k] = np.concatenate([[0.0], np.cumsum(panels)])
+        return table
 
 
 # kernel_spec builds at most this many intervals (H >= 0.001): c_coefficients is O(K^2), about
@@ -161,6 +198,18 @@ def _piece(t, k: int, spec: KernelSpec):
     return spec.level + (np.exp if isinstance(u, np.ndarray) else math.exp)(spec.alpha * u) * total
 
 
+def _interval_at(t: float, spec: KernelSpec) -> int:
+    """The interval whose polynomial gives kappa at t >= H.
+
+    Right-continuous everywhere except t = 1 (and t = KH when 1/H is an
+    integer), which belongs to the last interval by left-evaluation.  At
+    least 1, so that at H = 1 (K = 1) kappa(1) is the value alpha H level
+    after the jump, not the level; t >= H makes floor(t / H) >= 1 already.
+    """
+    k = math.floor(t / spec.H)  # a conditional, not min/max: kappa is the hot scalar path
+    return k if k < len(spec.c) else max(1, len(spec.c) - 1)
+
+
 def kappa(t: float, spec: KernelSpec) -> float:
     """The kernel kappa at t in [0, 1]; exactly the constant level for t < H.
 
@@ -172,9 +221,9 @@ def kappa(t: float, spec: KernelSpec) -> float:
         raise DomainError(f"t must lie in [0, 1], got {t}")
     if t < spec.H:
         return spec.level
-    # Right-continuous everywhere except t = 1 (and t = KH when 1/H is an
-    # integer), which belongs to the last interval by left-evaluation.
-    return _piece(t, min(math.floor(t / spec.H), len(spec.c) - 1), spec)
+    k = _interval_at(t, spec)
+    u = t - k * spec.H  # _piece's body, inline: kappa is the hot scalar path
+    return spec.level + math.exp(spec.alpha * u) * _series(spec.c, k, (-spec.alpha) * u)
 
 
 def smooth_pieces(breaks, spec: KernelSpec):
@@ -197,21 +246,36 @@ def simpson(f, lo, hi, panels: int):
     return h / 3.0 * (vals[..., 0] + vals[..., -1] + 4.0 * odd + 2.0 * even)
 
 
+def _running_integral(spec: KernelSpec, k: int, s: float, quadsteps: int) -> float:
+    """Simpson integral of interval k's polynomial over [kH, s]: the table entry up to the
+    panel holding s, plus one Simpson panel of its own on the rest."""
+    table = spec._integral_table(k, quadsteps)
+    width = spec.H / quadsteps
+    j = min(max(math.floor((s - k * spec.H) / width), 0), quadsteps - 1)
+    left = k * spec.H + j * width
+    ends = _piece(left, k, spec) + _piece(s, k, spec)
+    return table.item(j) + (s - left) / 6.0 * (ends + 4.0 * _piece(0.5 * (left + s), k, spec))
+
+
 def kappa_integral_residual(t: float, spec: KernelSpec, quadsteps: int = 2000) -> float:
     """kappa_t - alpha * integral of kappa over [t - H, t] (zero in theory).
 
-    The integral is split at multiples of H; each smooth piece is integrated
-    with its own polynomial (one-sided at the jump in H) and gets a share of
-    ``quadsteps`` Simpson panels proportional to its length.
+    With t in interval k, the window is the part of interval k - 1 above
+    t - H plus the part of interval k below t, each integrated with its own
+    polynomial (one-sided at the jump in H) by composite Simpson with
+    ``quadsteps`` panels per length H.  Both parts are read off the spec's
+    running integrals (``KernelSpec._integral_table``): O(K quadsteps) once
+    per spec, then O(1) lookups and a few scalar evaluations per t.
     """
     t = float(t)
     if not spec.H <= t <= 1.0:
         raise DomainError(f"t must lie in [H, 1], got {t}")
-    integral = 0.0
-    for left, right, k in zip(*(a.tolist() for a in smooth_pieces([t - spec.H, t], spec))):
-        panels = max(1, int(math.ceil(quadsteps * (right - left) / spec.H)))
-        integral += simpson(lambda u: _piece(u, k, spec), left, right, panels)
-    return kappa(t, spec) - spec.alpha * integral
+    if not (isinstance(quadsteps, numbers.Integral) and quadsteps >= 1):
+        raise DomainError(f"quadsteps must be an integer >= 1, got {quadsteps!r}")
+    k = _interval_at(t, spec)
+    whole = spec._integral_table(k - 1, quadsteps).item(quadsteps)
+    below = whole - _running_integral(spec, k - 1, t - spec.H, quadsteps)
+    return kappa(t, spec) - spec.alpha * (below + _running_integral(spec, k, t, quadsteps))
 
 
 def limit_value(c: ContinuousMarket) -> float:
@@ -264,6 +328,7 @@ def kappa_ode_grid(spec: KernelSpec, step: float = 1e-4):
     if K * m > MAX_ODE_NODES:
         raise SizeError(f"step {step} needs more than {MAX_ODE_NODES} nodes ({K} intervals of H / step each)")
     h = H / m
+    half_h, sixth_h = 0.5 * h, h / 6.0  # Python evaluates 0.5 * h * k1 as (0.5 * h) * k1: the same bits
     history = [spec.level] * (m + 1)  # kappa on [0, H], left limit at H
     y = al * H * spec.level
     # Lagrange weights for the midpoints of a grid's first, interior and last step
@@ -273,12 +338,12 @@ def kappa_ode_grid(spec: KernelSpec, step: float = 1e-4):
         windows = sliding_window_view(np.array(history), 4)
         g_half = np.concatenate([[windows[0] @ first], windows @ inside, [windows[-1] @ last]]).tolist()
         current = [y]
-        for i in range(m):
-            k1 = al * (y - history[i])
-            k2 = al * (y + 0.5 * h * k1 - g_half[i])
-            k3 = al * (y + 0.5 * h * k2 - g_half[i])
-            k4 = al * (y + h * k3 - history[i + 1])
-            y = y + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        for before, g, after in zip(history, g_half, history[1:]):
+            k1 = al * (y - before)
+            k2 = al * (y + half_h * k1 - g)
+            k3 = al * (y + half_h * k2 - g)
+            k4 = al * (y + h * k3 - after)
+            y = y + sixth_h * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
             current.append(y)
         history = current
         ys.append(current[1:])

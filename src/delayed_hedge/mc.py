@@ -40,7 +40,6 @@ import numpy as np
 from .errors import IntegrabilityError, LengthMismatch, OptimizerFailure, SizeError
 from .market import DiscreteMarket, validate_discrete
 from .solver import StrategyWeights, wealth
-from .toeplitz import SymToeplitz
 
 GENERATOR_ID = "philox4x64/ndtri-v1"
 
@@ -162,12 +161,6 @@ def strategy_toeplitz_form(w: StrategyWeights, m: DiscreteMarket):
     n = m.n
     column = np.concatenate([[0.0], w.kernel[: n - 1]]) + 2.0 * w.static_coeff  # lag 0 contributes nothing
     return column, np.full(n, w.merton), -w.static_coeff * n * m.sigma_hat**2
-
-
-def strategy_quadratic_form(w: StrategyWeights, m: DiscreteMarket):
-    """``strategy_toeplitz_form`` with Q as a dense n x n matrix (for the dense oracle)."""
-    column, linear, constant = strategy_toeplitz_form(w, m)
-    return SymToeplitz(column).to_dense(), linear, constant
 
 
 def _utility(log_det: float, quad_b: float, constant: float, m: DiscreteMarket) -> float:

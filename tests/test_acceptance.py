@@ -29,9 +29,10 @@ from delayed_hedge.kernel import (
     spec_for_market,
 )
 from delayed_hedge.convergence import build_bn, figure1_data, figure2_data, l2_distance_to_kappa
-from delayed_hedge.mc import analytic_quadratic_utility, estimate_utility, generate, strategy_quadratic_form
+from delayed_hedge.mc import analytic_quadratic_utility, estimate_utility, generate, strategy_toeplitz_form
 from delayed_hedge.solver import StrategyWeights, quadratic_coeffs
 from delayed_hedge.toeplitz import (
+    SymToeplitz,
     check_vanishing_minors,
     dense_det,
     dense_inverse,
@@ -126,7 +127,8 @@ def test_criterion_3_duality():
 def test_criterion_4_value_formula_oracle():
     worst = 0.0
     for m in grid():
-        got = analytic_quadratic_utility(*strategy_quadratic_form(strategy(m), m), m)
+        column, linear, constant = strategy_toeplitz_form(strategy(m), m)
+        got = analytic_quadratic_utility(SymToeplitz(column).to_dense(), linear, constant, m)
         worst = max(worst, abs(got - value(m)) / abs(value(m)))
     report(4, worst < 1e-10, f"Gaussian expectation vs value formula, worst rel {worst:.2e}")
 

@@ -119,6 +119,16 @@ def test_kernel_csv_zero_weights_before_delay(capsys):
             assert gam == 0.0
 
 
+def test_kernel_csv_at_full_delay_ends_after_the_jump(capsys):
+    # H = 1: kappa(1) = alpha H level = 0.5 at ratio 2, where the level is -0.5
+    code, out = run_cli(capsys, "kernel", "--H", "1", "--ratio", "2", "--grid", "4")
+    assert code == 0
+    rows = [[float(p) for p in line.split(",")] for line in out.strip().splitlines()[2:]]
+    assert [row[0] for row in rows] == [0.0, 0.25, 0.5, 0.75, 1.0]
+    assert all(row[1:] == [-0.5, 0.0] for row in rows[:-1])
+    assert rows[-1][1:] == [pytest.approx(0.5, rel=1e-12), pytest.approx(1.0, rel=1e-12)]
+
+
 # SHA-256 of the rows below the '#' line as the ndarray-based scalar loops wrote them (commit
 # 3733e8d).  K = 50 runs the interval series far deeper than the K = 5 of the fig1 tables.
 @pytest.mark.parametrize(

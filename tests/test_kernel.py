@@ -9,6 +9,7 @@ from delayed_hedge import ContinuousMarket, DomainError, SizeError, discretize, 
 import delayed_hedge.kernel as kernel_module
 from delayed_hedge.kernel import (
     MAX_INTERVALS,
+    KernelSpec,
     _piece,
     alpha,
     c_closed_forms,
@@ -385,6 +386,114 @@ def test_integral_equation_residuals():
 def test_integral_equation_domain():
     with pytest.raises(DomainError):
         kappa_integral_residual(0.1, spec_of(0.2, 2.0))
+    for quadsteps in (0, -3, 2.5, 2000.0):
+        with pytest.raises(DomainError, match="quadsteps"):
+            kappa_integral_residual(0.5, spec_of(0.2, 2.0), quadsteps=quadsteps)
+
+
+def _window_pieces(t, spec, quadsteps):
+    """(left, right, k, panels) of each smooth piece of [t - H, t], as the per-window residual cut it."""
+    pieces = zip(*(a.tolist() for a in smooth_pieces([t - spec.H, t], spec)))
+    return [(left, right, k, max(1, int(math.ceil(quadsteps * (right - left) / spec.H)))) for left, right, k in pieces]
+
+
+def _per_window_residual(t, spec, quadsteps=2000):
+    """The residual with its window integrated afresh: split at multiples of H, each
+    smooth piece by Simpson with a share of ``quadsteps`` panels proportional to its length."""
+    t = float(t)
+    integral = 0.0
+    for left, right, k, panels in _window_pieces(t, spec, quadsteps):
+        integral += simpson(lambda u: _piece(u, k, spec), left, right, panels)
+    return kappa(t, spec) - spec.alpha * integral
+
+
+@pytest.mark.parametrize("quadsteps", [1, 2, 7, 2000])
+@pytest.mark.parametrize("ratio", [0.5, 2.0])
+@pytest.mark.parametrize("H", [0.02, 0.05, 0.2, 0.5, 1.0])
+def test_running_integral_residual_matches_the_per_window_simpson(H, ratio, quadsteps):
+    # On a multiple of H both rules integrate one whole interval with quadsteps panels, so they
+    # agree for any quadsteps.  The per-window rule gives a window of length H (1 + eps) one panel
+    # more, and a sliver cut off before a rounded multiple of H a panel of its own; such t are
+    # left to quadsteps = 2000, where either rule is accurate to far below 1e-12, as is every t
+    # between the multiples.
+    spec = spec_of(H, ratio)
+    ts = [k * H for k in range(1, spec.K + 1)] + [1.0]
+    if quadsteps == 2000:
+        ts += np.linspace(H, 1.0, 41).tolist()
+    else:
+        ts = [t for t in ts if sum(piece[3] for piece in _window_pieces(t, spec, quadsteps)) == quadsteps]
+        assert len(ts) >= min(spec.K, 5)
+    for t in ts:
+        assert abs(kappa_integral_residual(t, spec, quadsteps) - _per_window_residual(t, spec, quadsteps)) <= 1e-12
+    if quadsteps == 2000:
+        assert max(abs(kappa_integral_residual(t, spec)) for t in ts) <= 1e-12
+
+
+@pytest.mark.parametrize("H,index", [(0.2, 2), (0.02, 2), (0.02, 30)])
+def test_running_integral_residual_sees_a_perturbed_constant(H, index):
+    spec = spec_of(H, 2.0)
+    c = list(spec.c)
+    c[index] *= 1.0 + 1e-6
+    bad = KernelSpec(alpha=spec.alpha, H=H, c=tuple(c))
+    assert max(abs(kappa_integral_residual(t, bad)) for t in np.linspace(H, 1.0, 200).tolist()) > 1e-8
+
+
+def test_running_integrals_are_built_once_per_interval_and_quadsteps(monkeypatch):
+    built = []
+
+    def counting_piece(t, k, spec):
+        if isinstance(t, np.ndarray):
+            built.append((k, t.size))
+        return _piece(t, k, spec)
+
+    monkeypatch.setattr(kernel_module, "_piece", counting_piece)
+    spec = spec_of(0.2, 2.0)  # K = 5
+    ts = np.linspace(0.2, 1.0, 200).tolist()
+    first = [kappa_integral_residual(t, spec, 50) for t in ts]
+    assert sorted(built) == [(k, 101) for k in range(5)]
+    assert [kappa_integral_residual(t, spec, 50) for t in ts] == first
+    assert len(built) == 5
+    # one quadsteps is held at a time: another one rebuilds, and so does going back
+    kappa_integral_residual(0.5, spec, 7)
+    assert built[5:] == [(1, 15), (2, 15)]
+    assert list(spec._tables) == [7]
+    kappa_integral_residual(0.5, spec, 50)
+    assert len(built) == 9
+    # a fresh spec builds its own tables
+    kappa_integral_residual(0.5, spec_of(0.2, 2.0), 50)
+    assert len(built) == 11
+
+
+def test_running_integrals_stay_small_at_the_interval_cap():
+    import tracemalloc
+
+    spec = spec_of(0.001, 2.0)
+    assert spec.K == MAX_INTERVALS
+    ts = np.linspace(0.001, 1.0, 20).tolist()
+    tracemalloc.start()
+    try:
+        worst = max(abs(kappa_integral_residual(t, spec)) for t in ts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert worst < 1e-8
+    tables = spec._tables[2000]
+    assert len(tables) <= 2 * len(ts)
+    assert sum(table.nbytes for table in tables.values()) == len(tables) * 2001 * 8
+    assert peak < 2_000_000
+
+
+@pytest.mark.parametrize("ratio", [0.5, 2.0])
+def test_kappa_at_full_delay_is_the_value_after_the_jump(ratio):
+    # H = 1 leaves one interval, so t = 1 = H must take the value alpha H level after the jump
+    spec = spec_of(1.0, ratio)
+    assert spec.K == 1
+    assert kappa(1.0, spec) == pytest.approx(spec.alpha * spec.level, rel=1e-12)
+    assert kappa(1.0, spec) != pytest.approx(spec.level)
+    assert abs(kappa_integral_residual(1.0, spec)) <= 1e-12
+    ts, ys = kappa_ode_grid(spec)
+    assert ts.tolist() == [1.0]
+    assert kappa(1.0, spec) == pytest.approx(ys[0], rel=1e-12)
 
 
 # --- strategy kernel: gamma_u = kappa_u - level ----------------------------

@@ -14,7 +14,6 @@ from delayed_hedge.mc import (
     estimate_utility,
     generate,
     reflection_coefficients,
-    strategy_quadratic_form,
     strategy_toeplitz_form,
     toeplitz_quadratic_utility,
 )
@@ -112,6 +111,12 @@ def test_report_json_fields():
     doc = report.to_json()
     assert set(doc) == {"empirical_mean", "std_error", "analytic", "n_paths", "seed", "ess"}
     assert doc["seed"] == 9
+
+
+def strategy_quadratic_form(w: StrategyWeights, m: DiscreteMarket):
+    """``strategy_toeplitz_form`` with Q as a dense n x n matrix, for ``analytic_quadratic_utility``."""
+    column, linear, constant = strategy_toeplitz_form(w, m)
+    return SymToeplitz(column).to_dense(), linear, constant
 
 
 def test_analytic_constant_only():
