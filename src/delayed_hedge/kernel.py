@@ -26,11 +26,17 @@ An independent RK4 method-of-steps integrator and the first ten c_k in closed
 form are provided as cross-check oracles for the recursion.
 Quadrature and the oracles evaluate one interval's polynomial on whole node
 arrays; scalar ``kappa`` keeps ``math.exp``.  The constants are a tuple of
-Python floats, and the scalar loops (the recurrence, scalar ``kappa``, the RK4
-steps) run on Python floats: numpy scalars would give the same bits at about
-twice the cost, so ``kappa`` and ``kappa_integral_residual`` convert ``t`` on
-entry.  ``kernel_spec`` builds at most ``MAX_INTERVALS`` intervals
-(H >= 0.001), and ``kappa_ode_grid`` at most ``MAX_ODE_NODES`` nodes.
+Python floats, and the scalar loops (the recurrence and scalar ``kappa``) run
+on Python floats: numpy scalars would give the same bits at about twice the
+cost, so ``kappa`` and ``kappa_integral_residual`` convert ``t`` on entry.
+The RK4 oracle has no step loop: one RK4 step of the linear delay equation is
+the map y -> rho y + f_i, so ``kappa_ode_grid`` solves an interval's m steps
+as one recurrence, y_j = rho^j (y_0 + sum_{i<j} f_i rho^-(i+1)), by
+``cumsum`` in chunks of L steps with L |log rho| <= 1 and powers
+exp(j log1p(rho - 1)): a fixed number of array operations per interval, a
+few more per chunk.  ``kernel_spec`` builds at most ``MAX_INTERVALS``
+intervals (H >= 0.001), and ``kappa_ode_grid`` at most ``MAX_ODE_NODES``
+nodes.
 
 ``kappa_integral_residual`` reads the window integral off running Simpson
 integrals that a spec builds once per interval and ``quadsteps`` (panels per
@@ -206,7 +212,7 @@ def _interval_at(t: float, spec: KernelSpec) -> int:
     least 1, so that at H = 1 (K = 1) kappa(1) is the value alpha H level
     after the jump, not the level; t >= H makes floor(t / H) >= 1 already.
     """
-    k = math.floor(t / spec.H)  # a conditional, not min/max: kappa is the hot scalar path
+    k = math.floor(t / spec.H)
     return k if k < len(spec.c) else max(1, len(spec.c) - 1)
 
 
@@ -219,11 +225,23 @@ def kappa(t: float, spec: KernelSpec) -> float:
     t = float(t)
     if not 0.0 <= t <= 1.0:
         raise DomainError(f"t must lie in [0, 1], got {t}")
-    if t < spec.H:
+    H, c, al = spec.H, spec.c, spec.alpha
+    if t < H:
         return spec.level
-    k = _interval_at(t, spec)
-    u = t - k * spec.H  # _piece's body, inline: kappa is the hot scalar path
-    return spec.level + math.exp(spec.alpha * u) * _series(spec.c, k, (-spec.alpha) * u)
+    # _interval_at and _piece inline, with _series's order of operations: kappa is the hot scalar path
+    k = math.floor(t / H)
+    if k >= len(c):
+        k = max(1, len(c) - 1)
+    u = t - k * H
+    # _series from its second term on: its first adds c[k - 1] * 1.0 to 0.0 and makes the term
+    # 1.0 * (ratio / 1), both exact (up to the sign of a zero total, which level + ... drops)
+    total = c[k - 1]
+    if k > 1:
+        ratio = term = (-al) * u
+        for j in range(2, k + 1):
+            total += c[k - j] * term
+            term *= ratio / j
+    return spec.level + math.exp(al * u) * total
 
 
 def smooth_pieces(breaks, spec: KernelSpec):
@@ -246,14 +264,15 @@ def simpson(f, lo, hi, panels: int):
     return h / 3.0 * (vals[..., 0] + vals[..., -1] + 4.0 * odd + 2.0 * even)
 
 
-def _running_integral(spec: KernelSpec, k: int, s: float, quadsteps: int) -> float:
+def _running_integral(spec: KernelSpec, k: int, s: float, at_s: float, quadsteps: int) -> float:
     """Simpson integral of interval k's polynomial over [kH, s]: the table entry up to the
-    panel holding s, plus one Simpson panel of its own on the rest."""
+    panel holding s, plus one Simpson panel of its own on the rest.  ``at_s`` is the
+    polynomial's value at s, which the caller already holds."""
     table = spec._integral_table(k, quadsteps)
     width = spec.H / quadsteps
     j = min(max(math.floor((s - k * spec.H) / width), 0), quadsteps - 1)
     left = k * spec.H + j * width
-    ends = _piece(left, k, spec) + _piece(s, k, spec)
+    ends = _piece(left, k, spec) + at_s
     return table.item(j) + (s - left) / 6.0 * (ends + 4.0 * _piece(0.5 * (left + s), k, spec))
 
 
@@ -270,12 +289,15 @@ def kappa_integral_residual(t: float, spec: KernelSpec, quadsteps: int = 2000) -
     t = float(t)
     if not spec.H <= t <= 1.0:
         raise DomainError(f"t must lie in [H, 1], got {t}")
-    if not (isinstance(quadsteps, numbers.Integral) and quadsteps >= 1):
+    # type() first: an isinstance check against the numbers ABC costs about 1 us, a tenth of the call
+    if not ((type(quadsteps) is int or isinstance(quadsteps, numbers.Integral)) and quadsteps >= 1):
         raise DomainError(f"quadsteps must be an integer >= 1, got {quadsteps!r}")
     k = _interval_at(t, spec)
+    s = t - spec.H
     whole = spec._integral_table(k - 1, quadsteps).item(quadsteps)
-    below = whole - _running_integral(spec, k - 1, t - spec.H, quadsteps)
-    return kappa(t, spec) - spec.alpha * (below + _running_integral(spec, k, t, quadsteps))
+    below = whole - _running_integral(spec, k - 1, s, _piece(s, k - 1, spec), quadsteps)
+    at_t = kappa(t, spec)  # interval k's polynomial at t, since t >= H
+    return at_t - spec.alpha * (below + _running_integral(spec, k, t, at_t, quadsteps))
 
 
 def limit_value(c: ContinuousMarket) -> float:
@@ -316,6 +338,21 @@ def kappa_ode_grid(spec: KernelSpec, step: float = 1e-4):
     integrator shares nothing with the series representation.  Returns
     (ts, values) on [H, min(KH, 1)].
 
+    The equation is linear, so one RK4 step of length h is the map
+    y -> rho y + f_i with z = alpha h, rho = 1 + z + z^2/2 + z^3/6 + z^4/24
+    (> 0 for every real z) and
+
+        f_i = -(z/6) ((1 + z + z^2/2 + z^3/4) before_i + (4 + 2z + z^2/2) half_i + after_i),
+
+    where before_i, half_i and after_i are the delayed values at the step's
+    start, midpoint and end.  An interval solves the recurrence at once as
+    y_j = rho^j (y_0 + sum_{i<j} f_i rho^-(i+1)) with one ``cumsum``, in
+    chunks of L steps with L |log rho| <= 1, so that no power leaves
+    [1/e, e]; the powers are exp(j log1p(rho - 1)), which stay within an ulp
+    or two where a running product of rho would drift by j ulps.  An interval
+    costs a fixed number of array operations on its m + 1 nodes, plus a few
+    per chunk.
+
     Each interval takes m = max(4, ceil(H / step)) steps.  ``step`` must be
     finite and positive (``DomainError``), and the K m nodes, history
     included, at most ``MAX_ODE_NODES`` (``SizeError``, before anything is
@@ -328,23 +365,27 @@ def kappa_ode_grid(spec: KernelSpec, step: float = 1e-4):
     if K * m > MAX_ODE_NODES:
         raise SizeError(f"step {step} needs more than {MAX_ODE_NODES} nodes ({K} intervals of H / step each)")
     h = H / m
-    half_h, sixth_h = 0.5 * h, h / 6.0  # Python evaluates 0.5 * h * k1 as (0.5 * h) * k1: the same bits
-    history = [spec.level] * (m + 1)  # kappa on [0, H], left limit at H
+    z = al * h
+    log_rho = math.log1p(z * (1.0 + z * (0.5 + z * (1.0 / 6.0 + z / 24.0))))
+    L = m if abs(log_rho) * m <= 1.0 else max(1, math.floor(1.0 / abs(log_rho)))
+    powers = np.exp(np.arange(1, L + 1) * log_rho)  # rho^j, j = 1..L
+    inverse = np.exp(np.arange(1, L + 1) * -log_rho)  # rho^-j
+    scale, before_w, half_w = -z / 6.0, 1.0 + z * (1.0 + z * (0.5 + 0.25 * z)), 4.0 + z * (2.0 + 0.5 * z)
+    history = np.full(m + 1, spec.level)  # kappa on [0, H], left limit at H
     y = al * H * spec.level
     # Lagrange weights for the midpoints of a grid's first, interior and last step
     first, inside, last = np.array([[5, 15, -5, 1], [-1, 9, 9, -1], [1, -5, 15, 5]]) / 16.0
     ys = [[y]]
     for interval in range(1, K):
-        windows = sliding_window_view(np.array(history), 4)
-        g_half = np.concatenate([[windows[0] @ first], windows @ inside, [windows[-1] @ last]]).tolist()
-        current = [y]
-        for before, g, after in zip(history, g_half, history[1:]):
-            k1 = al * (y - before)
-            k2 = al * (y + half_h * k1 - g)
-            k3 = al * (y + half_h * k2 - g)
-            k4 = al * (y + h * k3 - after)
-            y = y + sixth_h * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            current.append(y)
+        windows = sliding_window_view(history, 4)
+        g_half = np.concatenate([[windows[0] @ first], windows @ inside, [windows[-1] @ last]])
+        f = scale * (before_w * history[:-1] + half_w * g_half + history[1:])
+        current = np.empty(m + 1)
+        current[0] = y
+        for s in range(0, m, L):
+            n = min(L, m - s)
+            current[s + 1 : s + n + 1] = powers[:n] * (y + np.cumsum(f[s : s + n] * inverse[:n]))
+            y = current[s + n]
         history = current
         ys.append(current[1:])
     ts = np.concatenate([[H]] + [interval * H + np.arange(1, m + 1) * h for interval in range(1, K)])

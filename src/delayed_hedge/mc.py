@@ -211,13 +211,14 @@ def reflection_coefficients(column: np.ndarray) -> np.ndarray:
     y = np.empty(len(r))
     if len(r) == 0:
         return alphas
+    rrev = r[::-1].copy()  # rrev[-k:] is r[k - 1::-1], contiguous: a faster dot than the negative stride
     alpha = alphas[0] = y[0] = -r[0]
     beta = 1.0
     for k in range(1, len(r)):
         if not abs(alpha) < 1.0:
             return alphas[:k]
         beta *= 1.0 - alpha * alpha
-        alpha = alphas[k] = -(r[k] + np.dot(r[k - 1 :: -1], y[:k])) / beta
+        alpha = alphas[k] = -(r[k] + np.dot(rrev[-k:], y[:k])) / beta
         y[:k] += alpha * y[k - 1 :: -1]
         y[k] = alpha
     return alphas

@@ -94,7 +94,7 @@ def quadratic_coeffs(m: DiscreteMarket) -> QuadraticCoeffs:
     return QuadraticCoeffs(
         qa=float(D * (D + 1)),
         qb=2 * D + 1 - D * (D + 1) * ratio2 / m.n,
-        qc=1.0 - ratio2,
+        qc=(m.sigma_hat - m.sigma) * (m.sigma_hat + m.sigma) / m.sigma_hat**2,  # 1 - ratio2, without cancelling
     )
 
 
@@ -102,17 +102,17 @@ def solve_a(m: DiscreteMarket) -> float:
     """Largest root of the hedging quadratic, via the explicit expression."""
     validate_discrete(m)
     D = m.delay
-    if m.sigma == m.sigma_hat:
-        return 0.0  # consistent pricing; the formula only recovers this up to rounding
-    if D == 0:
-        return m.sigma**2 / m.sigma_hat**2 - 1.0
     q = quadratic_coeffs(m)
     disc = q.qb * q.qb - 4.0 * q.qa * q.qc
     if disc < 0.0:
         if disc < -DISCRIMINANT_CLAMP * max(1.0, q.qb * q.qb, abs(4.0 * q.qa * q.qc)):
             raise NumericalError(f"negative discriminant {disc} for {m}")
         disc = 0.0
-    a = m.sigma**2 / (2 * m.n * m.sigma_hat**2) + (math.sqrt(disc) - 2 * D - 1) / (2 * q.qa)
+    root = math.sqrt(disc)
+    # the largest root (root - qb) / (2 qa), taken in the form that subtracts nothing: for
+    # qb > 0 it is -2 qc / (qb + root), which also covers D = 0 (qa = 0) and sigma = sigma_hat
+    # (qc = 0; the + 0.0 makes that root 0.0, not -0.0)
+    a = -2.0 * q.qc / (q.qb + root) + 0.0 if q.qb > 0.0 else (root - q.qb) / (2.0 * q.qa)
     if a * (D + 1) + 1.0 <= 0.0:
         raise NumericalError(f"root a = {a} violates a > -1/(D+1) for {m}")
     # evaluating the quadratic at the rounded root leaves ~ |q'(a)| |a| eps,

@@ -163,21 +163,32 @@ def check_vanishing_minors(matrix: SymToeplitz, delay: int, tol: float = 1e-9) -
     return True
 
 
-def _require_well_conditioned(matrix: np.ndarray) -> np.ndarray:
-    matrix = np.asarray(matrix, dtype=float)
-    if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
-        raise DomainError(f"expected a square matrix, got shape {matrix.shape}")
-    cond = np.linalg.cond(matrix, 1)
+def _checked_inverse(matrix: np.ndarray) -> np.ndarray:
+    """The inverse of a square float ``matrix`` whose 1-norm condition is below CONDITION_LIMIT.
+
+    The condition is norm(A, 1) norm(A^-1, 1), the value ``np.linalg.cond(A, 1)``
+    computes from an inverse of its own, here read off the one inverse;
+    ``SingularMatrix`` when LAPACK finds no inverse or the condition is too large.
+    """
+    if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1] or matrix.size == 0:
+        raise DomainError(f"expected a non-empty square matrix, got shape {matrix.shape}")
+    try:
+        inverse = np.linalg.inv(matrix)
+    except np.linalg.LinAlgError as exc:
+        raise SingularMatrix(f"no inverse: {exc}") from None
+    cond = np.linalg.norm(matrix, 1) * np.linalg.norm(inverse, 1)
     if not np.isfinite(cond) or cond >= CONDITION_LIMIT:
         raise SingularMatrix(f"condition estimate {cond:.3e} exceeds {CONDITION_LIMIT:.0e}")
-    return matrix
+    return inverse
 
 
 def dense_inverse(matrix: np.ndarray) -> np.ndarray:
     """Inverse by pivoted elimination; oracle for inverse_via_v."""
-    return np.linalg.inv(_require_well_conditioned(matrix))
+    return _checked_inverse(np.asarray(matrix, dtype=float))
 
 
 def dense_det(matrix: np.ndarray) -> float:
     """Determinant by pivoted elimination; oracle for det_closed_form."""
-    return float(np.linalg.det(_require_well_conditioned(matrix)))
+    matrix = np.asarray(matrix, dtype=float)
+    _checked_inverse(matrix)  # the condition check
+    return float(np.linalg.det(matrix))

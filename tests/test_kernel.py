@@ -159,7 +159,7 @@ def test_scalar_kappa_keeps_math_exp(monkeypatch):
     assert len(calls) == 1
 
 
-@pytest.mark.parametrize("H", [0.2, 0.15, 0.02])
+@pytest.mark.parametrize("H", [0.2, 0.15, 0.02, 1.0])
 @pytest.mark.parametrize("ratio", [0.5, 2.0])
 def test_series_keeps_the_written_out_recurrence_bit_for_bit(H, ratio):
     spec = spec_of(H, ratio)
@@ -173,7 +173,7 @@ def test_series_keeps_the_written_out_recurrence_bit_for_bit(H, ratio):
         c.append(math.exp(al * H) * total)
     assert list(spec.c) == c
     for t in np.linspace(H, 1.0, 97).tolist():
-        k = min(math.floor(t / H), spec.K - 1)
+        k = min(math.floor(t / H), max(1, spec.K - 1))  # t = 1 = H takes interval 1
         u = t - k * H
         term, total = 1.0, 0.0
         for j in range(k):
@@ -293,7 +293,7 @@ def test_ode_grid_half_step_weights_match_rebuilt_lagrange_weights(H, ratio, ste
 
 
 def _ode_grid_on_ndarray(spec, step):
-    """kappa_ode_grid with its history in an ndarray, read back one np.float64 at a time."""
+    """The RK4 step loop that kappa_ode_grid replaced by its recurrence, history in an ndarray."""
     H, K, al = spec.H, spec.K, spec.alpha
     m = max(4, int(math.ceil(H / step)))
     h = H / m
@@ -321,14 +321,26 @@ def _ode_grid_on_ndarray(spec, step):
     return ts[keep], ys[keep]
 
 
-@pytest.mark.parametrize("H", [0.02, 0.15, 0.8])
-@pytest.mark.parametrize("ratio", [0.5, 2.0])
-def test_ode_grid_on_lists_matches_the_ndarray_history_bit_for_bit(H, ratio):
+# ratio 20 at H 0.2 has |alpha H| near 3.9, so an interval runs in several chunks; the
+# recurrence sums in another order than the loop, so the values agree to rounding, not bits
+@pytest.mark.parametrize("H", [0.02, 0.15, 0.2, 0.8, 1.0])
+@pytest.mark.parametrize("ratio", [0.05, 0.5, 2.0, 20.0])
+def test_ode_grid_recurrence_matches_the_step_loop(H, ratio):
     spec = spec_of(H, ratio)
-    ts, ys = kappa_ode_grid(spec, step=1e-3)
-    want_ts, want_ys = _ode_grid_on_ndarray(spec, 1e-3)
+    for step in (1e-3, 1e-4):
+        ts, ys = kappa_ode_grid(spec, step=step)
+        want_ts, want_ys = _ode_grid_on_ndarray(spec, step)
+        assert np.array_equal(ts, want_ts)
+        np.testing.assert_allclose(ys, want_ys, rtol=0, atol=1e-13 * np.abs(want_ys).max())
+
+
+def test_ode_grid_recurrence_matches_the_step_loop_one_step_per_chunk():
+    # |log rho| > 1 leaves one step per chunk: alpha h = -8.75 gives rho near 163
+    spec = KernelSpec(alpha=-100.0, H=0.35, c=(100.0, 0.0, 0.0))
+    ts, ys = kappa_ode_grid(spec, step=1.0)
+    want_ts, want_ys = _ode_grid_on_ndarray(spec, 1.0)
     assert np.array_equal(ts, want_ts)
-    assert np.array_equal(ys, want_ys)
+    np.testing.assert_allclose(ys, want_ys, rtol=0, atol=1e-13 * np.abs(want_ys).max())
 
 
 @pytest.mark.parametrize("step", [0.0, -1e-3, -math.inf, math.inf, math.nan])
@@ -427,6 +439,31 @@ def test_running_integral_residual_matches_the_per_window_simpson(H, ratio, quad
         assert abs(kappa_integral_residual(t, spec, quadsteps) - _per_window_residual(t, spec, quadsteps)) <= 1e-12
     if quadsteps == 2000:
         assert max(abs(kappa_integral_residual(t, spec)) for t in ts) <= 1e-12
+
+
+def _residual_with_piece_at_both_ends(t, spec, quadsteps=2000):
+    """kappa_integral_residual as written before it passed kappa(t) on as the window's upper end."""
+
+    def running(k, s):
+        table = spec._integral_table(k, quadsteps)
+        width = spec.H / quadsteps
+        j = min(max(math.floor((s - k * spec.H) / width), 0), quadsteps - 1)
+        left = k * spec.H + j * width
+        ends = _piece(left, k, spec) + _piece(s, k, spec)
+        return table.item(j) + (s - left) / 6.0 * (ends + 4.0 * _piece(0.5 * (left + s), k, spec))
+
+    k = math.floor(t / spec.H)
+    k = k if k < spec.K else max(1, spec.K - 1)
+    whole = spec._integral_table(k - 1, quadsteps).item(quadsteps)
+    return kappa(t, spec) - spec.alpha * (whole - running(k - 1, t - spec.H) + running(k, t))
+
+
+@pytest.mark.parametrize("H,ratio", [(0.2, 2.0), (0.02, 0.5)])
+def test_residual_keeps_its_bits_when_it_reuses_kappa_at_t(H, ratio):
+    spec = spec_of(H, ratio)
+    ts = np.linspace(H, 1.0, 200).tolist()
+    got = [kappa_integral_residual(t, spec).hex() for t in ts]
+    assert got == [_residual_with_piece_at_both_ends(t, spec).hex() for t in ts]
 
 
 @pytest.mark.parametrize("H,index", [(0.2, 2), (0.02, 2), (0.02, 30)])

@@ -303,6 +303,35 @@ def test_levinson_and_dense_agree_across_the_integrability_boundary(m, direction
                 assert fast == pytest.approx(dense, rel=1e-10)
 
 
+def _durbin_on_negative_strides(column):
+    """reflection_coefficients as written with the dot on the negative-stride view r[k-1::-1]."""
+    r = column[1:] / column[0]
+    alphas, y = np.empty(len(r)), np.empty(len(r))
+    if len(r) == 0:
+        return alphas
+    alpha = alphas[0] = y[0] = -r[0]
+    beta = 1.0
+    for k in range(1, len(r)):
+        if not abs(alpha) < 1.0:
+            return alphas[:k]
+        beta *= 1.0 - alpha * alpha
+        alpha = alphas[k] = -(r[k] + np.dot(r[k - 1 :: -1], y[:k])) / beta
+        y[:k] += alpha * y[k - 1 :: -1]
+        y[k] = alpha
+    return alphas
+
+
+def test_reflection_coefficients_keep_the_bits_of_the_negative_stride_dot():
+    columns = [np.array([1.0, 0.5, 0.9, 0.1, 0.2])]  # not positive definite: the recursion stops early
+    for n, delay, sigma_hat in [(1, 0, 1.3), (2, 1, 0.8), (64, 3, 1.3), (300, 20, 0.7), (2048, 200, 1.4)]:
+        m = DiscreteMarket(n=n, delay=delay, mu=0.1, sigma=1.0 / math.sqrt(n), sigma_hat=sigma_hat / math.sqrt(n))
+        column, _, _ = strategy_toeplitz_form(strategy(m), m)
+        column[0] += 1.0 / m.sigma**2
+        columns.append(column)
+    for column in columns:
+        assert np.array_equal(reflection_coefficients(column), _durbin_on_negative_strides(column))
+
+
 def test_reflection_coefficients_stop_at_the_first_that_is_not_below_one():
     column = np.array([1.0, 0.5, 0.9, 0.1, 0.2])  # not positive definite
     alphas = reflection_coefficients(column)

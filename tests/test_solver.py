@@ -1,4 +1,5 @@
 import dataclasses
+import decimal
 import math
 
 import numpy as np
@@ -77,6 +78,58 @@ def test_root_properties(n, delay, sigma_hat):
     if delay > 0:
         other = q.qc / (q.qa * a) if a != 0 else -q.qb / q.qa
         assert other <= a + 1e-12
+
+
+def _root_60_digits(m):
+    """The largest root of the hedging quadratic in 60-digit decimal arithmetic, from the exact
+    binary values of sigma and sigma_hat, by the textbook formula."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 60
+        D, n = decimal.Decimal(m.delay), decimal.Decimal(m.n)
+        ratio2 = decimal.Decimal(m.sigma) ** 2 / decimal.Decimal(m.sigma_hat) ** 2
+        qa, qb, qc = D * (D + 1), 2 * D + 1 - D * (D + 1) * ratio2 / n, 1 - ratio2
+        if m.delay == 0:
+            return -qc
+        return (-qb + (qb * qb - 4 * qa * qc).sqrt()) / (2 * qa)
+
+
+@st.composite
+def _near_consistent_markets(draw):
+    n = draw(st.integers(min_value=2, max_value=10**6))
+    delay = draw(st.integers(min_value=0, max_value=min(200, n - 1)))
+    sigma = draw(st.floats(min_value=0.01, max_value=10.0))
+    kind = draw(st.sampled_from(["ulps", "close", "far"]))
+    if kind == "ulps":  # sigma_hat up to 8 ulps from sigma, where the sign law is decided by the last bit
+        sigma_hat = sigma
+        for _ in range(draw(st.integers(min_value=1, max_value=8))):
+            sigma_hat = math.nextafter(sigma_hat, draw(st.sampled_from([0.0, math.inf])))
+    elif kind == "close":
+        sigma_hat = sigma * math.exp(draw(st.floats(min_value=-0.1, max_value=0.1)))
+    else:
+        sigma_hat = sigma * math.exp(draw(st.floats(min_value=-3.0, max_value=3.0)))
+    return market(n, delay, sigma_hat, sigma=sigma)
+
+
+@settings(deadline=None, max_examples=300)
+@given(m=_near_consistent_markets())
+def test_root_matches_a_60_digit_oracle_near_consistent_pricing(m):
+    a = solve_a(m)
+    exact = _root_60_digits(m)
+    if m.sigma == m.sigma_hat:
+        assert a == 0.0 and math.copysign(1.0, a) == 1.0
+    else:
+        assert abs(decimal.Decimal(a) - exact) <= decimal.Decimal(1e-13) * abs(exact)
+        assert (a < 0) == (m.sigma_hat > m.sigma)  # the sign law
+        assert (a > 0) == (m.sigma_hat < m.sigma)
+
+
+def test_root_has_the_right_sign_one_ulp_from_consistent_pricing():
+    sigma = 0.16507995634987824
+    m = market(1000, 4, math.nextafter(sigma, math.inf), sigma=sigma)
+    a = solve_a(m)
+    assert a == -3.7446355164917486e-17  # the cancelling form gave +1.05e-17
+    exact = _root_60_digits(m)
+    assert abs(decimal.Decimal(a) - exact) <= decimal.Decimal(1e-15) * abs(exact)
 
 
 # --- weights ---------------------------------------------------------------

@@ -271,8 +271,37 @@ def test_dense_oracles():
 
 
 def test_dense_oracles_reject_singular():
-    with pytest.raises(SingularMatrix):
-        dense_inverse(np.ones((3, 3)))
+    for singular in (np.ones((3, 3)), np.zeros((2, 2))):
+        for oracle in (dense_inverse, dense_det):
+            with pytest.raises(SingularMatrix):
+                oracle(singular)
+    for shape in ((2, 3), (0, 0), (4,)):
+        with pytest.raises(DomainError):
+            dense_inverse(np.ones(shape))
+
+
+def test_dense_oracles_read_the_condition_off_their_one_inverse(monkeypatch):
+    # cond(A, 1) inverts A once more; the oracles take norm(A, 1) norm(A^-1, 1), the same value
+    rng = np.random.default_rng(3)
+    matrices = [hedge_matrix(DiscreteMarket(n=n, delay=d, mu=0.1, sigma=1.0, sigma_hat=1.3)).to_dense()
+                for n, d in ((4, 1), (16, 3), (32, 31))] + [rng.normal(size=(6, 6))]
+    conds = [np.linalg.cond(matrix, 1) for matrix in matrices]
+    inverses = [np.linalg.inv(matrix) for matrix in matrices]
+    dets = [np.linalg.det(matrix) for matrix in matrices]
+
+    def no_cond(*args, **kwargs):
+        raise AssertionError("np.linalg.cond inverts the matrix a second time")
+
+    monkeypatch.setattr(np.linalg, "cond", no_cond)
+    for matrix, cond, inverse, det in zip(matrices, conds, inverses, dets):
+        got = dense_inverse(matrix)
+        assert np.array_equal(got, inverse)
+        assert np.linalg.norm(matrix, 1) * np.linalg.norm(got, 1) == cond
+        assert dense_det(matrix) == det
+    # diag(1, 1e-13) has condition 1e13 and diag(1, 1e-11) 1e11, across the limit of 1e12
+    with pytest.raises(SingularMatrix, match="condition"):
+        dense_inverse(np.diag([1.0, 1e-13]))
+    assert np.array_equal(dense_inverse(np.diag([1.0, 1e-11])), np.diag([1.0, 1e11]))
 
 
 def _row_recurrence(a, delay, n):
