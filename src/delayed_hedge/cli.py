@@ -158,6 +158,9 @@ def cmd_simulate(args) -> int:
     report = mc.estimate_utility(batch, w, m)
     payload = report.to_json()
     payload["value_formula"] = sol.value
+    if report.analytic is not None and report.std_error > 0.0:
+        # how many standard errors the estimate sits from its oracle; left out where it would not be finite
+        payload["z_vs_analytic"] = (report.empirical_mean - report.analytic) / report.std_error
     skipped = mc.analytic_skip_reason(m)
     if skipped is not None:
         payload["analytic_skipped"] = skipped

@@ -11,10 +11,11 @@ both the relative entropy of the dual measure and -log(-value).  C is the
 ``c_hat`` view of ``solver.solve``; every function here reads one solution.
 
 The measure is stored in one form only, the (D+1) x n lower band of its
-covariance (``toeplitz.inverse_band``), so building it, its entropy (banded
-Cholesky, O(n D^2)), its marginal and its martingale check cost O(n D)
-memory: no n x n array is built.  ``toeplitz.band_to_dense`` is the dense
-oracle view.
+covariance (``toeplitz.inverse_band``), so building it, its entropy (block
+Cholesky of the band, ``toeplitz.band_log_det``), its marginal and its
+martingale check (``toeplitz.band_matvec``) cost O(n D) memory: no n x n
+array is built, and no path here imports scipy.  ``toeplitz.band_to_dense``
+is the dense oracle view.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ import numpy as np
 from .errors import DomainError, NumericalError
 from .market import DiscreteMarket
 from .solver import HedgeSolution, as_paths, causal_convolve, quadratic_forms, solve, strategy, wealth
-from .toeplitz import inverse_band
+from .toeplitz import band_log_det, band_matvec, inverse_band
 
 # Seeded probe vectors of the randomized check that the stored band inverts A.
 PROBE_COUNT = 3
@@ -76,7 +77,7 @@ def check_delayed_martingale(dm: DualMeasure, delay: int, tol: float) -> bool:
     * every stored diagonal beyond ``delay`` stays below tol * max |entry|;
     * the band must invert the solution's A: for seeded probe
       vectors z, |A (B z) - z| <= tol |z| with B = band / sigma^2 applied by
-      the banded BLAS product (dsbmv), and A = (a + 1) I + T(b) by
+      ``toeplitz.band_matvec``, and A = (a + 1) I + T(b) by
       ``causal_convolve`` on y and on reversed y, so neither matrix is built
       (a randomized check, Freivalds 1977).
 
@@ -87,11 +88,8 @@ def check_delayed_martingale(dm: DualMeasure, delay: int, tol: float) -> bool:
     if len(band) > delay + 1 and np.any(np.abs(band[delay + 1 :]) > tol * np.max(np.abs(band))):
         return False
     sol = dm.solution
-    from scipy.linalg.blas import dsbmv
-
     z = np.random.default_rng(PROBE_SEED).standard_normal((PROBE_COUNT, band.shape[1]))
-    stored = np.asfortranarray(band)
-    y = np.array([dsbmv(len(band) - 1, 1.0 / sol.market.sigma**2, stored, row, lower=1) for row in z])
+    y = band_matvec(band, z) / sol.market.sigma**2
     lagged = causal_convolve(np.concatenate([y, y[:, ::-1]]), sol.b)
     residual = (sol.a + 1.0) * y + lagged[: len(z)] + lagged[len(z) :, ::-1] - z
     return bool(((residual * residual).sum(axis=1) <= tol**2 * (z * z).sum(axis=1)).all())
@@ -140,19 +138,18 @@ def relative_entropy(dm: DualMeasure, m: DiscreteMarket) -> float:
 
     Closed Gaussian form (1/2)(trace(A^-1) - n + log |A| + n mu^2 / sigma^2),
     computed from the stored band itself: the trace comes off the main
-    diagonal and log |A| from a banded Cholesky factorization (LAPACK pbtrf,
-    O(n D^2)), so agreement with c_hat genuinely tests the closed-form
-    determinant.  Raises DomainError unless ``m`` is the measure's own market.
+    diagonal and log |A| from a block Cholesky factorization of the band
+    (``toeplitz.band_log_det``), so agreement with c_hat genuinely tests the
+    closed-form determinant.  Raises DomainError unless ``m`` is the
+    measure's own market, NumericalError unless the band is positive definite.
     """
     _require_own_market(dm, m)
-    from scipy.linalg import LinAlgError, cholesky_banded
-
     band = dm.band
     n = band.shape[1]
     try:
-        chol = cholesky_banded(band, lower=True, check_finite=False)
-    except LinAlgError as exc:
+        log_det_band = band_log_det(band)
+    except np.linalg.LinAlgError as exc:
         raise NumericalError("dual covariance is not positive definite") from exc
     trace_inv_a = float(np.sum(band[0])) / m.sigma**2
-    log_det_a = n * math.log(m.sigma**2) - 2.0 * float(np.sum(np.log(chol[0])))
+    log_det_a = n * math.log(m.sigma**2) - log_det_band
     return 0.5 * (trace_inv_a - n + log_det_a + n * m.mu**2 / m.sigma**2)

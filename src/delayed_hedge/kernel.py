@@ -204,6 +204,20 @@ def _piece(t, k: int, spec: KernelSpec):
     return spec.level + (np.exp if isinstance(u, np.ndarray) else math.exp)(spec.alpha * u) * total
 
 
+def _scalar_piece(t: float, k: int, spec: KernelSpec) -> float:
+    """``_piece`` at a Python float, to the bit: ``_series``'s loop inline, in its
+    order of operations, without the array dispatch."""
+    c, al = spec.c, spec.alpha
+    u = t - k * spec.H
+    ratio = (-al) * u
+    term = 1.0
+    total = 0.0
+    for j in range(k):
+        total += c[k - 1 - j] * term
+        term *= ratio / (j + 1)
+    return spec.level + math.exp(al * u) * total
+
+
 def _interval_at(t: float, spec: KernelSpec) -> int:
     """The interval whose polynomial gives kappa at t >= H.
 
@@ -272,8 +286,8 @@ def _running_integral(spec: KernelSpec, k: int, s: float, at_s: float, quadsteps
     width = spec.H / quadsteps
     j = min(max(math.floor((s - k * spec.H) / width), 0), quadsteps - 1)
     left = k * spec.H + j * width
-    ends = _piece(left, k, spec) + at_s
-    return table.item(j) + (s - left) / 6.0 * (ends + 4.0 * _piece(0.5 * (left + s), k, spec))
+    ends = _scalar_piece(left, k, spec) + at_s
+    return table.item(j) + (s - left) / 6.0 * (ends + 4.0 * _scalar_piece(0.5 * (left + s), k, spec))
 
 
 def kappa_integral_residual(t: float, spec: KernelSpec, quadsteps: int = 2000) -> float:
@@ -295,7 +309,7 @@ def kappa_integral_residual(t: float, spec: KernelSpec, quadsteps: int = 2000) -
     k = _interval_at(t, spec)
     s = t - spec.H
     whole = spec._integral_table(k - 1, quadsteps).item(quadsteps)
-    below = whole - _running_integral(spec, k - 1, s, _piece(s, k - 1, spec), quadsteps)
+    below = whole - _running_integral(spec, k - 1, s, _scalar_piece(s, k - 1, spec), quadsteps)
     at_t = kappa(t, spec)  # interval k's polynomial at t, since t >= H
     return at_t - spec.alpha * (below + _running_integral(spec, k, t, at_t, quadsteps))
 

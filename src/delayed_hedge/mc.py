@@ -1,9 +1,14 @@
 """Seeded path simulation and the closed-form Gaussian expectation oracle.
 
-Paths are generated with the counter-based Philox 4x64 generator and an
-inverse-CDF transform of open-interval uniforms, so a (market, count, seed)
-triple reproduces bit-identical increments on any platform and path p owns
-the contiguous counter slice [p*n, (p+1)*n).
+Paths are drawn by numpy's standard normal sampler (the Marsaglia-Tsang
+ziggurat) on the counter-based Philox 4x64 generator keyed by the seed, so a
+(market, count, seed) triple reproduces bit-identical increments on any
+platform.  The draws fill the batch row by row from one stream, so a seed's
+first k paths are the same at every count.  ``generate`` and
+``estimate_utility`` run on numpy alone: ``scipy.linalg`` serves the dense
+oracle and ``toeplitz_quadratic_utility``'s solve when the linear term is not
+the Merton ratio (no strategy of ``solver`` has one), ``scipy.optimize`` the
+brute force.
 
 For a quadratic wealth V(x) = (1/2) x'Qx + c'x + k and X ~ N(mu 1, sigma^2 I),
 
@@ -41,14 +46,15 @@ from .errors import IntegrabilityError, LengthMismatch, OptimizerFailure, SizeEr
 from .market import DiscreteMarket, validate_discrete
 from .solver import StrategyWeights, wealth
 
-GENERATOR_ID = "philox4x64/ndtri-v1"
+GENERATOR_ID = "philox4x64/ziggurat-v2"
 
-# Cap on paths * n for one batch.  Under tracemalloc, generate peaks at 24
-# bytes per path-step and estimate_utility at 16 to 32 more on top of the 8 of
-# the increments it keeps: the half spectrum of the paths, 16 (L/2 + 1) / n
-# bytes per step for the FFT length L (16.4 at n = 1000, 32.0 at n = 1025 and
-# 8193), or two arrays of the paths' shape on the direct branch (15.8 at
-# n = 100).  A batch at the cap stays near 0.25 GB, 0.4 GB at worst.
+# Cap on paths * n for one batch.  Under tracemalloc, generate peaks at the 8
+# bytes per path-step it returns, and estimate_utility at 16 to 32 more on top
+# of the 8 of the increments it keeps: the half spectrum of the paths,
+# 16 (L/2 + 1) / n bytes per step for the FFT length L (16.4 at n = 1000, 32.0
+# at n = 1025 and 8193), or two arrays of the paths' shape on the direct
+# branch (15.8 at n = 100).  A batch at the cap stays near 0.25 GB, 0.4 GB at
+# worst.
 MAX_PATH_STEPS = 10**7
 
 # Largest n for which estimate_utility runs the analytic oracle.  Its Durbin
@@ -91,19 +97,20 @@ class UtilityReport:
 
 
 def generate(m: DiscreteMarket, count: int, seed: int) -> PathBatch:
-    """Draw ``count`` increment paths of length n from Normal(mu, sigma^2)."""
+    """Draw ``count`` increment paths of length n from Normal(mu, sigma^2).
+
+    Standard normals from ``Generator(Philox(key=seed)).standard_normal``,
+    scaled and shifted in place; path p is row p, drawn after rows 0..p-1.
+    """
     validate_discrete(m)
     if count < 1:
         raise LengthMismatch(f"count must be >= 1, got {count}")
     if count * m.n > MAX_PATH_STEPS:
         raise SizeError(f"{count} paths of {m.n} steps exceed the cap of {MAX_PATH_STEPS} path-steps")
-    from scipy.special import ndtri  # scipy.special loads only when paths are drawn
-
     gen = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
-    raw = gen.integers(0, 2**64, size=(count, m.n), dtype=np.uint64)
-    # top 53 bits, centered: uniform on the open interval (0, 1)
-    uniform = ((raw >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53
-    increments = m.mu + m.sigma * ndtri(uniform)
+    increments = gen.standard_normal((count, m.n))
+    increments *= m.sigma
+    increments += m.mu
     return PathBatch(seed=seed, increments=increments)
 
 

@@ -37,6 +37,10 @@ MINOR_ENUMERATION_LIMIT = 12
 # Minors stacked per determinant call: a chunk is at most 4096 (D+1)^2 doubles.
 MINOR_CHUNK = 4096
 
+# Rows per block of band_log_det's block Cholesky, unless D is larger: fewer,
+# larger blocks trade per-block call overhead for dense flops in the band's zeros.
+LOG_DET_BLOCK = 64
+
 # Dense oracles refuse matrices whose condition estimate exceeds this.
 CONDITION_LIMIT = 1e12
 
@@ -105,6 +109,63 @@ def band_to_dense(band: np.ndarray) -> np.ndarray:
         flat[d * n :: n + 1] = diagonal[: n - d]  # entries (j + d, j)
         flat[d :: n + 1][: n - d] = diagonal[: n - d]  # entries (j, j + d)
     return dense
+
+
+def band_matvec(band: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """B z for the symmetric B whose lower band is ``band``, one product per row of ``z``.
+
+    ``z`` has shape (..., n).  Each stored diagonal adds its two triangles,
+    D + 1 array operations in all; entries past the end of a diagonal are not read.
+    """
+    n = band.shape[1]
+    out = band[0] * z
+    for d in range(1, len(band)):
+        diagonal = band[d, : n - d]
+        out[..., d:] += diagonal * z[..., : n - d]  # entries (j + d, j)
+        out[..., : n - d] += diagonal * z[..., d:]  # entries (j, j + d)
+    return out
+
+
+def band_log_det(band: np.ndarray) -> float:
+    """log |B| for the symmetric positive definite B whose lower band is ``band``.
+
+    Block Cholesky (Golub & Van Loan, section 4.5) on blocks of
+    s = max(D, LOG_DET_BLOCK) rows.  With s >= D the coupling of block i + 1
+    to block i lives in one D x D corner, so the Schur update it passes on
+    touches only the leading D x D corner of block i + 1.  Each block is
+    factored in a window of its s rows and the next block's first D, whose
+    leading corner holds the update left by the window before: the window's
+    trailing D x D factor T gives the next update as T T', the first s pivots
+    give the block's share of log |B|.  Each window is gathered from the band
+    by one ``take``, so no n x n array is built; the cost is O(n (s + D)^2)
+    and O(n D) memory.  Rows past n are padded with the identity.  Raises
+    ``np.linalg.LinAlgError`` when B is not positive definite.
+    """
+    delay, n = len(band) - 1, band.shape[1]
+    size = min(max(delay, LOG_DET_BLOCK), n)
+    count = -(-n // size)
+    width = count * size + delay
+    padded = np.zeros((delay + 1, width))
+    padded[:, :n] = band
+    padded[:, :n][np.arange(n) + np.arange(delay + 1)[:, None] >= n] = 0.0  # past the end of a diagonal
+    padded[0, n:] = 1.0
+    flat = padded.reshape(-1)
+    rows = np.arange(size + delay)
+    lag = np.abs(np.subtract.outer(rows, rows))
+    inside = lag <= delay
+    index = np.minimum(lag, delay) * width + np.minimum.outer(rows, rows)  # entry (r, c) of the window at 0
+    pivots = np.empty((count, size))
+    corner = np.zeros((delay, delay))
+    for i in range(count):
+        window = flat.take(index + i * size)
+        window *= inside
+        if i:
+            window[:delay, :delay] = corner
+        factor = np.linalg.cholesky(window)
+        pivots[i] = factor.diagonal()[:size]
+        tail = factor[size:, size:]
+        corner = tail @ tail.T
+    return 2.0 * float(np.sum(np.log(pivots)))
 
 
 def inverse_via_v(a: float, delay: int, n: int) -> np.ndarray:

@@ -90,6 +90,31 @@ def test_simulate_perturbed_is_suboptimal(capsys):
     assert doc["empirical_mean"] <= doc["value_formula"] + 4 * doc["std_error"]
 
 
+def test_simulate_reports_its_distance_from_the_oracle_in_standard_errors(capsys):
+    code, doc = run_json(
+        capsys, "simulate", "--n", "5", "--delay", "2", "--mu", "0.1", "--sigma", "1",
+        "--sigma-hat", "1.3", "--paths", "2000", "--seed", "3",
+    )
+    assert code == 0
+    assert doc["std_error"] > 0.0
+    assert doc["z_vs_analytic"] == (doc["empirical_mean"] - doc["analytic"]) / doc["std_error"]
+    assert abs(doc["z_vs_analytic"]) < 5.0
+    assert list(doc)[-3:] == ["value_formula", "z_vs_analytic", "generator"]
+
+
+def test_simulate_leaves_the_distance_out_when_the_standard_error_is_zero(capsys):
+    # mu = 0 and equal volatilities: a zero strategy, so every path has V = 0
+    code, out = run_cli(
+        capsys, "simulate", "--n", "4", "--delay", "1", "--mu", "0", "--sigma", "1",
+        "--sigma-hat", "1", "--paths", "100", "--seed", "1",
+    )
+    doc = json.loads(out)
+    assert code == 0
+    assert doc["std_error"] == 0.0 and doc["analytic"] == -1.0
+    assert "z_vs_analytic" not in doc
+    assert "NaN" not in out and "Infinity" not in out
+
+
 def test_simulate_requires_enough_paths(capsys):
     code = main(
         ["simulate", "--n", "4", "--delay", "1", "--mu", "0", "--sigma", "1",
@@ -347,6 +372,30 @@ def test_import_loads_neither_scipy_linalg_nor_scipy_special():
     assert proc.stdout.split() == ["False", "False"]
 
 
+def test_production_paths_load_no_scipy_module():
+    code = (
+        "import contextlib, io, sys\n"
+        "from delayed_hedge import DiscreteMarket, cli, dual, mc, solver\n"
+        "m = DiscreteMarket(n=12, delay=2, mu=0.1, sigma=1.0, sigma_hat=1.3)\n"
+        "batch = mc.generate(m, 50, seed=1)\n"
+        "mc.estimate_utility(batch, solver.strategy(m), m)\n"
+        "dm = dual.build_dual(m)\n"
+        "dual.relative_entropy(dm, m)\n"
+        "assert dual.check_delayed_martingale(dm, m.delay, 1e-10)\n"
+        "dual.verification_residual(m, batch.increments)\n"
+        "market = ['--n', '12', '--delay', '2', '--mu', '0.1', '--sigma', '1', '--sigma-hat', '1.3']\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert cli.main(['solve', *market]) == 0\n"
+        "    assert cli.main(['simulate', *market, '--paths', '200']) == 0\n"
+        "    assert cli.main(['simulate', *market, '--paths', '200', '--perturb', '1.5']) == 0\n"
+        "print(sorted(name for name in sys.modules if name.split('.')[0] == 'scipy'))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["[]"]
+
+
 def test_kernel_at_an_extreme_ratio_names_the_ratio(capsys):
     code = main(["kernel", "--H", "0.02", "--ratio", "1e16"])
     err = capsys.readouterr().err
@@ -423,7 +472,7 @@ def test_simulate_reports_a_non_integrable_strategy_without_analytic(capsys):
     )
     assert code == 0
     assert doc["analytic"] is None
-    assert "analytic_skipped" not in doc
+    assert "analytic_skipped" not in doc and "z_vs_analytic" not in doc
     assert all(math.isfinite(doc[k]) for k in ("empirical_mean", "std_error", "ess"))
 
 

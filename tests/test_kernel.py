@@ -206,6 +206,15 @@ def test_first_piece_is_exactly_the_level(H, ratio):
     assert np.array_equal(_piece(ts, 0, spec), np.full_like(ts, spec.level))
 
 
+@pytest.mark.parametrize("H", [0.2, 0.15, 0.02, 1.0])
+@pytest.mark.parametrize("ratio", [0.5, 2.0])
+def test_scalar_piece_keeps_the_bits_of_piece_at_a_float(H, ratio):
+    spec = spec_of(H, ratio)
+    for k in range(spec.K):
+        ts = np.linspace(max(k - 1, 0) * H, min((k + 1) * H, 1.0), 23).tolist()
+        assert [kernel_module._scalar_piece(t, k, spec) for t in ts] == [_piece(t, k, spec) for t in ts]
+
+
 @pytest.mark.parametrize("panels", [1, 8, 2000])
 @pytest.mark.parametrize("H,ratio", [(0.2, 2.0), (0.15, 0.5), (0.02, 2.0)])
 def test_simpson_with_array_ends_matches_scalar_rows(H, ratio, panels):

@@ -32,6 +32,20 @@ def test_generate_is_deterministic():
     assert not np.array_equal(a.increments, c.increments)
 
 
+@pytest.mark.parametrize("n", [1, 5, 64])
+def test_a_seeds_first_paths_are_the_same_at_every_count(n):
+    m = DiscreteMarket(n=n, delay=0, mu=0.1, sigma=0.7, sigma_hat=0.7)
+    largest = generate(m, 300, seed=9).increments
+    for count in (1, 2, 17, 299):
+        assert np.array_equal(generate(m, count, seed=9).increments, largest[:count])
+
+
+def test_generate_is_the_scaled_philox_ziggurat_stream():
+    m = ACCEPTANCE_MARKET
+    z = np.random.Generator(np.random.Philox(key=np.uint64(42))).standard_normal((20, m.n))
+    assert np.array_equal(generate(m, 20, seed=42).increments, z * m.sigma + m.mu)
+
+
 def test_generate_moments():
     m = DiscreteMarket(n=10, delay=0, mu=0.05, sigma=0.7, sigma_hat=0.7)
     batch = generate(m, 100000, seed=5)
@@ -347,7 +361,7 @@ def test_estimate_runs_the_levinson_oracle_without_an_n_by_n_array():
     n = 2048  # a dense fallback would peak near 170 MB, not more
     m = DiscreteMarket(n=n, delay=20, mu=0.1 / n, sigma=1.0 / math.sqrt(n), sigma_hat=1.3 / math.sqrt(n))
     batch, w = generate(m, 16, seed=1), strategy(m)
-    estimate_utility(batch, w, m)  # scipy.special loaded outside the trace
+    estimate_utility(batch, w, m)  # a first call outside the trace
     tracemalloc.start()
     try:
         report = estimate_utility(batch, w, m)
