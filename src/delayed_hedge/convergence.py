@@ -4,7 +4,12 @@ and the data tables behind the two convergence figures.
 The step function b^n is held as its values n * b_{k+1} on [k/n, (k+1)/n)
 (last interval closed); its squared L2 distance to kappa decays like 1/n,
 with the non-smooth point at t = H dominating.  The distance is integrated
-over node arrays, one Simpson call per block of one kernel piece.
+block by block: up to ``_BLOCK_ROWS`` pieces of one kernel interval at a time,
+their Simpson nodes evaluated in place in two buffers reused across blocks,
+so beyond the O(n) arrays of piece ends and step values its memory is
+O(block).
+Figure 2 is one pass of the limit-value formula over the whole
+(H, log-ratio) mesh.
 """
 
 from __future__ import annotations
@@ -15,12 +20,28 @@ from typing import IO, Mapping, Sequence
 
 import numpy as np
 
-from .kernel import KernelSpec, _piece, kappa, limit_value, simpson, smooth_pieces, spec_for_market
-from .market import ContinuousMarket, discretize
+from .errors import DomainError
+from .kernel import (
+    KernelSpec,
+    _alpha_core,
+    _interval_values,
+    _limit_exponent,
+    kappa,
+    limit_value,
+    simpson_weights,
+    smooth_pieces,
+    spec_for_market,
+)
+from .market import ContinuousMarket, discretize, validate_continuous
 from .solver import solve_a, weights_b
 
 CSV_FORMAT = "%.12g"
-_BLOCK_ROWS = 256  # pieces per Simpson call in l2_distance_to_kappa, bounding its node arrays
+# pieces per block in l2_distance_to_kappa: its two node buffers hold 17 _BLOCK_ROWS floats each,
+# so beyond the O(n) piece ends and step values its memory is O(block).  Chosen by measurement
+# on a 2-vCPU host: one market's L2 ladder n = 100 .. 10^4 (median of 80) and the tracemalloc
+# peak at n = 10^4 read 3.1 ms, 469 kB at 256 rows; 2.7 ms, 603 kB at 512; 2.4 ms, 750 kB at
+# 1024; 2.4 ms, 1041 kB at 2048.  Past 512 rows the buffers raise the process's peak RSS.
+_BLOCK_ROWS = 512
 _QUADSTEPS = 8  # Simpson panels per smooth piece in l2_distance_to_kappa
 
 
@@ -45,18 +66,36 @@ def l2_distance_to_kappa(values: np.ndarray, spec: KernelSpec) -> float:
 
     Integration splits at every step boundary and every multiple of H, with
     ``_QUADSTEPS`` Simpson panels per smooth piece; kappa is evaluated with the
-    piece's own polynomial so breakpoints see one-sided limits.  One Simpson
-    call takes up to ``_BLOCK_ROWS`` pieces of one kernel interval.
+    piece's own polynomial so breakpoints see one-sided limits.  Blocks of up
+    to ``_BLOCK_ROWS`` pieces of one kernel interval are evaluated in place in
+    two reused buffers (``kernel._interval_values``), and each piece's Simpson
+    sum is one reduction with ``simpson_weights``.
     """
     n = len(values)
     steps = np.arange(n + 1) / n
     left, right, k = smooth_pieces(steps, spec)
     levels = values[np.searchsorted(steps, left, side="right") - 1]  # the step holding each left end
-    blocks = np.union1d(np.flatnonzero(np.diff(k)) + 1, np.arange(_BLOCK_ROWS, len(k), _BLOCK_ROWS))
+    fractions = np.arange(2 * _QUADSTEPS + 1)[:, None] / (2 * _QUADSTEPS)
+    weights = simpson_weights(_QUADSTEPS)
+    cuts = np.union1d(np.flatnonzero(np.diff(k)) + 1, np.arange(_BLOCK_ROWS, len(k), _BLOCK_ROWS))
+    bounds = [0, *cuts.tolist(), len(k)]
+    nodes = np.empty(len(fractions) * min(_BLOCK_ROWS, len(k)))
+    squares = np.empty_like(nodes)
     total = 0.0
-    for lo, hi, ks, level in zip(*(np.split(a, blocks) for a in (left, right, k, levels[:, None]))):
-        total += simpson(lambda t: (level - _piece(t, ks[0], spec)) ** 2, lo, hi, _QUADSTEPS).sum()
-    return total
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        piece = int(k[lo])
+        width = right[lo:hi] - left[lo:hi]
+        # contiguous (node, piece) views of the two buffers; node i of a piece sits at
+        # t = left + width i / 16, given to the evaluator as alpha (t - kH)
+        v, f = (buffer[: len(fractions) * (hi - lo)].reshape(len(fractions), hi - lo) for buffer in (nodes, squares))
+        np.multiply(fractions, spec.alpha * width, out=v)
+        v += spec.alpha * (left[lo:hi] - piece * spec.H)
+        _interval_values(v, piece, spec, out=f)
+        f -= levels[lo:hi]
+        f *= f
+        total += np.einsum("i,i->", width, np.einsum("j,ji->i", weights, f))
+    # h / 3 with h = width / (2 _QUADSTEPS)
+    return float(total) / (6 * _QUADSTEPS)
 
 
 def figure1_data(
@@ -93,13 +132,40 @@ def figure1_data(
 
 
 def figure2_data(h_grid: Sequence[float], logratio_grid: Sequence[float]) -> Table:
-    """Limit value U over (H, log(varsigma_hat / varsigma)) at zero drift."""
-    rows = []
-    for H in sorted(h_grid):
-        for lr in sorted(logratio_grid):
-            market = ContinuousMarket(H=H, theta=0.0, varsigma=1.0, varsigma_hat=math.exp(lr))
-            rows.append((H, lr, limit_value(market)))
-    return Table(header=["H", "log_ratio", "U"], columns=np.array(rows))
+    """Limit value U over (H, log(varsigma_hat / varsigma)) at zero drift, one row per
+    (H, log-ratio) cell, H then log-ratio ascending.
+
+    The whole mesh is one pass of kernel's alpha and limit-value cores: per
+    log-ratio, varsigma_hat = exp(log-ratio) and its square stay Python floats
+    (``math.exp`` and ``**``), and so does each cell's final ``math.exp``, so
+    every cell keeps the bits of a ``limit_value`` call.  A grid that holds a
+    cell ``limit_value`` would refuse, or one whose value is not finite, is
+    evaluated cell by cell by ``limit_value`` itself, which raises the error of
+    the first bad cell in row order (or gives today's NaN).
+    """
+    hs, lrs = sorted(h_grid), sorted(logratio_grid)
+    theta, varsigma = 0.0, 1.0
+
+    def market(H, lr):
+        return ContinuousMarket(H=H, theta=theta, varsigma=varsigma, varsigma_hat=math.exp(lr))
+
+    values = None
+    try:
+        # each log-ratio checked once, at H = 1; each H on its own
+        pricing_vol2 = np.array([validate_continuous(market(1.0, lr)).varsigma_hat ** 2 for lr in lrs])
+        if all(0.0 < H <= 1.0 for H in hs):
+            delays, vol2 = np.array(hs, dtype=float)[:, None], varsigma**2
+            with np.errstate(all="ignore"):  # a cell that is not finite goes to limit_value below
+                a = _alpha_core(delays, vol2 / pricing_vol2)
+                exponent, one_minus = _limit_exponent(delays, a, -theta**2 / vol2, vol2, pricing_vol2)
+                scale = np.sqrt(one_minus).ravel()
+            values = -np.array([math.exp(e) for e in exponent.ravel().tolist()]) * scale
+    except (ArithmeticError, DomainError):  # math.exp or ** overflowed, or a log-ratio is refused
+        pass
+    if values is None or not np.isfinite(values).all():
+        values = [limit_value(market(H, lr)) for H in hs for lr in lrs]
+    columns = np.column_stack([np.repeat(hs, len(lrs)), np.tile(lrs, len(hs)), values])
+    return Table(header=["H", "log_ratio", "U"], columns=columns)
 
 
 def write_csv(table: Table, stream: IO[str], metadata: Mapping | None = None) -> None:

@@ -24,8 +24,11 @@ and the limit static option is alpha / (2 varsigma^2 (1 - alpha H)) * (P_1 - P_0
 
 An independent RK4 method-of-steps integrator and the first ten c_k in closed
 form are provided as cross-check oracles for the recursion.
-Quadrature and the oracles evaluate one interval's polynomial on whole node
-arrays; scalar ``kappa`` keeps ``math.exp``.  The constants are a tuple of
+Quadrature evaluates one interval's polynomial on whole arrays of nodes inside
+that interval, its breakpoints included, with ``_interval_values``: Horner's
+rule in alpha (t - kH), two array passes per term.  ``_piece``'s array branch,
+the written-out series at four passes per term, is the reference the tests
+compare it with; scalar ``kappa`` keeps ``math.exp``.  The constants are a tuple of
 Python floats, and the scalar loops (the recurrence and scalar ``kappa``) run
 on Python floats: numpy scalars would give the same bits at about twice the
 cost, so ``kappa`` and ``kappa_integral_residual`` convert ``t`` on entry.
@@ -40,8 +43,8 @@ nodes.
 
 ``kappa_integral_residual`` reads the window integral off running Simpson
 integrals that a spec builds once per interval and ``quadsteps`` (panels per
-length H), the first time a window reaches that interval: one array
-evaluation of the interval's polynomial on 2 quadsteps + 1 nodes, cumulated
+length H), the first time a window reaches that interval: one
+``_interval_values`` call on 2 quadsteps + 1 nodes, cumulated
 into quadsteps + 1 floats.  Each window end then adds one Simpson panel of its
 own, so a spec costs O(K quadsteps) once and each t O(1) table lookups and a
 few scalar evaluations of O(K) terms.  A spec keeps the tables of one
@@ -78,13 +81,32 @@ def alpha(H: float, varsigma: float, varsigma_hat: float) -> float:
         raise DomainError(f"H must lie in (0, 1], got {H}")
     if not (varsigma > 0 and varsigma_hat > 0):
         raise DomainError("volatilities must be positive")
-    x = varsigma**2 / varsigma_hat**2
+    return _alpha_core(H, varsigma**2 / varsigma_hat**2)
+
+
+def _alpha_core(H, x):
+    """alpha at H and x = varsigma^2 / varsigma_hat^2, unchecked: Python floats, or
+    broadcasting arrays whose every cell keeps the bits of the float call.
+
+    Only +, -, *, / and sqrt touch the inputs, each correctly rounded in both
+    arithmetics.  Arrays form both sides of the branch on every cell (where
+    H x > 2 the conjugate form, which is dropped, may divide by zero); floats
+    form only the side they take, so they raise only where they always did.
+    """
     hx = H * x
-    root = math.sqrt(hx * hx + 4.0 * x * (1.0 - H))
-    if hx <= 2.0:
-        numerator = 4.0 * (x - 1.0) / (root + 2.0 - hx)
+    array = isinstance(hx, np.ndarray)
+    root = (np.sqrt if array else math.sqrt)(hx * hx + 4.0 * x * (1.0 - H))
+
+    def conjugate():
+        return 4.0 * (x - 1.0) / (root + 2.0 - hx)
+
+    def direct():
+        return (hx - 2.0) + root
+
+    if array:
+        numerator = np.where(hx <= 2.0, conjugate(), direct())
     else:
-        numerator = (hx - 2.0) + root
+        numerator = conjugate() if hx <= 2.0 else direct()
     return numerator / (H * (hx + root))
 
 
@@ -146,7 +168,7 @@ class KernelSpec:
     def _integral_table(self, k: int, quadsteps: int) -> np.ndarray:
         """Simpson integrals of interval k's polynomial over [kH, kH + j H / quadsteps], j = 0..quadsteps.
 
-        Built on first use from one array evaluation of ``_piece`` on the
+        Built on first use from one ``_interval_values`` call on the
         2 quadsteps + 1 nodes of [kH, (k+1)H] and kept; asking for another
         ``quadsteps`` drops every table kept for the previous one.
         """
@@ -157,7 +179,7 @@ class KernelSpec:
         table = tables.get(k)
         if table is None:
             half = self.H / quadsteps * 0.5  # node 2j sits at kH + j H / quadsteps, as in _running_integral
-            vals = _piece(k * self.H + np.arange(2 * quadsteps + 1) * half, k, self)
+            vals = _interval_values(np.arange(2 * quadsteps + 1) * (self.alpha * half), k, self)
             panels = half / 3.0 * (vals[:-2:2] + 4.0 * vals[1::2] + vals[2::2])
             table = tables[k] = np.concatenate([[0.0], np.cumsum(panels)])
         return table
@@ -198,10 +220,43 @@ def _piece(t, k: int, spec: KernelSpec):
     At a float (``math.exp``) or a node array (``np.exp``); outside [kH, (k+1)H)
     it is the one-sided analytic continuation quadrature needs at breakpoints.
     Interval 0 has no series terms, so its polynomial is the level itself.
+    The series reference: ``_scalar_piece``, ``kappa`` and ``_interval_values``
+    are tested against it, and no production path calls it.
     """
     u = t - k * spec.H
     total = _series(spec.c, k, (-spec.alpha) * u)
     return spec.level + (np.exp if isinstance(u, np.ndarray) else math.exp)(spec.alpha * u) * total
+
+
+def _interval_values(v: np.ndarray, k: int, spec: KernelSpec, out: np.ndarray | None = None) -> np.ndarray:
+    """Interval k's polynomial at nodes t inside the interval, given as v = alpha (t - kH).
+
+    level + exp(v) times the polynomial sum_{j<k} c_{k-j} (-v)^j / j! by
+    Horner's rule, its coefficients built as running products: two array
+    passes per term, where ``_piece``'s series takes four.  In v the
+    coefficients are the c_k over j!, never larger than the c_k; in u = t - kH
+    they would carry alpha^j, which overflows at K = 1000 once |alpha| > 750.
+    ``v`` is overwritten (it holds exp(v) on return when k >= 1); the
+    values go to ``out``, or to a new array without one.
+    """
+    if out is None:
+        out = np.empty_like(v)
+    if k == 0:
+        out.fill(spec.level)
+        return out
+    coefficients = [spec.c[k - 1]]
+    scale = 1.0
+    for j in range(1, k):
+        scale /= -j
+        coefficients.append(spec.c[k - 1 - j] * scale)
+    out.fill(coefficients[-1])
+    for coefficient in reversed(coefficients[:-1]):
+        out *= v
+        out += coefficient
+    np.exp(v, out=v)
+    out *= v
+    out += spec.level
+    return out
 
 
 def _scalar_piece(t: float, k: int, spec: KernelSpec) -> float:
@@ -268,14 +323,21 @@ def smooth_pieces(breaks, spec: KernelSpec):
     return cuts[:-1], cuts[1:], k
 
 
+def simpson_weights(panels: int) -> np.ndarray:
+    """The composite Simpson weights (1, 4, 2, 4, ..., 2, 4, 1) on 2 ``panels`` + 1 nodes."""
+    weights = np.full(2 * panels + 1, 2.0)
+    weights[1::2] = 4.0
+    weights[[0, -1]] = 1.0
+    return weights
+
+
 def simpson(f, lo, hi, panels: int):
     """Composite Simpson rule with ``panels`` panels; f gets the whole node array,
     one row per interval when ``lo`` and ``hi`` are arrays of interval ends."""
-    # C order, so that each row is summed as the call on its interval alone would be
+    # C order, so that einsum sums each row as the call on its interval alone would
     vals = np.ascontiguousarray(f(np.linspace(lo, hi, 2 * panels + 1, axis=-1)))
     h = (hi - lo) / (2 * panels)
-    odd, even = vals[..., 1:-1:2].sum(axis=-1), vals[..., 2:-2:2].sum(axis=-1)
-    return h / 3.0 * (vals[..., 0] + vals[..., -1] + 4.0 * odd + 2.0 * even)
+    return h / 3.0 * np.einsum("...j,j->...", vals, simpson_weights(panels))
 
 
 def _running_integral(spec: KernelSpec, k: int, s: float, at_s: float, quadsteps: int) -> float:
@@ -318,12 +380,16 @@ def limit_value(c: ContinuousMarket) -> float:
     """Limit of the optimal expected utility as the trading frequency grows."""
     validate_continuous(c)
     a = alpha(c.H, c.varsigma, c.varsigma_hat)
-    one_minus = 1.0 - a * c.H
-    exponent = 0.5 * (
-        -c.theta**2 / c.varsigma**2
-        + a * (c.varsigma_hat**2 / (c.varsigma**2 * one_minus) + c.H - 1.0)
-    )
+    exponent, one_minus = _limit_exponent(c.H, a, -c.theta**2 / c.varsigma**2, c.varsigma**2, c.varsigma_hat**2)
     return -math.exp(exponent) * math.sqrt(one_minus)
+
+
+def _limit_exponent(H, a, drift, vol2, pricing_vol2):
+    """(exponent, 1 - alpha H) of the limit value -exp(exponent) sqrt(1 - alpha H), with
+    drift = -theta^2 / varsigma^2 and the squared volatilities: floats or broadcasting
+    arrays, like ``_alpha_core``."""
+    one_minus = 1.0 - a * H
+    return 0.5 * (drift + a * (pricing_vol2 / (vol2 * one_minus) + H - 1.0)), one_minus
 
 
 def limit_static_coeff(c: ContinuousMarket) -> float:

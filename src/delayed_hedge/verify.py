@@ -219,9 +219,12 @@ def kernel_suite(grid_size: int = len(N_VALUES)):
         return out
 
     results = [point(hr) for hr in KERNEL_POINTS]
-    domain = [(float(H), float(lr)) for H in np.linspace(0.05, 1.0, 20) for lr in np.linspace(-2.0, 2.0, 21)]
-    alpha_domain, index = _argworst(kernel.alpha(H, 1.0, math.exp(lr)) * H - 1.0 for H, lr in domain)
-    H, lr = domain[index]
+    # alpha H - 1 on a 20 x 21 (H, log-ratio) mesh in one pass; x = varsigma^2 / varsigma_hat^2 per
+    # log-ratio is formed as alpha forms it, in Python floats, so every cell keeps its bits
+    hs, lrs = np.linspace(0.05, 1.0, 20)[:, None], np.linspace(-2.0, 2.0, 21).tolist()
+    x = np.array([1.0**2 / math.exp(lr) ** 2 for lr in lrs])
+    alpha_domain, index = _argworst((kernel._alpha_core(hs, x) * hs - 1.0).ravel())
+    H, lr = float(hs[index // len(lrs), 0]), lrs[index % len(lrs)]
     tols = {
         "ck_vs_closed_forms": 1e-10,
         "kappa_constant_below_H": 0.0,

@@ -225,6 +225,33 @@ def test_fig2_default_row(capsys):
             assert u == -1.0
 
 
+@pytest.mark.parametrize(
+    "grids,message",
+    [
+        (["--h-grid", "0.5", "--logratio-grid=710"], "floating-point error at extreme inputs: math range error"),
+        (["--h-grid", "0.5", "--logratio-grid=400"],
+         "varsigma^2 / varsigma_hat^2 must be finite and positive, got (1.0 / 5.221469689764144e+173)^2"),
+        (["--h-grid", "0.5", "--logratio-grid=nan"], "varsigma_hat must be positive, got nan"),
+        (["--h-grid", "0.5", "--logratio-grid=-300"], "result is not finite: the table holds NaN or infinite values"),
+        (["--h-grid", "0:1:0.5"], "H must lie in (0, 1], got 0.0"),
+        # the first bad cell in row order (H, then log-ratio, both sorted) gives the error
+        (["--h-grid", "0.5,0", "--logratio-grid=1,400"], "H must lie in (0, 1], got 0.0"),
+        (["--h-grid", "0.5,0", "--logratio-grid=710"], "floating-point error at extreme inputs: math range error"),
+        (["--h-grid", "0.5", "--logratio-grid=710,400,-300"],
+         "varsigma^2 / varsigma_hat^2 must be finite and positive, got (1.0 / 5.221469689764144e+173)^2"),
+        (["--h-grid", "0.5", "--logratio-grid=-300,710"], "floating-point error at extreme inputs: math range error"),
+    ],
+)
+def test_fig2_bad_grid_exits_2_with_the_first_bad_cells_error(capsys, grids, message):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code = main(["fig2", *grids])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
 def test_verify_kernel_suite(capsys):
     code, doc = run_json(capsys, "verify", "--suite", "kernel")
     assert code == 0

@@ -16,7 +16,7 @@ from delayed_hedge.convergence import (
     l2_distance_to_kappa,
     write_csv,
 )
-from delayed_hedge.kernel import _piece, spec_for_market
+from delayed_hedge.kernel import _piece, limit_value, spec_for_market
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 
@@ -80,13 +80,20 @@ def _l2_per_step(values, spec, quadsteps=8):
 
 
 @pytest.mark.parametrize("n", [100, 333, 1000])
-@pytest.mark.parametrize("H", [0.2, 0.15])
+@pytest.mark.parametrize("H", [0.2, 0.15, 0.05, 0.02])
 @pytest.mark.parametrize("ratio", [0.5, 2.0])
 def test_l2_distance_matches_per_step_loop(n, H, ratio):
     market = cm(ratio, H)
     spec = spec_for_market(market)
     values = build_bn(market, n)
     assert l2_distance_to_kappa(values, spec) == pytest.approx(_l2_per_step(values, spec), rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize("ratio,want", [(0.5, 5.489216188168056e-08), (2.0, 3.2341989421061374e-08)])
+def test_l2_distance_at_n_1e4_keeps_the_value_of_the_per_block_simpson_calls(ratio, want):
+    # the values at n = 10^4 of the per-block simpson calls with the series (commit 794c4e9)
+    market = cm(ratio)
+    assert l2_distance_to_kappa(build_bn(market, 10_000), spec_for_market(market)) == pytest.approx(want, rel=1e-12)
 
 
 def test_l2_rate_is_one_over_n():
@@ -143,6 +150,35 @@ def test_figure2_table():
 def test_figure2_near_arbitrage_for_small_delay():
     table = figure2_data([0.01], [1.0])
     assert abs(table.columns[0, 2]) < 0.05
+
+
+def _limit_values_cell_by_cell(h_grid, logratio_grid):
+    return [
+        limit_value(ContinuousMarket(H=H, theta=0.0, varsigma=1.0, varsigma_hat=math.exp(lr)))
+        for H in sorted(h_grid)
+        for lr in sorted(logratio_grid)
+    ]
+
+
+def test_figure2_cells_are_the_scalar_limit_values_on_the_figure_grid():
+    h_grid = [round(0.02 * i, 10) for i in range(1, 51)]  # the grid of scripts/make_figures.py
+    lr_grid = [round(-2.0 + 0.1 * i, 10) for i in range(41)]
+    table = figure2_data(h_grid, lr_grid)
+    assert table.columns[:, 2].tolist() == _limit_values_cell_by_cell(h_grid, lr_grid)
+    assert table.columns[:, :2].tolist() == [[H, lr] for H in h_grid for lr in lr_grid]
+
+
+def test_figure2_cells_are_the_scalar_limit_values_where_pow_and_product_differ():
+    # Python's ** (libm pow) and numpy's v * v differ in the last bit for a few vols; the mesh
+    # must square each vol as limit_value does
+    rng = np.random.default_rng(20240607)
+    candidates = rng.uniform(-3.0, 3.0, 20_000).tolist()
+    odd = [lr for lr in candidates if math.exp(lr) ** 2 != math.exp(lr) * math.exp(lr)][:5]
+    assert odd
+    h_grid = rng.uniform(0.001, 1.0, 12).tolist() + [1.0]
+    lr_grid = candidates[:30] + odd
+    table = figure2_data(h_grid, lr_grid)
+    assert table.columns[:, 2].tolist() == _limit_values_cell_by_cell(h_grid, lr_grid)
 
 
 def test_write_csv_format():

@@ -196,6 +196,21 @@ def test_array_piece_matches_scalar_piece(H, ratio):
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-13 * max(1.0, np.abs(want).max()))
 
 
+@pytest.mark.parametrize("H", [0.2, 0.02, 0.001])
+@pytest.mark.parametrize("ratio", [0.5, 2.0])
+def test_horner_interval_values_match_the_series_inside_each_interval(H, ratio):
+    # Horner in alpha (t - kH) against _piece's series on nodes inside interval k, both
+    # breakpoints included; the gap grows with the K terms: measured worst 4.4e-16 of
+    # max(1, |kappa|) at K = 5, 1.4e-14 at K = 50 and 3.4e-13 at K = 1000
+    spec = spec_of(H, ratio)
+    rng = np.random.default_rng(spec.K)
+    for k in sorted(set(range(0, spec.K, max(1, spec.K // 25))) | {spec.K - 1}):
+        ts = np.concatenate([np.linspace(k * H, (k + 1) * H, 41), rng.uniform(k * H, (k + 1) * H, 40)])
+        want = _piece(ts, k, spec)
+        got = kernel_module._interval_values(spec.alpha * (ts - k * H), k, spec)
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-15 * spec.K * max(1.0, np.abs(want).max()))
+
+
 @pytest.mark.parametrize("H", [0.2, 0.15, 0.02])
 @pytest.mark.parametrize("ratio", [0.5, 2.0])
 def test_first_piece_is_exactly_the_level(H, ratio):
@@ -204,6 +219,7 @@ def test_first_piece_is_exactly_the_level(H, ratio):
     ts = np.linspace(0.0, H, 9)
     assert all(_piece(t, 0, spec) == spec.level for t in ts.tolist())
     assert np.array_equal(_piece(ts, 0, spec), np.full_like(ts, spec.level))
+    assert np.array_equal(kernel_module._interval_values(spec.alpha * ts, 0, spec), np.full_like(ts, spec.level))
 
 
 @pytest.mark.parametrize("H", [0.2, 0.15, 0.02, 1.0])
@@ -487,12 +503,13 @@ def test_running_integral_residual_sees_a_perturbed_constant(H, index):
 def test_running_integrals_are_built_once_per_interval_and_quadsteps(monkeypatch):
     built = []
 
-    def counting_piece(t, k, spec):
-        if isinstance(t, np.ndarray):
-            built.append((k, t.size))
-        return _piece(t, k, spec)
+    interval_values = kernel_module._interval_values
 
-    monkeypatch.setattr(kernel_module, "_piece", counting_piece)
+    def counting_values(s, k, spec, out=None):
+        built.append((k, s.size))
+        return interval_values(s, k, spec, out)
+
+    monkeypatch.setattr(kernel_module, "_interval_values", counting_values)
     spec = spec_of(0.2, 2.0)  # K = 5
     ts = np.linspace(0.2, 1.0, 200).tolist()
     first = [kappa_integral_residual(t, spec, 50) for t in ts]

@@ -73,3 +73,15 @@ def test_a_nan_l2_distance_for_the_second_market_fails_only_the_l2_rate(monkeypa
     assert math.isnan(checks["convergence.l2_rate_factor"].worst)
     assert checks["convergence.l2_rate_factor"].worst_at == {"H": 0.2, "ratio": 2.0}
     assert all(c.passed for name, c in checks.items() if name != "convergence.l2_rate_factor")
+
+
+def test_alpha_domain_sweep_keeps_the_worst_point_of_the_scalar_alpha_calls():
+    # the 420 scalar calls the sweep made before it became one mesh pass
+    domain = [(float(H), float(lr)) for H in np.linspace(0.05, 1.0, 20) for lr in np.linspace(-2.0, 2.0, 21)]
+    values = [kernel.alpha(H, 1.0, math.exp(lr)) * H - 1.0 for H, lr in domain]
+    index = int(np.argmax(values))
+    (check,) = [c for c in verify.kernel_suite() if c.name == "kernel.alpha_H_below_one"]
+    assert check.worst == values[index] == float.fromhex("-0x1.2c155b8213d00p-6")
+    assert check.worst_at == {"H": domain[index][0], "ratio": math.exp(2.0 * domain[index][1])}
+    assert check.worst_at == {"H": 1.0, "ratio": 0.01831563888873418}
+    assert check.passed
