@@ -23,11 +23,14 @@ determinant and M^-1 b.  A strategy's Q is symmetric Toeplitz, so
 (``toeplitz_quadratic_utility``): Durbin's recursion gives the reflection
 coefficients alpha_k, M is positive definite iff every |alpha_k| < 1, the
 log-determinant is a sum over them, and Levinson's recursion solves M^-1 b
-(Levinson 1947; Durbin 1960): O(n^2) time, O(n) memory, no n x n array.
+(Levinson 1947; Durbin 1960): O(n) memory, no n x n array, and O(n^2) time
+in general.  The recursion stops with a certificate where the coefficients
+vanish from some order p on, which takes O(n p) time: for the optimal
+strategy M is A / sigma^2, whose inverse is D-banded, so p is D or D + 1.
 
 ``generate`` refuses batches of more than ``MAX_PATH_STEPS`` path-steps
 (paths * n) before it allocates anything, and ``estimate_utility`` leaves the
-analytic oracle, whose cost grows as n^2, out above ``ANALYTIC_MAX_N``.
+analytic oracle, whose cost can grow as n^2, out above ``ANALYTIC_MAX_N``.
 
 ``brute_force_optimum`` maximizes the same closed-form expectation over every
 quadratic strategy the delayed filtration can measure (Nelder-Mead, n <= 3):
@@ -57,10 +60,18 @@ GENERATOR_ID = "philox4x64/ziggurat-v2"
 # worst.
 MAX_PATH_STEPS = 10**7
 
-# Largest n for which estimate_utility runs the analytic oracle.  Its Durbin
-# loop takes n Python steps and O(n^2) work: at the cap it took 0.2 s on a
-# 2-vCPU host and peaked at 0.4 MB under tracemalloc (0.6-1.6 s at 16384).
+# Largest n for which estimate_utility runs the analytic oracle.  On a column
+# whose reflection coefficients do not vanish (a scaled or hand-built kernel)
+# its Durbin loop takes n Python steps and O(n^2) work: at the cap it took
+# 0.06-0.2 s on a 2-vCPU host and peaked at 0.4 MB under tracemalloc (0.6-1.6 s
+# at 16384).  The optimal strategy's column is certified within D + 1 steps
+# (0.1 ms at D = 3, 25 ms at D = 4096), but the cap holds for every column.
 ANALYTIC_MAX_N = 8192
+
+# reflection_coefficients sets a tail of coefficients to zero only when its
+# bound eta on them is at most this: the zeros move the log-determinant by less
+# than eta^2 = 9e-14, the utility by less than a relative 5e-14.
+DURBIN_TAIL_ETA = 3e-7
 
 BRUTE_FORCE_MAX_N = 3
 
@@ -91,6 +102,8 @@ class UtilityReport:
     n_paths: int
     seed: int
     ess: float  # effective sample size of the exp(-V) weights
+    log_neg_mean: float  # log(-empirical_mean), finite where the mean itself underflows to -0.0
+    relative_std_error: float  # std_error / |empirical_mean|, from the same shifted moments
 
     def to_json(self) -> dict:
         return asdict(self)
@@ -123,7 +136,9 @@ def estimate_utility(batch: PathBatch, w: StrategyWeights, m: DiscreteMarket) ->
     Accumulation relies on numpy's pairwise summation, which is deterministic
     for a given batch.
     The moments are those of -exp(shift - V), shift = max(min V, 0), scaled
-    back by exp(-shift): on long horizons exp(-V) alone squares to zero.
+    back by exp(-shift): on long horizons exp(-V) alone squares to zero, and
+    the mean itself can underflow to -0.0, where its log, -shift +
+    log(-shifted mean), and the relative standard error stay finite.
     Moments that overflow come out non-finite, without a warning.
     """
     v = wealth(w, m, batch.increments)
@@ -131,8 +146,8 @@ def estimate_utility(batch: PathBatch, w: StrategyWeights, m: DiscreteMarket) ->
     scale = math.exp(-shift)
     with np.errstate(over="ignore", invalid="ignore"):
         y = -np.exp(shift - v)
-        mean = float(np.mean(y)) * scale
-        stderr = float(np.std(y, ddof=1) / math.sqrt(batch.count)) * scale if batch.count > 1 else 0.0
+        shifted_mean = float(np.mean(y))  # at most -1 / count: the path of least V contributes -1 or less
+        shifted_stderr = float(np.std(y, ddof=1) / math.sqrt(batch.count)) if batch.count > 1 else 0.0
         ess = float(np.sum(np.abs(y)) ** 2 / np.sum(y * y))
     analytic = None
     if analytic_skip_reason(m) is None:
@@ -141,12 +156,14 @@ def estimate_utility(batch: PathBatch, w: StrategyWeights, m: DiscreteMarket) ->
         except IntegrabilityError:
             pass
     return UtilityReport(
-        empirical_mean=mean,
-        std_error=stderr,
+        empirical_mean=shifted_mean * scale,
+        std_error=shifted_stderr * scale,
         analytic=analytic,
         n_paths=batch.count,
         seed=batch.seed,
         ess=ess,
+        log_neg_mean=math.log(-shifted_mean) - shift,
+        relative_std_error=shifted_stderr / -shifted_mean,
     )
 
 
@@ -212,6 +229,17 @@ def reflection_coefficients(column: np.ndarray) -> np.ndarray:
     at the first that is not, which then ends the array returned.  Each step
     is one ``np.dot`` and one update of the preallocated solution y of the
     Yule-Walker system (Golub & Van Loan, Algorithm 4.7.1).
+
+    The recursion also stops where the remaining coefficients vanish, and
+    returns the full-length array with that tail set to exact zeros (a
+    shorter array still means only "not positive definite").  When
+    |alpha_p| <= DURBIN_TAIL_ETA / n, which the certificate needs, the
+    order-p predictor is tested against every remaining lag in one
+    ``np.convolve`` (``_tail_vanishes``), and passes when the zeros move
+    fsum_k (n - 1 - k) log1p(-alpha_k^2) by less than DURBIN_TAIL_ETA^2.  A
+    test that fails defers the next to twice its order, so a column with no
+    such tail pays for at most log2(n) convolutions and its bits are those
+    of the full recursion.  Only the column is read.
     """
     r = column[1:] / column[0]
     alphas = np.empty(len(r))
@@ -219,6 +247,8 @@ def reflection_coefficients(column: np.ndarray) -> np.ndarray:
     if len(r) == 0:
         return alphas
     rrev = r[::-1].copy()  # rrev[-k:] is r[k - 1::-1], contiguous: a faster dot than the negative stride
+    trigger = DURBIN_TAIL_ETA / len(column)  # zeroing alpha_k on needs n |g_k| / beta_k = n |alpha_k| <= eta
+    test_from = 1
     alpha = alphas[0] = y[0] = -r[0]
     beta = 1.0
     for k in range(1, len(r)):
@@ -226,9 +256,40 @@ def reflection_coefficients(column: np.ndarray) -> np.ndarray:
             return alphas[:k]
         beta *= 1.0 - alpha * alpha
         alpha = alphas[k] = -(r[k] + np.dot(rrev[-k:], y[:k])) / beta
+        if abs(alpha) <= trigger and k >= test_from:
+            if _tail_vanishes(r, y[:k], beta, alphas[:k]):
+                alphas[k:] = 0.0
+                return alphas
+            test_from = 2 * k
         y[:k] += alpha * y[k - 1 :: -1]
         y[k] = alpha
     return alphas
+
+
+def _tail_vanishes(r: np.ndarray, y: np.ndarray, beta: float, prefix: np.ndarray) -> bool:
+    """Whether the order-p predictor y (p = len(y) >= 1) proves alpha_k = 0 for k >= p to the bound.
+
+    r is the column past lag 0 divided by lag 0, beta the error variance of
+    y and ``prefix`` alpha_0..alpha_{p-1}.  g_j = r_j + sum_i y_i r_{j-1-i}
+    (j = p..n-2) is the covariance of y's prediction error with lag j + 1,
+    G = max |g_j|, and P = prod_k (1 + |alpha_k|) bounds 1 plus the 1-norm
+    of every predictor of order <= p (order k + 1 is (y + alpha_k rev y, alpha_k)).
+
+    The bound, taking the computed prefix as exact: let L be unit lower
+    triangular, row m < p Durbin's order-m predictor and row m >= p y's.
+    Then |T| = |L T L'| and L T L' = diag(beta_0..beta_{p-1}, beta_p, ...,
+    beta_p) + F, where F has a zero diagonal and a zero leading p x p block
+    and each other entry is a sum of g_j weighted by 1 and one predictor's
+    taps, so |F_ij| <= G P.  With K = diag^-1/2 F diag^-1/2 (every
+    beta_m >= beta_p), ||K||_F < n G P / beta_p = eta and tr K = 0, so for
+    eta <= 1/2, |log det(I + K)| <= ||K||_F^2 < eta^2.  The diagonal's log
+    det is fsum_k (n - 1 - k) log1p(-alpha_k^2) with alpha_k = 0 for k >= p:
+    the zeros move that sum by less than eta^2 <= DURBIN_TAIL_ETA^2.
+    """
+    p = len(y)
+    g = r[p:] + np.convolve(r[:-1], y, "valid")
+    growth = math.exp(-float(np.sum(np.log1p(np.abs(prefix)))))  # 1 / P, 0.0 where P overflows
+    return (len(r) + 1) * float(np.max(np.abs(g))) <= DURBIN_TAIL_ETA * beta * growth
 
 
 def toeplitz_quadratic_utility(
@@ -244,6 +305,11 @@ def toeplitz_quadratic_utility(
     with the two parts kept apart and the sum taken by ``math.fsum``: at
     n = 8192, sigma^2 = 1/n it matched ``value`` to 6e-14, where n log M_00 +
     n log sigma^2 and a running product of the 1 - alpha_k^2 missed by 1e-11.
+    Where ``reflection_coefficients`` certifies a tail of zeros, its bound
+    puts this log-determinant within DURBIN_TAIL_ETA^2 = 9e-14 of the full
+    recursion's in exact arithmetic, and the utility within a relative
+    5e-14.  The optimal strategy's column certifies by order D + 1 on every
+    market the tests and the benchmark run.
     M^-1 b comes from ``scipy.linalg.solve_toeplitz`` and is skipped when b is
     exactly zero, as for every strategy whose linear term is the Merton ratio.
     """

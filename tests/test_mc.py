@@ -1,12 +1,16 @@
 import math
 import tracemalloc
+from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from delayed_hedge import DiscreteMarket, IntegrabilityError, LengthMismatch, SizeError, value
+from delayed_hedge import DiscreteMarket, IntegrabilityError, LengthMismatch, SizeError, mc, value
 from delayed_hedge.mc import (
     ANALYTIC_MAX_N,
+    DURBIN_TAIL_ETA,
     MAX_PATH_STEPS,
     PathBatch,
     analytic_quadratic_utility,
@@ -123,8 +127,29 @@ def test_report_json_fields():
     m = ACCEPTANCE_MARKET
     report = estimate_utility(generate(m, 200, seed=9), strategy(m), m)
     doc = report.to_json()
-    assert set(doc) == {"empirical_mean", "std_error", "analytic", "n_paths", "seed", "ess"}
+    assert set(doc) == {
+        "empirical_mean", "std_error", "analytic", "n_paths", "seed", "ess", "log_neg_mean", "relative_std_error",
+    }
     assert doc["seed"] == 9
+
+
+def _long_horizon_report(n):
+    m = DiscreteMarket(n=n, delay=3, mu=0.1, sigma=1.0, sigma_hat=1.3)  # simulate's README market at length n
+    return estimate_utility(generate(m, 100, seed=1), strategy(m), m)
+
+
+def test_log_scale_moments_stay_finite_where_the_mean_underflows():
+    report = _long_horizon_report(60000)
+    assert report.empirical_mean == 0.0 and report.std_error == 0.0  # exp(-V) underflows on every path
+    assert math.isfinite(report.log_neg_mean) and report.log_neg_mean < -745.0
+    assert math.isfinite(report.relative_std_error) and report.relative_std_error > 0.0
+
+
+def test_log_scale_moments_match_the_mean_where_it_is_representable():
+    report = _long_horizon_report(20000)
+    assert report.empirical_mean < 0.0
+    assert report.log_neg_mean == pytest.approx(math.log(-report.empirical_mean), rel=1e-13)
+    assert report.relative_std_error == pytest.approx(report.std_error / -report.empirical_mean, rel=1e-13)
 
 
 def strategy_quadratic_form(w: StrategyWeights, m: DiscreteMarket):
@@ -335,15 +360,156 @@ def _durbin_on_negative_strides(column):
     return alphas
 
 
+def _certified_order(alphas):
+    """Length of ``alphas`` without its trailing exact zeros: the certified prefix, or the whole array."""
+    nonzero = np.flatnonzero(alphas)
+    return int(nonzero[-1]) + 1 if nonzero.size else 0
+
+
+def _hedge_column(n, delay, sigma_hat, scale=1.0):
+    """First column of I/sigma^2 + Q for the optimal strategy with its kernel scaled by ``scale``."""
+    m = DiscreteMarket(n=n, delay=delay, mu=0.1, sigma=1.0 / math.sqrt(n), sigma_hat=sigma_hat / math.sqrt(n))
+    w = _forms(m, scale)
+    column, _, _ = strategy_toeplitz_form(w, m)
+    column[0] += 1.0 / m.sigma**2
+    return column
+
+
+def _durbin_sum(alphas, n):
+    """fsum_k (n - 1 - k) log1p(-alpha_k^2), the part of log |T| that the coefficients give."""
+    return math.fsum(np.arange(n - 1, n - 1 - len(alphas), -1) * np.log1p(-alphas * alphas))
+
+
 def test_reflection_coefficients_keep_the_bits_of_the_negative_stride_dot():
+    # the coefficients before a certified tail of zeros keep the full recursion's bits
     columns = [np.array([1.0, 0.5, 0.9, 0.1, 0.2])]  # not positive definite: the recursion stops early
     for n, delay, sigma_hat in [(1, 0, 1.3), (2, 1, 0.8), (64, 3, 1.3), (300, 20, 0.7), (2048, 200, 1.4)]:
-        m = DiscreteMarket(n=n, delay=delay, mu=0.1, sigma=1.0 / math.sqrt(n), sigma_hat=sigma_hat / math.sqrt(n))
-        column, _, _ = strategy_toeplitz_form(strategy(m), m)
-        column[0] += 1.0 / m.sigma**2
-        columns.append(column)
+        columns.append(_hedge_column(n, delay, sigma_hat))
     for column in columns:
-        assert np.array_equal(reflection_coefficients(column), _durbin_on_negative_strides(column))
+        got, want = reflection_coefficients(column), _durbin_on_negative_strides(column)
+        assert len(got) == len(want)
+        p = _certified_order(got)
+        assert got[:p].tobytes() == want[:p].tobytes()
+
+
+def _count_dots(column):
+    """(reflection_coefficients(column), the number of np.dot calls it made: one per Durbin step)."""
+    with mock.patch.object(np, "dot", wraps=np.dot) as dot:
+        alphas = reflection_coefficients(column)
+    return alphas, dot.call_count
+
+
+@pytest.mark.parametrize(
+    "n, delay",
+    [(n, d) for n in (2, 3, 64, 2048, 8192) for d in sorted({0, 1, n // 2, n - 1})],
+)
+@pytest.mark.parametrize("sigma_hat", [0.7, 1.0, 1.3])
+def test_a_certified_tail_stays_within_its_bound_of_the_full_recursion(n, delay, sigma_hat):
+    column = _hedge_column(n, delay, sigma_hat)
+    got, want = reflection_coefficients(column), _durbin_on_negative_strides(column)
+    assert len(got) == len(want) == n - 1
+    p = _certified_order(got)
+    assert p <= delay + 1  # A^-1 is delay-banded: A is an order-delay autoregression's covariance
+    assert got[:p].tobytes() == want[:p].tobytes()
+    assert not np.any(got[p:])
+    # what the reference's tail adds to the log-determinant sum is what the zeros drop: at most eta^2
+    assert -_durbin_sum(want[p:], n - p) <= DURBIN_TAIL_ETA**2
+    assert abs(_durbin_sum(got, n) - _durbin_sum(want, n)) <= 1e-13
+
+
+def test_an_optimal_strategy_takes_at_most_delay_plus_two_durbin_steps():
+    n, delay = 2048, 3
+    alphas, steps = _count_dots(_hedge_column(n, delay, 1.3))
+    assert len(alphas) == n - 1
+    assert steps <= delay + 2  # the full recursion takes n - 2
+
+
+def _random_spd_columns():
+    rng = np.random.default_rng(11)
+    for _ in range(40):
+        n = int(rng.integers(3, 300))
+        column = rng.uniform(-1.0, 1.0, n) / n
+        column[0] = 1.0 + np.abs(column[1:]).sum() * rng.uniform(0.2, 1.0)  # diagonally dominant: positive definite
+        yield column
+
+
+@pytest.mark.parametrize(
+    "column",
+    [
+        _hedge_column(n, delay, sigma_hat, scale)
+        for scale in (0.97, 1.05, 1.5)
+        for n, delay, sigma_hat in [(64, 3, 1.3), (1024, 20, 0.7), (2048, 3, 1.3)]
+    ]
+    + list(_random_spd_columns()),
+    ids=lambda c: f"n{len(c)}",
+)
+def test_columns_with_no_vanishing_tail_run_the_full_recursion(column):
+    got, steps = _count_dots(column)
+    want = _durbin_on_negative_strides(column)
+    assert got.tobytes() == want.tobytes()
+    assert steps == len(want) - 1  # every step the reference takes, to n - 2 or to the first |alpha_k| >= 1
+
+
+@pytest.mark.parametrize("factor, certified", [(0.99, True), (1.01, False)])
+def test_the_certificate_holds_just_below_its_bound_and_not_just_above(factor, certified):
+    n, delay = 512, 3
+    column = _hedge_column(n, delay, 1.3)
+    head = _durbin_on_negative_strides(column)[:delay]  # beta_p and P of the certificate at order p = delay
+    beta, growth = float(np.prod(1.0 - head * head)), float(np.prod(1.0 + np.abs(head)))
+    # the last lag moved by delta leaves every residual but g_{n-2} at rounding level, so eta = n delta P / beta
+    column[-1] += factor * DURBIN_TAIL_ETA * beta / (n * growth) * column[0]
+    with mock.patch.object(mc, "_tail_vanishes", wraps=mc._tail_vanishes) as tail_test:
+        got, steps = _count_dots(column)
+    want = _durbin_on_negative_strides(column)
+    assert tail_test.call_args_list[0].args[1].shape == (delay,)  # the first test ran at order delay
+    if certified:
+        assert _certified_order(got) <= delay and steps == delay
+        assert abs(_durbin_sum(got, n) - _durbin_sum(want, n)) <= DURBIN_TAIL_ETA**2
+    else:
+        assert got.tobytes() == want.tobytes() and steps == n - 2
+        assert 1 < tail_test.call_count <= math.log2(n)  # retried at doubled orders only
+
+
+def _exact_hedge_column(a, delay, n):
+    """A's first column (a + 1, b_1 .. b_{n-1}) in exact arithmetic, by the weight recursion."""
+    b = []
+    for i in range(n - 1):
+        b.append(a if i < delay else a / (a * delay + 1) * sum(b[i - delay : i]))
+    return [a + 1] + b
+
+
+def _exact_durbin(column):
+    """Durbin's reflection coefficients of the symmetric Toeplitz matrix, in ``Fraction`` arithmetic."""
+    r = [c / column[0] for c in column[1:]]
+    alphas, y, beta = [], [], Fraction(1)
+    for k in range(len(r)):
+        alpha = -(r[k] + sum(y[i] * r[k - 1 - i] for i in range(k))) / beta
+        alphas.append(alpha)
+        y = [y[i] + alpha * y[k - 1 - i] for i in range(k)] + [alpha]
+        beta *= 1 - alpha * alpha
+    return alphas
+
+
+@st.composite
+def _rational_markets(draw):
+    n = draw(st.integers(1, 12))
+    delay = draw(st.integers(0, n - 1))
+    lowest = Fraction(-1, delay + 1)
+    a = lowest + draw(st.fractions(min_value=Fraction(1, 10**6), max_value=20, max_denominator=10**6))
+    return a, delay, n
+
+
+@settings(max_examples=150, deadline=None)
+@given(_rational_markets())
+def test_reflection_coefficients_vanish_exactly_past_the_delay(market):
+    a, delay, n = market
+    column = _exact_hedge_column(a, delay, n)
+    alphas = _exact_durbin(column)
+    assert all(abs(alpha) < 1 for alpha in alphas)  # A is positive definite for a > -1/(D+1)
+    assert all(alpha == 0 for alpha in alphas[delay:])
+    got, steps = _count_dots(np.array([float(c) for c in column]))
+    assert steps <= delay + 1  # certified at order <= delay + 1, or the recursion ran out first
+    assert _certified_order(got) <= delay + 1
 
 
 def test_reflection_coefficients_stop_at_the_first_that_is_not_below_one():
