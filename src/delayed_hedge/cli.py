@@ -161,9 +161,8 @@ def cmd_simulate(args) -> int:
     if report.analytic is not None and report.std_error > 0.0:
         # how many standard errors the estimate sits from its oracle; left out where it would not be finite
         payload["z_vs_analytic"] = (report.empirical_mean - report.analytic) / report.std_error
-    skipped = mc.analytic_skip_reason(m)
-    if skipped is not None:
-        payload["analytic_skipped"] = skipped
+    if report.analytic_skipped is not None:
+        payload["analytic_skipped"] = report.analytic_skipped
     payload["generator"] = mc.GENERATOR_ID
     _emit_json(args, payload)
     return 0

@@ -10,27 +10,33 @@ closes the identity V(x) + log(dQ/dP)(x) = C for every path x, and equals
 both the relative entropy of the dual measure and -log(-value).  C is the
 ``c_hat`` view of ``solver.solve``; every function here reads one solution.
 
-The measure is stored in one form only, the (D+1) x n lower band of its
-covariance (``toeplitz.inverse_band``), so building it, its entropy (block
-Cholesky of the band, ``toeplitz.band_log_det``), its marginal and its
-martingale check (``toeplitz.band_matvec``) cost O(n D) memory: no n x n
-array is built, and no path here imports scipy.  ``toeplitz.band_to_dense``
-is the dense oracle view.
+The measure is stored as A^-1 is by the Gohberg-Semencul formula: its first
+column v, whose D + 1 taps are all that is nonzero, and the D x D Schur
+block S of its last D rows (``toeplitz.schur_corner``).  The entropy reads
+log |A^-1| = (n - D) log v_0 + log |S| off one D x D Cholesky factorization
+(``toeplitz.corner_log_det``), the marginal and the trace are sums over v and
+S, and the martingale check applies A^-1 as one correlation and one
+convolution with v plus the corner: building the measure and its entropy and
+marginal take O(D^3) time and O(D^2) memory whatever n, and the check O(n D).
+No path here imports scipy.  ``DualMeasure.band`` is the (D+1) x n band of
+the covariance, a view built on first use for the dense oracles
+(``toeplitz.band_to_dense``).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .errors import DomainError, NumericalError
+from .errors import DomainError, LengthMismatch, NumericalError
 from .market import DiscreteMarket
 from .solver import HedgeSolution, as_paths, causal_convolve, quadratic_forms, solve, strategy, wealth
-from .toeplitz import band_log_det, band_matvec, inverse_band
+from .toeplitz import corner_log_det, schur_corner, stored_band, v_vector
 
-# Seeded probe vectors of the randomized check that the stored band inverts A.
+# Seeded probe vectors of the randomized check that the stored measure inverts A.
 PROBE_COUNT = 3
 PROBE_SEED = 20231
 
@@ -39,18 +45,32 @@ PROBE_SEED = 20231
 class DualMeasure:
     """Centered Gaussian law of the increments under the dual measure.
 
-    ``band[d, j]`` is the covariance of increments j + d and j (0-based), zero
-    past the end of each diagonal; ``toeplitz.band_to_dense`` gives the dense
-    matrix.  ``solution`` is the ``HedgeSolution`` the measure was built from,
-    and C is its ``c_hat``.
+    The covariance is sigma^2 K with K = G G' + diag(0, corner): G holds the
+    first n - D columns of T(v) / sqrt(v_0), T(v) the lower-triangular
+    Toeplitz matrix of the taps ``v`` (D = len(v) - 1), and ``corner`` is the
+    D x D Schur complement of K's first n - D rows.  For the measure
+    ``build_dual`` makes, K = A^-1 and v is its first column.  ``solution`` is
+    the ``HedgeSolution`` the measure was built from, and C is its ``c_hat``.
     """
 
-    band: np.ndarray
+    v: np.ndarray
+    corner: np.ndarray
     solution: HedgeSolution
+
+    def __post_init__(self):
+        width, n = len(self.v) - 1, self.solution.market.n
+        if self.corner.shape != (width, width) or not 0 <= width < n:
+            raise LengthMismatch(f"{len(self.v)} taps and a {self.corner.shape} corner do not fit n = {n}")
 
     @property
     def c_hat(self) -> float:
         return self.solution.c_hat
+
+    @cached_property
+    def band(self) -> np.ndarray:
+        """``band[d, j]``: the covariance of increments j + d and j (0-based), zero past
+        the end of each diagonal (``toeplitz.stored_band`` times sigma^2)."""
+        return self.solution.market.sigma**2 * stored_band(self.v, self.corner, self.solution.market.n)
 
 
 def build_dual(m: DiscreteMarket) -> DualMeasure:
@@ -59,7 +79,17 @@ def build_dual(m: DiscreteMarket) -> DualMeasure:
     c_hat, u = sol.c_hat, sol.value
     if abs(-math.exp(-c_hat) - u) > 1e-12 * abs(u):
         raise NumericalError(f"dual constant {c_hat} inconsistent with value {u}")
-    return DualMeasure(band=m.sigma**2 * inverse_band(sol.a, m.delay, m.n), solution=sol)
+    v = v_vector(sol.a, m.delay, m.delay + 1)
+    return DualMeasure(v=v, corner=schur_corner(v), solution=sol)
+
+
+def _apply(dm: DualMeasure, z: np.ndarray) -> np.ndarray:
+    """K z for each row of ``z``: G (G' z) by one correlation and one convolution
+    with the taps, plus the corner on the last D entries."""
+    v, width = dm.v, len(dm.v) - 1
+    out = np.array([np.convolve(np.correlate(row, v, "valid"), v) for row in z]) / v[0]
+    out[:, z.shape[1] - width :] += z[:, z.shape[1] - width :] @ dm.corner.T
+    return out
 
 
 def _require_own_market(dm: DualMeasure, m: DiscreteMarket) -> None:
@@ -74,22 +104,22 @@ def check_delayed_martingale(dm: DualMeasure, delay: int, tol: float) -> bool:
     A centered Gaussian increment law is a martingale for the delayed
     filtration iff its covariance is D-banded.  Two tests:
 
-    * every stored diagonal beyond ``delay`` stays below tol * max |entry|;
-    * the band must invert the solution's A: for seeded probe
-      vectors z, |A (B z) - z| <= tol |z| with B = band / sigma^2 applied by
-      ``toeplitz.band_matvec``, and A = (a + 1) I + T(b) by
+    * every stored tap beyond ``delay`` stays below tol * max |tap|;
+    * the measure must invert the solution's A: for seeded probe
+      vectors z, |A (K z) - z| <= tol |z| with K the stored covariance over
+      sigma^2, applied by its taps and corner, and A = (a + 1) I + T(b) by
       ``causal_convolve`` on y and on reversed y, so neither matrix is built
       (a randomized check, Freivalds 1977).
 
-    The first test alone is vacuous for a band stored with ``delay`` + 1 rows;
-    the second is what catches a wrong band.
+    The first test alone is vacuous for a measure stored with ``delay`` + 1
+    taps; the second is what catches a wrong measure.
     """
-    band = dm.band
-    if len(band) > delay + 1 and np.any(np.abs(band[delay + 1 :]) > tol * np.max(np.abs(band))):
+    v = dm.v
+    if len(v) > delay + 1 and np.any(np.abs(v[delay + 1 :]) > tol * np.max(np.abs(v))):
         return False
     sol = dm.solution
-    z = np.random.default_rng(PROBE_SEED).standard_normal((PROBE_COUNT, band.shape[1]))
-    y = band_matvec(band, z) / sol.market.sigma**2
+    z = np.random.default_rng(PROBE_SEED).standard_normal((PROBE_COUNT, sol.market.n))
+    y = _apply(dm, z)
     lagged = causal_convolve(np.concatenate([y, y[:, ::-1]]), sol.b)
     residual = (sol.a + 1.0) * y + lagged[: len(z)] + lagged[len(z) :, ::-1] - z
     return bool(((residual * residual).sum(axis=1) <= tol**2 * (z * z).sum(axis=1)).all())
@@ -98,11 +128,13 @@ def check_delayed_martingale(dm: DualMeasure, delay: int, tol: float) -> bool:
 def check_marginal(dm: DualMeasure, m: DiscreteMarket, tol: float) -> bool:
     """True iff Var(S_n - S_0) under the dual measure equals n sigma_hat^2.
 
-    The variance of the sum is the diagonal sum plus twice the off-diagonal sums.
+    The variance of the sum is sigma^2 1'K1 = sigma^2 ((n - D) (sum v)^2 / v_0
+    + 1'S1): every column of G sums to (sum v) / sqrt(v_0).  O(D^2).
     Raises DomainError unless ``m`` is the measure's own market.
     """
     _require_own_market(dm, m)
-    total = 2.0 * float(dm.band.sum()) - float(dm.band[0].sum())
+    v = dm.v
+    total = m.sigma**2 * ((m.n - len(v) + 1) * float(v.sum()) ** 2 / v[0] + float(dm.corner.sum()))
     target = m.n * m.sigma_hat**2
     return abs(total - target) <= tol * abs(target)
 
@@ -137,19 +169,20 @@ def relative_entropy(dm: DualMeasure, m: DiscreteMarket) -> float:
     """KL divergence of the dual Gaussian from the market Gaussian.
 
     Closed Gaussian form (1/2)(trace(A^-1) - n + log |A| + n mu^2 / sigma^2),
-    computed from the stored band itself: the trace comes off the main
-    diagonal and log |A| from a block Cholesky factorization of the band
-    (``toeplitz.band_log_det``), so agreement with c_hat genuinely tests the
-    closed-form determinant.  Raises DomainError unless ``m`` is the
-    measure's own market, NumericalError unless the band is positive definite.
+    computed from the stored measure itself: trace(K) = (n - D) |v|^2 / v_0
+    + trace(S), taken less n, and log |K| = (n - D) log v_0 + log |S| from one D x D
+    Cholesky factorization (``toeplitz.corner_log_det``), so agreement with
+    c_hat genuinely tests the closed-form determinant.  O(D^3) whatever n.
+    Raises DomainError unless ``m`` is the measure's own market,
+    NumericalError unless the stored covariance is positive definite.
     """
     _require_own_market(dm, m)
-    band = dm.band
-    n = band.shape[1]
+    v, n = dm.v, m.n
     try:
-        log_det_band = band_log_det(band)
+        log_det_k = corner_log_det(v, dm.corner, n)
     except np.linalg.LinAlgError as exc:
         raise NumericalError("dual covariance is not positive definite") from exc
-    trace_inv_a = float(np.sum(band[0])) / m.sigma**2
-    log_det_a = n * math.log(m.sigma**2) - log_det_band
-    return 0.5 * (trace_inv_a - n + log_det_a + n * m.mu**2 / m.sigma**2)
+    width = len(v) - 1
+    # trace(K) - n, with |v|^2 / v_0 - 1 formed without the cancellation of |v|^2 / v_0 against 1
+    trace_excess = (n - width) * ((v[0] - 1.0) + float(v[1:] @ v[1:]) / v[0]) + float(np.trace(dm.corner)) - width
+    return 0.5 * (trace_excess - log_det_k + n * m.mu**2 / m.sigma**2)

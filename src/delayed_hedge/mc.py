@@ -30,7 +30,8 @@ strategy M is A / sigma^2, whose inverse is D-banded, so p is D or D + 1.
 
 ``generate`` refuses batches of more than ``MAX_PATH_STEPS`` path-steps
 (paths * n) before it allocates anything, and ``estimate_utility`` leaves the
-analytic oracle, whose cost can grow as n^2, out above ``ANALYTIC_MAX_N``.
+analytic oracle out once it would take more than ``DURBIN_STEP_BUDGET``
+uncertified steps, the part of its cost that grows as n^2.
 
 ``brute_force_optimum`` maximizes the same closed-form expectation over every
 quadratic strategy the delayed filtration can measure (Nelder-Mead, n <= 3):
@@ -60,13 +61,15 @@ GENERATOR_ID = "philox4x64/ziggurat-v2"
 # worst.
 MAX_PATH_STEPS = 10**7
 
-# Largest n for which estimate_utility runs the analytic oracle.  On a column
-# whose reflection coefficients do not vanish (a scaled or hand-built kernel)
-# its Durbin loop takes n Python steps and O(n^2) work: at the cap it took
-# 0.06-0.2 s on a 2-vCPU host and peaked at 0.4 MB under tracemalloc (0.6-1.6 s
-# at 16384).  The optimal strategy's column is certified within D + 1 steps
-# (0.1 ms at D = 3, 25 ms at D = 4096), but the cap holds for every column.
-ANALYTIC_MAX_N = 8192
+# Most reflection coefficients the analytic oracle computes without a
+# certificate that the rest vanish (``reflection_coefficients``' budget), and
+# most Levinson steps it takes for a linear term other than the Merton ratio;
+# past either, estimate_utility leaves it out and says why.  Up to the budget,
+# an uncertified column (a scaled or hand-built kernel) took 0.06-0.2 s on a
+# 2-vCPU host and peaked at 0.4 MB under tracemalloc.  The optimal strategy's
+# column is certified within D + 1 steps, O(n D) in all: 1.1 ms at n = 16385,
+# D = 3, and 25 ms at n = 8192, D = 4096.
+DURBIN_STEP_BUDGET = 8191
 
 # reflection_coefficients sets a tail of coefficients to zero only when its
 # bound eta on them is at most this: the zeros move the log-determinant by less
@@ -104,9 +107,13 @@ class UtilityReport:
     ess: float  # effective sample size of the exp(-V) weights
     log_neg_mean: float  # log(-empirical_mean), finite where the mean itself underflows to -0.0
     relative_std_error: float  # std_error / |empirical_mean|, from the same shifted moments
+    analytic_skipped: str | None = None  # why ``analytic`` was left out past DURBIN_STEP_BUDGET, else None
 
     def to_json(self) -> dict:
-        return asdict(self)
+        """Every field but ``analytic_skipped``, which the caller reports after its own keys."""
+        doc = asdict(self)
+        del doc["analytic_skipped"]
+        return doc
 
 
 def generate(m: DiscreteMarket, count: int, seed: int) -> PathBatch:
@@ -131,8 +138,9 @@ def estimate_utility(batch: PathBatch, w: StrategyWeights, m: DiscreteMarket) ->
     """Empirical mean and standard error of -exp(-V) over the batch.
 
     The analytic expectation of the same quadratic strategy is attached when
-    it exists and ``analytic_skip_reason`` gives none, evaluated by
-    Levinson-Durbin.  V comes from ``solver.wealth``, which needs no holdings.
+    it exists, evaluated by Levinson-Durbin (``toeplitz_quadratic_utility``);
+    where that would pass ``DURBIN_STEP_BUDGET``, ``analytic_skipped`` says
+    why.  V comes from ``solver.wealth``, which needs no holdings.
     Accumulation relies on numpy's pairwise summation, which is deterministic
     for a given batch.
     The moments are those of -exp(shift - V), shift = max(min V, 0), scaled
@@ -149,12 +157,13 @@ def estimate_utility(batch: PathBatch, w: StrategyWeights, m: DiscreteMarket) ->
         shifted_mean = float(np.mean(y))  # at most -1 / count: the path of least V contributes -1 or less
         shifted_stderr = float(np.std(y, ddof=1) / math.sqrt(batch.count)) if batch.count > 1 else 0.0
         ess = float(np.sum(np.abs(y)) ** 2 / np.sum(y * y))
-    analytic = None
-    if analytic_skip_reason(m) is None:
-        try:
-            analytic = toeplitz_quadratic_utility(*strategy_toeplitz_form(w, m), m)
-        except IntegrabilityError:
-            pass
+    analytic = skipped = None
+    try:
+        analytic = toeplitz_quadratic_utility(*strategy_toeplitz_form(w, m), m)
+    except IntegrabilityError:
+        pass
+    except SizeError as exc:
+        skipped = str(exc)
     return UtilityReport(
         empirical_mean=shifted_mean * scale,
         std_error=shifted_stderr * scale,
@@ -164,14 +173,8 @@ def estimate_utility(batch: PathBatch, w: StrategyWeights, m: DiscreteMarket) ->
         ess=ess,
         log_neg_mean=math.log(-shifted_mean) - shift,
         relative_std_error=shifted_stderr / -shifted_mean,
+        analytic_skipped=skipped,
     )
-
-
-def analytic_skip_reason(m: DiscreteMarket) -> str | None:
-    """Why ``estimate_utility`` leaves the analytic oracle out for ``m``, or None."""
-    if m.n > ANALYTIC_MAX_N:
-        return f"n = {m.n} exceeds ANALYTIC_MAX_N = {ANALYTIC_MAX_N}; the oracle's O(n^2) recursion is capped there"
-    return None
 
 
 def strategy_toeplitz_form(w: StrategyWeights, m: DiscreteMarket):
@@ -239,7 +242,9 @@ def reflection_coefficients(column: np.ndarray) -> np.ndarray:
     fsum_k (n - 1 - k) log1p(-alpha_k^2) by less than DURBIN_TAIL_ETA^2.  A
     test that fails defers the next to twice its order, so a column with no
     such tail pays for at most log2(n) convolutions and its bits are those
-    of the full recursion.  Only the column is read.
+    of the full recursion.  Only the column is read.  A recursion that has
+    computed DURBIN_STEP_BUDGET coefficients and still has no certificate
+    raises ``SizeError``.
     """
     r = column[1:] / column[0]
     alphas = np.empty(len(r))
@@ -254,6 +259,9 @@ def reflection_coefficients(column: np.ndarray) -> np.ndarray:
     for k in range(1, len(r)):
         if not abs(alpha) < 1.0:
             return alphas[:k]
+        if k >= DURBIN_STEP_BUDGET:
+            raise SizeError(f"Durbin's recursion computed {k} of {len(r)} reflection coefficients with no "
+                            f"certificate that the rest vanish, the limit DURBIN_STEP_BUDGET = {k}")
         beta *= 1.0 - alpha * alpha
         alpha = alphas[k] = -(r[k] + np.dot(rrev[-k:], y[:k])) / beta
         if abs(alpha) <= trigger and k >= test_from:
@@ -312,6 +320,9 @@ def toeplitz_quadratic_utility(
     market the tests and the benchmark run.
     M^-1 b comes from ``scipy.linalg.solve_toeplitz`` and is skipped when b is
     exactly zero, as for every strategy whose linear term is the Merton ratio.
+    Raises ``SizeError`` where Durbin's recursion would pass
+    ``DURBIN_STEP_BUDGET`` uncertified steps, or the n - 1 steps of that solve
+    would.
     """
     n = m.n
     column = np.asarray(column, dtype=float)
@@ -324,12 +335,15 @@ def toeplitz_quadratic_utility(
         raise IntegrabilityError("I + sigma^2 Q is not positive definite")
     matrix_column = column.copy()
     matrix_column[0] += 1.0 / sig2
+    b = np.full(n, m.mu / sig2) - linear
+    if np.any(b) and n - 1 > DURBIN_STEP_BUDGET:
+        raise SizeError(f"the Levinson solve for a linear term other than the Merton ratio takes n - 1 = {n - 1} "
+                        f"steps, past DURBIN_STEP_BUDGET = {DURBIN_STEP_BUDGET}")
     alphas = reflection_coefficients(matrix_column)
     if not np.all(np.abs(alphas) < 1.0):
         raise IntegrabilityError("I + sigma^2 Q is not positive definite")
     weights = np.arange(n - 1, 0, -1)
     log_det = n * math.log1p(diagonal) + math.fsum(weights * np.log1p(-alphas * alphas))
-    b = np.full(n, m.mu / sig2) - linear
     quad_b = 0.0
     if np.any(b):
         from scipy.linalg import solve_toeplitz

@@ -14,6 +14,11 @@ lower band (``inverse_band``), from the vector v that solves A v = e_0:
 with 1-based i, j and i^j = min(i, j).  The closed-form determinant is
 |A| = (1 + (D+1) a)^{n-D} / (1 + D a)^{n-D-1}.
 
+The same sum stores A^-1 in O(D^2) whatever n: the taps v_0..v_D and the D x D
+Schur complement S of its first n - D rows (``schur_corner``), which give
+log |A^-1| = (n - D) log v_0 + log |S| (``corner_log_det``) and, for oracles,
+the band back (``stored_band``).
+
 ``inverse_via_v`` is the dense n x n view of the band.  Dense inversion /
 determinant oracles (pivoted LAPACK via numpy) live here too so that every
 closed form can be cross-checked on the same matrix.
@@ -36,10 +41,6 @@ from .errors import DomainError, SingularMatrix, SizeError
 MINOR_ENUMERATION_LIMIT = 12
 # Minors stacked per determinant call: a chunk is at most 4096 (D+1)^2 doubles.
 MINOR_CHUNK = 4096
-
-# Rows per block of band_log_det's block Cholesky, unless D is larger: fewer,
-# larger blocks trade per-block call overhead for dense flops in the band's zeros.
-LOG_DET_BLOCK = 64
 
 # Dense oracles refuse matrices whose condition estimate exceeds this.
 CONDITION_LIMIT = 1e12
@@ -111,61 +112,62 @@ def band_to_dense(band: np.ndarray) -> np.ndarray:
     return dense
 
 
-def band_matvec(band: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """B z for the symmetric B whose lower band is ``band``, one product per row of ``z``.
+def schur_corner(v: np.ndarray) -> np.ndarray:
+    """The D x D block S of A^-1 left after its first n - D rows, from the taps v_0..v_D.
 
-    ``z`` has shape (..., n).  Each stored diagonal adds its two triangles,
-    D + 1 array operations in all; entries past the end of a diagonal are not read.
+    By the Gohberg-Semencul sum A^-1 = (T(v) T(v)' - T(w) T(w)') / v_0, with
+    T(.) lower-triangular Toeplitz and w = (0, v_{n-1}, ..., v_1), the
+    Cholesky factor of A^-1 is T(v) / sqrt(v_0) in its first n - D columns
+    and T(w) T(w)' touches only the last D rows and columns.  So the Schur
+    complement there is S = (L L' - R R') / v_0 with L, R the D x D
+    lower-triangular Toeplitz matrices of (v_0, ..., v_{D-1}) and
+    (v_D, ..., v_1), whatever n > D; log |A^-1| = (n - D) log v_0 + log |S|
+    (``corner_log_det``).  O(D^3) time, no n-sized array.
     """
-    n = band.shape[1]
-    out = band[0] * z
-    for d in range(1, len(band)):
-        diagonal = band[d, : n - d]
-        out[..., d:] += diagonal * z[..., : n - d]  # entries (j + d, j)
-        out[..., : n - d] += diagonal * z[..., d:]  # entries (j, j + d)
-    return out
+    lower, mirror = _lower_toeplitz(v[:-1]), _lower_toeplitz(v[:0:-1])
+    return (lower @ lower.T - mirror @ mirror.T) / v[0]
 
 
-def band_log_det(band: np.ndarray) -> float:
-    """log |B| for the symmetric positive definite B whose lower band is ``band``.
+def _lower_toeplitz(taps: np.ndarray) -> np.ndarray:
+    """The square lower-triangular Toeplitz matrix with first column ``taps``."""
+    return np.tril(taps[np.subtract.outer(np.arange(len(taps)), np.arange(len(taps)))])
 
-    Block Cholesky (Golub & Van Loan, section 4.5) on blocks of
-    s = max(D, LOG_DET_BLOCK) rows.  With s >= D the coupling of block i + 1
-    to block i lives in one D x D corner, so the Schur update it passes on
-    touches only the leading D x D corner of block i + 1.  Each block is
-    factored in a window of its s rows and the next block's first D, whose
-    leading corner holds the update left by the window before: the window's
-    trailing D x D factor T gives the next update as T T', the first s pivots
-    give the block's share of log |B|.  Each window is gathered from the band
-    by one ``take``, so no n x n array is built; the cost is O(n (s + D)^2)
-    and O(n D) memory.  Rows past n are padded with the identity.  Raises
-    ``np.linalg.LinAlgError`` when B is not positive definite.
+
+def corner_log_det(v: np.ndarray, corner: np.ndarray, n: int) -> float:
+    """log |K| = (n - D) log v_0 + log |S| for the n x n matrix K stored as its taps and corner.
+
+    K = G G' + diag(0, S): G holds the first n - D columns of T(v) / sqrt(v_0)
+    (T(.) lower-triangular Toeplitz, D = len(v) - 1) and S = ``corner`` is the
+    Schur complement of K's leading n - D rows, so one D x D Cholesky
+    factorization gives log |S|.  Raises ``np.linalg.LinAlgError`` unless
+    v_0 > 0 and S is positive definite, which is when K is.
     """
-    delay, n = len(band) - 1, band.shape[1]
-    size = min(max(delay, LOG_DET_BLOCK), n)
-    count = -(-n // size)
-    width = count * size + delay
-    padded = np.zeros((delay + 1, width))
-    padded[:, :n] = band
-    padded[:, :n][np.arange(n) + np.arange(delay + 1)[:, None] >= n] = 0.0  # past the end of a diagonal
-    padded[0, n:] = 1.0
-    flat = padded.reshape(-1)
-    rows = np.arange(size + delay)
-    lag = np.abs(np.subtract.outer(rows, rows))
-    inside = lag <= delay
-    index = np.minimum(lag, delay) * width + np.minimum.outer(rows, rows)  # entry (r, c) of the window at 0
-    pivots = np.empty((count, size))
-    corner = np.zeros((delay, delay))
-    for i in range(count):
-        window = flat.take(index + i * size)
-        window *= inside
-        if i:
-            window[:delay, :delay] = corner
-        factor = np.linalg.cholesky(window)
-        pivots[i] = factor.diagonal()[:size]
-        tail = factor[size:, size:]
-        corner = tail @ tail.T
-    return 2.0 * float(np.sum(np.log(pivots)))
+    if not v[0] > 0.0:
+        raise np.linalg.LinAlgError(f"leading tap v_0 = {v[0]} is not positive")
+    log_det_corner = 2.0 * float(np.sum(np.log(np.linalg.cholesky(corner).diagonal())))
+    return (n - len(v) + 1) * math.log(v[0]) + log_det_corner
+
+
+def stored_band(v: np.ndarray, corner: np.ndarray, n: int) -> np.ndarray:
+    """The (D+1) x n lower band of K = G G' + diag(0, S) (``corner_log_det``), D = len(v) - 1.
+
+    G G' is T(v) T(v)' / v_0 less its last D columns' share, the D x D block
+    L L' / v_0 of ``schur_corner`` in the last rows and columns.  Diagonal d
+    of T(v) T(v)' holds the running sums of v_{i+d} v_i, constant from
+    i = D - d on.  O(n D) time and memory: a view for oracles and tests.
+    """
+    delay = len(v) - 1
+    band = np.zeros((delay + 1, n))
+    for d in range(delay + 1):
+        sums = np.cumsum(v[d:] * v[: delay + 1 - d]) / v[0]
+        band[d, : n - d] = sums[-1]
+        head = min(len(sums), n - d)
+        band[d, :head] = sums[:head]
+    lower = _lower_toeplitz(v[:-1])
+    block = corner - lower @ lower.T / v[0]
+    for d in range(delay):
+        band[d, n - delay : n - d] += np.diagonal(block, -d)
+    return band
 
 
 def inverse_via_v(a: float, delay: int, n: int) -> np.ndarray:

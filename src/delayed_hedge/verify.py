@@ -16,6 +16,7 @@ from dataclasses import asdict, dataclass, replace
 import numpy as np
 
 from . import convergence, dual, kernel, mc, solver, toeplitz
+from .errors import SizeError
 from .market import ContinuousMarket, DiscreteMarket, discretize
 
 N_VALUES = (2, 4, 8, 16, 32)
@@ -23,12 +24,20 @@ SIGMA_HATS = (0.5, 0.8, 1.0, 1.3, 2.0)
 MUS = (0.0, 0.2)
 KERNEL_POINTS = tuple((H, r) for H in (0.15, 0.2, 0.35) for r in (0.5, 2.0))
 PATHS_PER_POINT = 100
-# Long markets the dual suite checks with no dense oracle: band, probe and FFT paths only.
+# Long markets the dual suite checks with no dense oracle: the stored taps and corner,
+# the probe and the FFT paths only.
 LARGE_DUAL_MARKETS = tuple(
     DiscreteMarket(n=n, delay=20, mu=0.1 / n, sigma=1.0 / math.sqrt(n), sigma_hat=ratio / math.sqrt(n))
     for n, ratio in ((10**4, 1.3), (10**5, 0.8))
 )
 LARGE_DUAL_PATHS = 8  # keeps the pathwise identity near 29 MB under tracemalloc at n = 10^5
+# Markets at n = 10^6 on which log |A| is taken three ways, each O(n D) or less (``dual.log_det_routes``)
+LOG_DET_MARKETS = tuple(
+    DiscreteMarket(n=10**6, delay=delay, mu=1e-7, sigma=1e-3, sigma_hat=1.3e-3) for delay in (20, 200)
+)
+# Relative to max(|log |A||, 1).  Measured worst: 4.9e-15 at D = 20 and 6.4e-14 at D = 200, where
+# (n - D) log v_0 carries v_0's rounding n times; up to 1.5e-13 over sigma_hat in {0.8, 1, 1.3, 2}e-3.
+LOG_DET_ROUTES_TOL = 1e-12
 RATE_SLACK = 1.5  # safety factor on constants fitted from the smallest n
 LIMIT_H = 0.2  # the H of the convergence suite's two markets
 
@@ -152,7 +161,8 @@ def dual_suite(grid_size: int = len(N_VALUES)):
     """Pathwise verification identity, entropy identity, marginal and structure.
 
     The grid is followed by ``LARGE_DUAL_MARKETS`` (n up to 10^5) with
-    ``LARGE_DUAL_PATHS`` paths each.
+    ``LARGE_DUAL_PATHS`` paths each; ``log_det_routes`` compares three routes
+    to log |A| on ``LOG_DET_MARKETS`` (n = 10^6).
     """
 
     def point(index: int, m: DiscreteMarket, paths: int = PATHS_PER_POINT):
@@ -171,6 +181,23 @@ def dual_suite(grid_size: int = len(N_VALUES)):
             "delayed_martingale": 0.0 if dual.check_delayed_martingale(dm, m.delay, 1e-10) else 1.0,
         }
 
+    def routes(m: DiscreteMarket):
+        # the closed form, the corner formula on the taps, and Durbin's recursion on A's first column,
+        # certified past order D + 1
+        sol = solver.solve(m)
+        v = toeplitz.v_vector(sol.a, m.delay, m.delay + 1)
+        corner = -toeplitz.corner_log_det(v, toeplitz.schur_corner(v), m.n)
+        column = sol.matrix.first_row
+        try:
+            alphas = mc.reflection_coefficients(column)
+        except SizeError:  # no certificate within the budget
+            alphas = np.empty(0)
+        durbin = math.inf  # also where the recursion stops short: A is then not positive definite
+        if len(alphas) == m.n - 1:
+            durbin = m.n * math.log(column[0]) + math.fsum(np.arange(m.n - 1, 0, -1) * np.log1p(-alphas * alphas))
+        scale = max(abs(sol.log_det), 1.0)
+        return {"log_det_routes": max(abs(corner - sol.log_det), abs(durbin - sol.log_det)) / scale}
+
     grid = default_grid(grid_size)
     results = [point(index, m) for index, m in enumerate(grid)]
     results += [point(len(grid) + i, m, LARGE_DUAL_PATHS) for i, m in enumerate(LARGE_DUAL_MARKETS)]
@@ -181,7 +208,9 @@ def dual_suite(grid_size: int = len(N_VALUES)):
         "marginal": 0.5,
         "delayed_martingale": 0.5,
     }
-    return _checks("dual", results, tols, [asdict(m) for m in grid + list(LARGE_DUAL_MARKETS)])
+    checks = _checks("dual", results, tols, [asdict(m) for m in grid + list(LARGE_DUAL_MARKETS)])
+    return checks + _checks("dual", [routes(m) for m in LOG_DET_MARKETS], {"log_det_routes": LOG_DET_ROUTES_TOL},
+                            [asdict(m) for m in LOG_DET_MARKETS])
 
 
 def kernel_suite(grid_size: int = len(N_VALUES)):

@@ -449,7 +449,7 @@ def test_verify_dual_suite_reaches_n_1e5_without_dense_oracles(capsys, monkeypat
 
 
 def test_simulate_at_the_analytic_cap_runs_the_oracle(capsys):
-    n = mc.ANALYTIC_MAX_N
+    n = mc.DURBIN_STEP_BUDGET + 1  # the longest horizon a full, uncertified recursion stays within
     code, doc = run_json(
         capsys, "simulate", "--n", str(n), "--delay", "20", "--mu", "0.1", "--sigma", "1",
         "--sigma-hat", "1.3", "--paths", "100", "--seed", "1",
@@ -503,15 +503,19 @@ def test_simulate_reports_a_non_integrable_strategy_without_analytic(capsys):
     assert all(math.isfinite(doc[k]) for k in ("empirical_mean", "std_error", "ess"))
 
 
-def test_simulate_above_the_analytic_cap_skips_the_oracle(capsys):
-    n = mc.ANALYTIC_MAX_N + 1
-    code, doc = run_json(
-        capsys, "simulate", "--n", str(n), "--delay", "3", "--mu", "0.1", "--sigma", "1",
-        "--sigma-hat", "1.3", "--paths", "100", "--seed", "1",
-    )
+def test_simulate_above_the_analytic_cap_skips_the_oracle(capsys, monkeypatch):
+    # a budget of 32 uncertified steps stands in for the full one, so no full-size recursion runs
+    monkeypatch.setattr(mc, "DURBIN_STEP_BUDGET", 32)
+    argv = ["simulate", "--n", "200", "--delay", "3", "--mu", "0.1", "--sigma", "1", "--sigma-hat", "1.3",
+            "--paths", "100", "--seed", "1"]
+    code, doc = run_json(capsys, *argv)
+    assert code == 0  # the optimal strategy's column is certified by order D + 1, within the budget
+    assert doc["analytic"] == pytest.approx(doc["value_formula"], rel=1e-10)
+    assert "analytic_skipped" not in doc
+    code, doc = run_json(capsys, *argv, "--perturb", "1.5")  # a scaled kernel has no vanishing tail
     assert code == 0
     assert doc["analytic"] is None
-    assert str(mc.ANALYTIC_MAX_N) in doc["analytic_skipped"]
+    assert "DURBIN_STEP_BUDGET = 32" in doc["analytic_skipped"]
     assert list(doc)[-3:] == ["value_formula", "analytic_skipped", "generator"]
 
 

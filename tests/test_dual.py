@@ -42,14 +42,11 @@ def test_constant_equals_negative_log_value():
 def test_delayed_martingale_structure():
     assert check_delayed_martingale(build_dual(market(4, 1, 1.0)), 1, 1e-12)
     assert check_delayed_martingale(build_dual(market(8, 2, 1.5)), 2, 1e-10)
-    # ones + eye couples every pair of increments, so it is not 1-banded
-    coupled_band = np.array([
-        [2.0, 2.0, 2.0, 2.0],
-        [1.0, 1.0, 1.0, 0.0],
-        [1.0, 1.0, 0.0, 0.0],
-        [1.0, 0.0, 0.0, 0.0],
-    ])
-    coupled = DualMeasure(band=coupled_band, solution=solve(market(4, 1, 1.0)))
+    # ones + eye couples every pair of increments, so it is not 1-banded: its first column
+    # is its taps, and the Schur complement of its leading entry 2 is its corner
+    taps, corner = np.array([2.0, 1.0, 1.0, 1.0]), 0.5 * np.ones((3, 3)) + np.eye(3)
+    coupled = DualMeasure(v=taps, corner=corner, solution=solve(market(4, 1, 1.0)))
+    np.testing.assert_array_equal(band_to_dense(coupled.band), np.ones((4, 4)) + np.eye(4))
     assert not check_delayed_martingale(coupled, 1, 1e-10)
 
 
@@ -57,9 +54,13 @@ def test_marginal_condition():
     m = market(7, 3, 0.6)
     dm = build_dual(m)
     assert check_marginal(dm, m, 1e-9)
-    bumped = dm.band.copy()
-    bumped[1, 0] += 0.01  # covariance entries (1, 0) and (0, 1)
-    assert not check_marginal(DualMeasure(band=bumped, solution=dm.solution), m, 1e-9)
+    bumped = dm.v.copy()
+    bumped[1] += 0.01  # the covariance of increments 1 and 0, and the rest of its diagonal
+    assert not check_marginal(DualMeasure(v=bumped, corner=dm.corner, solution=dm.solution), m, 1e-9)
+    corner = dm.corner.copy()
+    corner[2, 1] += 0.01  # the covariance of increments 6 and 5 alone
+    corner[1, 2] += 0.01
+    assert not check_marginal(DualMeasure(v=dm.v, corner=corner, solution=dm.solution), m, 1e-9)
 
 
 def test_verification_residual_origin():

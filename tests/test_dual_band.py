@@ -1,4 +1,4 @@
-"""The banded dual measure against the dense covariance it replaced."""
+"""The dual measure, stored as its taps and corner, against the dense covariance and band oracles."""
 
 import dataclasses
 import math
@@ -7,9 +7,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from delayed_hedge import DiscreteMarket, NumericalError, toeplitz
+from delayed_hedge import DiscreteMarket, LengthMismatch, NumericalError, toeplitz
 from delayed_hedge.dual import (
     DualMeasure,
+    _apply,
     build_dual,
     check_delayed_martingale,
     check_marginal,
@@ -30,6 +31,7 @@ MARKETS = [
     market(256, 1, 0.8, mu=0.01, sigma=0.5),
     market(640, 64, 1.2),
 ]
+EPS = np.finfo(float).eps
 
 
 def _dense_entropy(cov, m):
@@ -46,8 +48,15 @@ def test_band_matches_the_dense_covariance(m):
     sol = solve(m)
     assert dm.band.shape == (m.delay + 1, m.n)
     assert dm.solution == sol
-    dense = m.sigma**2 * toeplitz.inverse_via_v(sol.a, m.delay, m.n)
-    assert np.array_equal(toeplitz.band_to_dense(dm.band), dense)
+    assert np.array_equal(dm.v, toeplitz.v_vector(sol.a, m.delay, m.n)[: m.delay + 1])
+    assert np.array_equal(dm.corner, toeplitz.schur_corner(dm.v))
+    inverse = toeplitz.inverse_via_v(sol.a, m.delay, m.n)
+    dense = m.sigma**2 * inverse
+    # the view is built from the taps and corner, so it agrees with inverse_band to rounding, not to the bit
+    np.testing.assert_allclose(toeplitz.band_to_dense(dm.band), dense, rtol=0, atol=32 * EPS * np.max(np.abs(dense)))
+    lead = m.n - m.delay  # the corner is the Schur complement of the leading n - D rows of A^-1
+    schur = inverse[lead:, lead:] - inverse[lead:, :lead] @ np.linalg.solve(inverse[:lead, :lead], inverse[:lead, lead:])
+    np.testing.assert_allclose(dm.corner, schur, rtol=0, atol=1e-12 * max(np.max(np.abs(schur), initial=0.0), 1.0))
     entropy = relative_entropy(dm, m)
     assert entropy == pytest.approx(_dense_entropy(dense, m), rel=1e-12, abs=1e-12)
     assert entropy == pytest.approx(dm.c_hat, rel=1e-10, abs=1e-12)
@@ -55,38 +64,60 @@ def test_band_matches_the_dense_covariance(m):
     assert check_delayed_martingale(dm, m.delay, 1e-10)
 
 
-def test_measure_is_its_band_and_solution():
+def test_measure_is_its_taps_corner_and_solution():
     m = market(6, 2, 1.3)
     dm = build_dual(m)
-    assert [f.name for f in dataclasses.fields(dm)] == ["band", "solution"]
+    assert [f.name for f in dataclasses.fields(dm)] == ["v", "corner", "solution"]
+    assert dm.v.shape == (3,) and dm.corner.shape == (2, 2)
+    assert dm.band is dm.band  # a view, built once
     assert dm.c_hat == dm.solution.c_hat == solve(m).c_hat
     with pytest.raises(TypeError):
-        DualMeasure(band=dm.band)  # the solution is required
+        DualMeasure(v=dm.v, corner=dm.corner)  # the solution is required
+    for v, corner in ((dm.v, dm.corner[:1, :1]), (np.ones(7), np.eye(6))):  # a corner of the wrong size; n <= D
+        with pytest.raises(LengthMismatch, match="do not fit"):
+            DualMeasure(v=v, corner=corner, solution=dm.solution)
+
+
+def _with(dm, v=None, corner=None):
+    """``dm`` with its taps or corner replaced."""
+    return DualMeasure(v=dm.v if v is None else v, corner=dm.corner if corner is None else corner, solution=dm.solution)
 
 
 @pytest.mark.parametrize("m", MARKETS[1:], ids=lambda m: f"n{m.n}-D{m.delay}")
 def test_probe_rejects_a_band_that_does_not_invert_a(m):
     dm = build_dual(m)
-    scaled = DualMeasure(band=dm.band * (1.0 + 1e-6), solution=dm.solution)
-    assert not check_delayed_martingale(scaled, m.delay, 1e-10)
-    bumped = dm.band.copy()
-    bumped[min(1, m.delay), m.n // 3] += 1e-6 * np.max(np.abs(bumped))
-    assert not check_delayed_martingale(DualMeasure(band=bumped, solution=dm.solution), m.delay, 1e-10)
+    assert not check_delayed_martingale(_with(dm, v=dm.v * (1.0 + 1e-6)), m.delay, 1e-10)
+    assert not check_delayed_martingale(_with(dm, corner=dm.corner * (1.0 + 1e-6)), m.delay, 1e-10)
+    bumped = dm.v.copy()
+    bumped[min(1, m.delay)] += 1e-6 * np.max(np.abs(bumped))
+    assert not check_delayed_martingale(_with(dm, v=bumped), m.delay, 1e-10)
+    corner = dm.corner.copy()
+    corner[-1, 0] += 1e-6 * np.max(np.abs(corner))
+    assert not check_delayed_martingale(_with(dm, corner=corner), m.delay, 1e-10)
 
 
 def test_rows_beyond_the_delay_must_vanish():
     dm = build_dual(market(8, 2, 1.5))
-    wide = np.vstack([dm.band, np.full((1, 8), 1e-3)])
-    assert not check_delayed_martingale(DualMeasure(band=wide, solution=dm.solution), 2, 1e-10)
-    # within a wider delay the row is allowed, but it no longer inverts A
-    assert not check_delayed_martingale(DualMeasure(band=wide, solution=dm.solution), 3, 1e-10)
+    wide = np.append(dm.v, 1e-3)
+    wider = _with(dm, v=wide, corner=toeplitz.schur_corner(wide))
+    assert not check_delayed_martingale(wider, 2, 1e-10)
+    # within a wider delay the tap is allowed, but the measure no longer inverts A
+    assert not check_delayed_martingale(wider, 3, 1e-10)
+    # an exact zero tap past the delay, with the corner it leaves, is the same measure
+    zero = np.append(dm.v, 0.0)
+    same = _with(dm, v=zero, corner=toeplitz.schur_corner(zero))
+    assert check_delayed_martingale(same, 2, 1e-10) and check_delayed_martingale(same, 3, 1e-10)
 
 
 def test_entropy_rejects_a_covariance_that_is_not_positive_definite():
     m = market(3, 1, 1.0)
-    band = np.array([[-1.0, -1.0, -1.0], [1.0, 1.0, 0.0], [1.0, 0.0, 0.0]])  # the band of ones - 2 eye
+    # a leading tap of -1, the variance of the first increment: no positive definite covariance has it
+    not_spd = DualMeasure(v=np.array([-1.0, 1.0]), corner=np.array([[0.0]]), solution=solve(m))
     with pytest.raises(NumericalError):
-        relative_entropy(DualMeasure(band=band, solution=solve(m)), m)
+        relative_entropy(not_spd, m)
+    dm = build_dual(market(9, 3, 0.7))
+    with pytest.raises(NumericalError):
+        relative_entropy(_with(dm, corner=-dm.corner), dm.solution.market)
 
 
 def test_dual_layer_at_n_4096_builds_no_n_by_n_array():
@@ -107,7 +138,7 @@ def test_dual_layer_at_n_4096_builds_no_n_by_n_array():
     assert peak < n * n * 8 / 16  # one n x n float array is 134 MB; about 3 MB measured
 
 
-# (n, D): n = 1, D = 0, D = n - 1, n a multiple of the block and not, D above the block
+# (n, D): n = 1, D = 0, D = n - 1, n = 2D + 1 and less, D above 64
 BAND_SHAPES = [(1, 0), (5, 0), (7, 6), (64, 3), (130, 3), (129, 1), (64, 63), (200, 70), (1000, 20)]
 
 
@@ -117,13 +148,22 @@ def _random_market(n, delay, seed):
     return market(n, delay, sigma * float(rng.uniform(0.5, 2.0)), mu=float(rng.uniform(-0.2, 0.2)), sigma=sigma)
 
 
-def _random_spd_band(n, delay, seed):
-    """The band of a random diagonally dominant matrix, with garbage past the end of each diagonal."""
+def _random_measure(n, delay, seed):
+    """Random taps with a dominant leading tap and a random positive definite corner: K is then positive definite."""
     rng = np.random.default_rng(seed)
-    band = rng.uniform(-1.0, 1.0, (delay + 1, n))
-    band[0] = 2.0 * delay + rng.uniform(0.5, 1.5, n)
-    band[np.arange(n) + np.arange(delay + 1)[:, None] >= n] = np.nan
-    return band
+    v = rng.uniform(-1.0, 1.0, delay + 1)
+    v[0] = delay + rng.uniform(0.5, 1.5)
+    square = rng.uniform(-1.0, 1.0, (delay, delay))
+    return v, square @ square.T / max(delay, 1) + np.eye(delay)
+
+
+def _measure(n, delay, source):
+    """(taps, corner) of a dual measure over sigma^2, or of a random stored measure."""
+    seed = 1000 * n + delay
+    if source == "random":
+        return _random_measure(n, delay, seed)
+    dm = build_dual(_random_market(n, delay, seed))
+    return dm.v, dm.corner
 
 
 def _pbtrf_log_det(band):
@@ -141,9 +181,11 @@ def _clean(band):
 @pytest.mark.parametrize("n,delay", BAND_SHAPES)
 @pytest.mark.parametrize("source", ["dual", "random"])
 def test_band_log_det_matches_pbtrf_and_the_dense_log_det(n, delay, source):
-    seed = 1000 * n + delay
-    band = build_dual(_random_market(n, delay, seed)).band if source == "dual" else _random_spd_band(n, delay, seed)
-    got = toeplitz.band_log_det(band)
+    # the log-determinant of a stored measure, read off its leading tap and corner,
+    # against LAPACK's band Cholesky and a dense LU of its band view
+    v, corner = _measure(n, delay, source)
+    band = toeplitz.stored_band(v, corner, n)
+    got = toeplitz.corner_log_det(v, corner, n)
     sign, dense = np.linalg.slogdet(toeplitz.band_to_dense(band))
     assert sign == 1.0
     for want in (_pbtrf_log_det(_clean(band)), dense):
@@ -151,24 +193,56 @@ def test_band_log_det_matches_pbtrf_and_the_dense_log_det(n, delay, source):
 
 
 def test_band_log_det_raises_where_the_band_stops_being_positive_definite():
-    band = _random_spd_band(300, 3, 7)
-    toeplitz.band_log_det(band)
-    band[0, 250] = -1.0  # in the fourth block of 64 rows
+    v, corner = _random_measure(300, 3, 7)
+    toeplitz.corner_log_det(v, corner, 300)
+    indefinite = corner.copy()
+    indefinite[2, 2] = -1.0
+    assert np.linalg.eigvalsh(toeplitz.band_to_dense(toeplitz.stored_band(v, indefinite, 300)))[0] < 0.0
     with pytest.raises(np.linalg.LinAlgError):
-        toeplitz.band_log_det(band)
+        toeplitz.corner_log_det(v, indefinite, 300)
+    with pytest.raises(np.linalg.LinAlgError):
+        toeplitz.corner_log_det(-v, corner, 300)
 
 
 @pytest.mark.parametrize("n,delay", BAND_SHAPES)
 def test_band_matvec_matches_the_dense_product_and_dsbmv(n, delay):
+    # the measure's product K z by its taps and corner, against the dense product and BLAS dsbmv on its band
     from scipy.linalg.blas import dsbmv
 
-    band = _random_spd_band(n, delay, n + delay)
+    v, corner = _random_measure(n, delay, n + delay)
+    dm = DualMeasure(v=v, corner=corner, solution=solve(_random_market(n, delay, n)))
+    band = toeplitz.stored_band(v, corner, n)
     z = np.random.default_rng(delay).standard_normal((3, n))
-    got = toeplitz.band_matvec(band, z)
+    got = _apply(dm, z)
     dense = toeplitz.band_to_dense(band) @ z.T
     stored = np.asfortranarray(_clean(band))
     blas = np.array([dsbmv(delay, 1.0, stored, row, lower=1) for row in z])
     scale = np.max(np.abs(dense))
     np.testing.assert_allclose(got, dense.T, rtol=0, atol=1e-14 * scale)
     np.testing.assert_allclose(got, blas, rtol=0, atol=1e-14 * scale)
-    assert np.array_equal(toeplitz.band_matvec(band, z[0]), got[0])
+    np.testing.assert_allclose(_apply(dm, z[:1]), got[:1], rtol=0, atol=1e-15 * scale)  # one probe alone
+
+
+def _peak_of_the_dual_layer(m):
+    """tracemalloc peak of build_dual, relative_entropy and check_marginal, after a first call outside the trace."""
+    build_dual(m)
+    tracemalloc.start()
+    try:
+        dm = build_dual(m)
+        entropy = relative_entropy(dm, m)
+        marginal = check_marginal(dm, m, 1e-9)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert marginal
+    assert entropy == pytest.approx(dm.c_hat, rel=1e-10)
+    return peak
+
+
+def test_entropy_and_marginal_at_n_1e6_peak_as_at_n_1e3():
+    def large(n):
+        return market(n, 200, 1.3 / math.sqrt(n), mu=0.1 / n, sigma=1.0 / math.sqrt(n))
+
+    small, big = _peak_of_the_dual_layer(large(10**3)), _peak_of_the_dual_layer(large(10**6))
+    assert big <= small + 4096  # nothing sized by n; about 1.3 MB, a few D x D arrays, at both
+    assert big < 8 * 201 * 201 * 8  # the band would be 1.6 GB

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 from fractions import Fraction
@@ -9,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from delayed_hedge import DiscreteMarket, IntegrabilityError, LengthMismatch, SizeError, mc, value
 from delayed_hedge.mc import (
-    ANALYTIC_MAX_N,
+    DURBIN_STEP_BUDGET,
     DURBIN_TAIL_ETA,
     MAX_PATH_STEPS,
     PathBatch,
@@ -229,7 +230,7 @@ def test_estimate_moments_match_those_of_evaluate_paths_wealth(m, paths):
 
 
 def test_estimate_above_the_analytic_cap_builds_no_n_by_n_array():
-    n = ANALYTIC_MAX_N + 1
+    n = DURBIN_STEP_BUDGET + 2  # past the horizon a full recursion would stay within; this one is certified
     m = DiscreteMarket(n=n, delay=3, mu=0.1, sigma=1.0, sigma_hat=1.3)
     batch, w = generate(m, 100, seed=1), strategy(m)
     tracemalloc.start()
@@ -238,9 +239,32 @@ def test_estimate_above_the_analytic_cap_builds_no_n_by_n_array():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert report.analytic is None
+    assert report.analytic == pytest.approx(value(m), rel=1e-10)
+    assert report.analytic_skipped is None
     assert math.isfinite(report.empirical_mean)
     assert peak < n * n * 8 / 4  # one n x n float array is 134 MB; about 16 MB measured
+
+
+@pytest.mark.parametrize("kind", ["scaled", "merton"])
+def test_estimate_skips_the_oracle_past_the_step_budget_and_says_why(monkeypatch, kind):
+    monkeypatch.setattr(mc, "DURBIN_STEP_BUDGET", 16)  # no full-size recursion runs
+    m = DiscreteMarket(n=64, delay=2, mu=0.1, sigma=1.0, sigma_hat=1.3)
+    batch, w = generate(m, 100, seed=2), strategy(m)
+    assert estimate_utility(batch, w, m).analytic == pytest.approx(value(m), rel=1e-10)  # certified by order 3
+    if kind == "scaled":  # a kernel with no vanishing tail: Durbin gives up after 16 coefficients
+        w = dataclasses.replace(w, kernel=1.5 * w.kernel)
+        reason = "computed 16 of 63 reflection coefficients"
+    else:  # a linear term other than the Merton ratio: the Levinson solve takes 63 steps
+        w = dataclasses.replace(w, merton=w.merton + 0.1)
+        reason = "n - 1 = 63 steps"
+    report = estimate_utility(batch, w, m)
+    assert report.analytic is None
+    assert reason in report.analytic_skipped and "DURBIN_STEP_BUDGET = 16" in report.analytic_skipped
+    assert "analytic_skipped" not in report.to_json()
+    monkeypatch.setattr(mc, "DURBIN_STEP_BUDGET", 63)  # the full recursion fits again
+    assert estimate_utility(batch, w, m).analytic == pytest.approx(
+        analytic_quadratic_utility(*strategy_quadratic_form(w, m), m), rel=1e-10
+    )
 
 
 def test_estimate_moments_overflow_without_warnings():

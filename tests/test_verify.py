@@ -6,7 +6,7 @@ from dataclasses import asdict
 
 import numpy as np
 
-from delayed_hedge import convergence, kernel, toeplitz, verify
+from delayed_hedge import DiscreteMarket, convergence, kernel, mc, toeplitz, verify
 
 
 def test_a_nan_after_the_first_point_fails_its_check():
@@ -85,3 +85,26 @@ def test_alpha_domain_sweep_keeps_the_worst_point_of_the_scalar_alpha_calls():
     assert check.worst_at == {"H": domain[index][0], "ratio": math.exp(2.0 * domain[index][1])}
     assert check.worst_at == {"H": 1.0, "ratio": 0.01831563888873418}
     assert check.passed
+
+
+def test_log_det_routes_fail_where_one_route_drifts_and_name_its_market(monkeypatch):
+    # two n = 2000 markets stand in for the n = 10^6 ones; the check's reduction is the same
+    markets = tuple(DiscreteMarket(n=2000, delay=d, mu=1e-4, sigma=0.02, sigma_hat=0.026) for d in (3, 40))
+    monkeypatch.setattr(verify, "LOG_DET_MARKETS", markets)
+
+    def routes():
+        return {c.name: c for c in verify.dual_suite(grid_size=1)}["dual.log_det_routes"]
+
+    check = routes()
+    assert check.passed and check.worst <= verify.LOG_DET_ROUTES_TOL
+    assert check.worst_at in [asdict(m) for m in markets]
+    corner_log_det = toeplitz.corner_log_det
+    monkeypatch.setattr(  # a relative 1e-11 on the second market's corner formula alone
+        toeplitz, "corner_log_det", lambda v, corner, n: corner_log_det(v, corner, n) * (1.0 + 1e-11 * (len(v) == 41))
+    )
+    check = routes()
+    assert not check.passed and check.worst_at == asdict(markets[1])
+    monkeypatch.setattr(toeplitz, "corner_log_det", corner_log_det)
+    monkeypatch.setattr(mc, "DURBIN_STEP_BUDGET", 2)  # Durbin finds no certificate within two coefficients
+    check = routes()
+    assert not check.passed and math.isinf(check.worst)
