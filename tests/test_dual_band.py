@@ -55,7 +55,8 @@ def test_band_matches_the_dense_covariance(m):
     # the view is built from the taps and corner, so it agrees with inverse_band to rounding, not to the bit
     np.testing.assert_allclose(toeplitz.band_to_dense(dm.band), dense, rtol=0, atol=32 * EPS * np.max(np.abs(dense)))
     lead = m.n - m.delay  # the corner is the Schur complement of the leading n - D rows of A^-1
-    schur = inverse[lead:, lead:] - inverse[lead:, :lead] @ np.linalg.solve(inverse[:lead, :lead], inverse[:lead, lead:])
+    coupling = inverse[lead:, :lead]
+    schur = inverse[lead:, lead:] - coupling @ np.linalg.solve(inverse[:lead, :lead], coupling.T)
     np.testing.assert_allclose(dm.corner, schur, rtol=0, atol=1e-12 * max(np.max(np.abs(schur), initial=0.0), 1.0))
     entropy = relative_entropy(dm, m)
     assert entropy == pytest.approx(_dense_entropy(dense, m), rel=1e-12, abs=1e-12)
