@@ -7,25 +7,25 @@ past) and puts the market's pricing law on the terminal price.  The constant
     C = n (mu^2 - a sigma_hat^2) / (2 sigma^2) + (1/2) log |A|
 
 closes the identity V(x) + log(dQ/dP)(x) = C for every path x, and equals
-both the relative entropy of the dual measure and -log(-value).  C is the
-``c_hat`` view of ``solver.solve``; every function here reads one solution.
+the relative entropy of the dual measure.  C is the ``c_hat`` view of
+``solver.solve``, whose ``value`` is -exp(-C); every function here reads one
+solution.
 
-The measure is stored as A^-1 is by the Gohberg-Semencul formula: its first
-column v, whose D + 1 taps are all that is nonzero, and the D x D Schur
-block S of its last D rows (``toeplitz.schur_corner``).  The entropy reads
+The measure is stored as its taps: the first column v of A^-1, whose D + 1
+leading entries are all that is nonzero and fix A^-1 by the Gohberg-Semencul
+formula.  The D x D Schur block S of its last D rows is derived from the taps
+on first use (``toeplitz.schur_corner``).  The entropy reads
 log |A^-1| = (n - D) log v_0 + log |S| off one D x D Cholesky factorization
 (``toeplitz.corner_log_det``), the marginal and the trace are sums over v and
 S, and the martingale check applies A^-1 as one correlation and one
 convolution with v plus the corner: building the measure and its entropy and
 marginal take O(D^3) time and O(D^2) memory whatever n, and the check O(n D).
-No path here imports scipy.  ``DualMeasure.band`` is the (D+1) x n band of
-the covariance, a view built on first use for the dense oracles
-(``toeplitz.band_to_dense``).
+No path here imports scipy.  The dense oracles read the covariance's band as
+sigma^2 ``toeplitz.inverse_band(v, n)``.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -34,7 +34,7 @@ import numpy as np
 from .errors import DomainError, LengthMismatch, NumericalError
 from .market import DiscreteMarket
 from .solver import HedgeSolution, as_paths, causal_convolve, quadratic_forms, solve, strategy, wealth
-from .toeplitz import corner_log_det, schur_corner, stored_band, v_vector
+from .toeplitz import corner_log_det, schur_corner, v_vector
 
 # Seeded probe vectors of the randomized check that the stored measure inverts A.
 PROBE_COUNT = 3
@@ -45,42 +45,37 @@ PROBE_SEED = 20231
 class DualMeasure:
     """Centered Gaussian law of the increments under the dual measure.
 
-    The covariance is sigma^2 K with K = G G' + diag(0, corner): G holds the
+    The covariance is sigma^2 K with K the Gohberg-Semencul sum of the taps
+    ``v`` (D = len(v) - 1): K = G G' + diag(0, corner), where G holds the
     first n - D columns of T(v) / sqrt(v_0), T(v) the lower-triangular
-    Toeplitz matrix of the taps ``v`` (D = len(v) - 1), and ``corner`` is the
-    D x D Schur complement of K's first n - D rows.  For the measure
-    ``build_dual`` makes, K = A^-1 and v is its first column.  ``solution`` is
-    the ``HedgeSolution`` the measure was built from, and C is its ``c_hat``.
+    Toeplitz matrix of the taps, and ``corner`` is the D x D Schur complement
+    of K's first n - D rows, derived from the taps on first use.  For the
+    measure ``build_dual`` makes, K = A^-1 and v is its first column.
+    ``solution`` is the ``HedgeSolution`` the measure was built from, and C
+    is its ``c_hat``.
     """
 
     v: np.ndarray
-    corner: np.ndarray
     solution: HedgeSolution
 
     def __post_init__(self):
-        width, n = len(self.v) - 1, self.solution.market.n
-        if self.corner.shape != (width, width) or not 0 <= width < n:
-            raise LengthMismatch(f"{len(self.v)} taps and a {self.corner.shape} corner do not fit n = {n}")
+        if not 0 <= len(self.v) - 1 < self.solution.market.n:
+            raise LengthMismatch(f"{len(self.v)} taps do not fit n = {self.solution.market.n}")
 
     @property
     def c_hat(self) -> float:
         return self.solution.c_hat
 
     @cached_property
-    def band(self) -> np.ndarray:
-        """``band[d, j]``: the covariance of increments j + d and j (0-based), zero past
-        the end of each diagonal (``toeplitz.stored_band`` times sigma^2)."""
-        return self.solution.market.sigma**2 * stored_band(self.v, self.corner, self.solution.market.n)
+    def corner(self) -> np.ndarray:
+        """The D x D Schur complement S of K's first n - D rows (``toeplitz.schur_corner``)."""
+        return schur_corner(self.v)
 
 
 def build_dual(m: DiscreteMarket) -> DualMeasure:
     """Construct the dual measure for the market's optimal strategy."""
     sol = solve(m)
-    c_hat, u = sol.c_hat, sol.value
-    if abs(-math.exp(-c_hat) - u) > 1e-12 * abs(u):
-        raise NumericalError(f"dual constant {c_hat} inconsistent with value {u}")
-    v = v_vector(sol.a, m.delay, m.delay + 1)
-    return DualMeasure(v=v, corner=schur_corner(v), solution=sol)
+    return DualMeasure(v=v_vector(sol.a, m.delay, m.delay + 1), solution=sol)
 
 
 def _apply(dm: DualMeasure, z: np.ndarray) -> np.ndarray:
@@ -178,6 +173,8 @@ def relative_entropy(dm: DualMeasure, m: DiscreteMarket) -> float:
     """
     _require_own_market(dm, m)
     v, n = dm.v, m.n
+    if not v[0] > 0.0:  # checked before the corner, which divides by v_0
+        raise NumericalError(f"dual covariance is not positive definite: leading tap v_0 = {v[0]}")
     try:
         log_det_k = corner_log_det(v, dm.corner, n)
     except np.linalg.LinAlgError as exc:

@@ -274,6 +274,12 @@ def reflection_coefficients(column: np.ndarray) -> np.ndarray:
     return alphas
 
 
+def reflection_log_det(alphas: np.ndarray) -> float:
+    """fsum_k (n - 1 - k) log1p(-alpha_k^2) over the n - 1 reflection coefficients of an
+    n x n Toeplitz matrix: its log-determinant less n log of its diagonal entry."""
+    return math.fsum(np.arange(len(alphas), 0, -1) * np.log1p(-alphas * alphas))
+
+
 def _tail_vanishes(r: np.ndarray, y: np.ndarray, beta: float, prefix: np.ndarray) -> bool:
     """Whether the order-p predictor y (p = len(y) >= 1) proves alpha_k = 0 for k >= p to the bound.
 
@@ -342,8 +348,7 @@ def toeplitz_quadratic_utility(
     alphas = reflection_coefficients(matrix_column)
     if not np.all(np.abs(alphas) < 1.0):
         raise IntegrabilityError("I + sigma^2 Q is not positive definite")
-    weights = np.arange(n - 1, 0, -1)
-    log_det = n * math.log1p(diagonal) + math.fsum(weights * np.log1p(-alphas * alphas))
+    log_det = n * math.log1p(diagonal) + reflection_log_det(alphas)
     quad_b = 0.0
     if np.any(b):
         from scipy.linalg import solve_toeplitz

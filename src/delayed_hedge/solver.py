@@ -12,11 +12,11 @@ previous D weights, and the optimal strategy holds
     gamma_i = mu / sigma^2 + (1 / sigma^2) sum_{j < i} (b_{i-j} - a) X_j
 
 stocks plus the static quadratic option (a / (2 sigma^2)) (S_n - S_0)^2.
-The achieved expected utility is
+The achieved expected utility is u = -exp(-C) with the dual constant
 
-    u = -exp(n (a sigma_hat^2 - mu^2) / (2 sigma^2)) * |A|^(-1/2)
+    C = n (mu^2 - a sigma_hat^2) / (2 sigma^2) + (1/2) log |A|
 
-with |A| the closed-form Toeplitz determinant.
+(``c_hat``) and |A| the closed-form Toeplitz determinant.
 
 ``solve`` computes a and log |A| once; ``strategy``, ``value`` and
 ``hedge_matrix`` are views of the ``HedgeSolution`` it returns.
@@ -148,7 +148,7 @@ def weights_b(m: DiscreteMarket, a: float, count: int) -> np.ndarray:
 class HedgeSolution:
     """Root a and log |A| of one market; the rest are views, b built on first use.
 
-    ``value`` and ``c_hat`` are written out separately so comparing them stays a check.
+    ``value`` is -exp(-c_hat), the one formula for the exponent.
     """
 
     market: DiscreteMarket
@@ -165,9 +165,7 @@ class HedgeSolution:
 
     @property
     def value(self) -> float:
-        m = self.market
-        exponent = m.n * (self.a * m.sigma_hat**2 - m.mu**2) / (2.0 * m.sigma**2)
-        return -math.exp(exponent - 0.5 * self.log_det)
+        return -math.exp(-self.c_hat)
 
     @property
     def c_hat(self) -> float:

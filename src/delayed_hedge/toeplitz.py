@@ -14,10 +14,10 @@ lower band (``inverse_band``), from the vector v that solves A v = e_0:
 with 1-based i, j and i^j = min(i, j).  The closed-form determinant is
 |A| = (1 + (D+1) a)^{n-D} / (1 + D a)^{n-D-1}.
 
-The same sum stores A^-1 in O(D^2) whatever n: the taps v_0..v_D and the D x D
-Schur complement S of its first n - D rows (``schur_corner``), which give
-log |A^-1| = (n - D) log v_0 + log |S| (``corner_log_det``) and, for oracles,
-the band back (``stored_band``).
+So A^-1 is fixed by its taps v_0..v_D.  ``inverse_band`` takes them and n, and
+the D x D Schur complement S of A^-1's first n - D rows is a function of the
+taps alone, whatever n (``schur_corner``), which gives
+log |A^-1| = (n - D) log v_0 + log |S| (``corner_log_det``) in O(D^3).
 
 ``inverse_via_v`` is the dense n x n view of the band.  Dense inversion /
 determinant oracles (pivoted LAPACK via numpy) live here too so that every
@@ -77,8 +77,9 @@ def v_vector(a: float, delay: int, n: int) -> np.ndarray:
     return v
 
 
-def inverse_band(a: float, delay: int, n: int) -> np.ndarray:
-    """The (D+1) x n lower band of A^-1: band[d, j] = [A^-1]_{j+d, j}.
+def inverse_band(v: np.ndarray, n: int) -> np.ndarray:
+    """The (D+1) x n lower band of the Gohberg-Semencul sum of the taps v_0..v_D padded
+    with zeros to n (D = len(v) - 1): band[d, j] = [A^-1]_{j+d, j} when v is A^-1's first column.
 
     The two partial sums telescope along diagonals,
     B[j+d, j] = B[j+d-1, j-1] + (v_{j+d} v_j - v_{n-j-d} v_{n-j}) / v_0 (0-based),
@@ -86,10 +87,12 @@ def inverse_band(a: float, delay: int, n: int) -> np.ndarray:
     increments: O(n D) time and memory.  The cumulative sum adds left to right,
     the order of the row-by-row recurrence, so the dense view repeats it to
     the bit.  Entries past the end of a diagonal (j > n - 1 - d) are zero.
+    For any taps the band is that of G G' + diag(0, S) with G and S as in
+    ``corner_log_det`` and S = ``schur_corner(v)``.
     """
-    if not 0 <= delay < n:
-        raise DomainError(f"need 0 <= delay < n, got delay={delay}, n={n}")
-    v = v_vector(a, delay, n)
+    delay = len(v) - 1
+    _require_width(delay, n)
+    v = np.concatenate([v, np.zeros(n - delay - 1)])
     pad = np.zeros(delay)
     ahead = np.concatenate([v, pad])  # ahead[k] = v_k
     mirror = np.concatenate([[0.0], v[:0:-1], pad])  # mirror[k] = v_{n-k} for 0 < k < n
@@ -99,6 +102,12 @@ def inverse_band(a: float, delay: int, n: int) -> np.ndarray:
     band.cumsum(axis=1, out=band)
     band[shifted >= n] = 0.0
     return band
+
+
+def _require_width(delay: int, n: int) -> None:
+    """Raise DomainError unless 0 <= delay < n."""
+    if not 0 <= delay < n:
+        raise DomainError(f"need 0 <= delay < n, got delay={delay}, n={n}")
 
 
 def band_to_dense(band: np.ndarray) -> np.ndarray:
@@ -148,34 +157,13 @@ def corner_log_det(v: np.ndarray, corner: np.ndarray, n: int) -> float:
     return (n - len(v) + 1) * math.log(v[0]) + log_det_corner
 
 
-def stored_band(v: np.ndarray, corner: np.ndarray, n: int) -> np.ndarray:
-    """The (D+1) x n lower band of K = G G' + diag(0, S) (``corner_log_det``), D = len(v) - 1.
-
-    G G' is T(v) T(v)' / v_0 less its last D columns' share, the D x D block
-    L L' / v_0 of ``schur_corner`` in the last rows and columns.  Diagonal d
-    of T(v) T(v)' holds the running sums of v_{i+d} v_i, constant from
-    i = D - d on.  O(n D) time and memory: a view for oracles and tests.
-    """
-    delay = len(v) - 1
-    band = np.zeros((delay + 1, n))
-    for d in range(delay + 1):
-        sums = np.cumsum(v[d:] * v[: delay + 1 - d]) / v[0]
-        band[d, : n - d] = sums[-1]
-        head = min(len(sums), n - d)
-        band[d, :head] = sums[:head]
-    lower = _lower_toeplitz(v[:-1])
-    block = corner - lower @ lower.T / v[0]
-    for d in range(delay):
-        band[d, n - delay : n - d] += np.diagonal(block, -d)
-    return band
-
-
 def inverse_via_v(a: float, delay: int, n: int) -> np.ndarray:
     """Full inverse of A from the v-vector formula: the dense view of ``inverse_band``.
 
     Out-of-band entries are exact zeros, so the result is D-banded to the bit.
     """
-    return band_to_dense(inverse_band(a, delay, n))
+    _require_width(delay, n)
+    return band_to_dense(inverse_band(v_vector(a, delay, delay + 1), n))
 
 
 def log_det_closed_form(a: float, delay: int, n: int) -> float:

@@ -24,7 +24,7 @@ SIGMA_HATS = (0.5, 0.8, 1.0, 1.3, 2.0)
 MUS = (0.0, 0.2)
 KERNEL_POINTS = tuple((H, r) for H in (0.15, 0.2, 0.35) for r in (0.5, 2.0))
 PATHS_PER_POINT = 100
-# Long markets the dual suite checks with no dense oracle: the stored taps and corner,
+# Long markets the dual suite checks with no dense oracle: the stored taps, their corner,
 # the probe and the FFT paths only.
 LARGE_DUAL_MARKETS = tuple(
     DiscreteMarket(n=n, delay=20, mu=0.1 / n, sigma=1.0 / math.sqrt(n), sigma_hat=ratio / math.sqrt(n))
@@ -184,9 +184,9 @@ def dual_suite(grid_size: int = len(N_VALUES)):
     def routes(m: DiscreteMarket):
         # the closed form, the corner formula on the taps, and Durbin's recursion on A's first column,
         # certified past order D + 1
-        sol = solver.solve(m)
-        v = toeplitz.v_vector(sol.a, m.delay, m.delay + 1)
-        corner = -toeplitz.corner_log_det(v, toeplitz.schur_corner(v), m.n)
+        dm = dual.build_dual(m)
+        sol = dm.solution
+        corner = -toeplitz.corner_log_det(dm.v, dm.corner, m.n)
         column = sol.matrix.first_row
         try:
             alphas = mc.reflection_coefficients(column)
@@ -194,7 +194,7 @@ def dual_suite(grid_size: int = len(N_VALUES)):
             alphas = np.empty(0)
         durbin = math.inf  # also where the recursion stops short: A is then not positive definite
         if len(alphas) == m.n - 1:
-            durbin = m.n * math.log(column[0]) + math.fsum(np.arange(m.n - 1, 0, -1) * np.log1p(-alphas * alphas))
+            durbin = m.n * math.log(column[0]) + mc.reflection_log_det(alphas)
         scale = max(abs(sol.log_det), 1.0)
         return {"log_det_routes": max(abs(corner - sol.log_det), abs(durbin - sol.log_det)) / scale}
 

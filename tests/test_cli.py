@@ -445,7 +445,7 @@ def test_verify_dual_suite_reaches_n_1e5_without_dense_oracles(capsys, monkeypat
     code, doc = run_json(capsys, "verify", "--suite", "dual", "--grid-size", "1")
     assert code == 0
     assert doc["all_passed"] is True
-    assert built[-2:] == [10**4, 10**5]
+    assert built[-4:] == [10**4, 10**5, 10**6, 10**6]  # the large markets, then the two log |A| routes markets
 
 
 def test_simulate_at_the_analytic_cap_runs_the_oracle(capsys):

@@ -23,8 +23,9 @@ def market(n, delay, sigma_hat, mu=0.0, sigma=1.0):
 
 
 def test_build_dual_consistent_market():
-    dm = build_dual(market(5, 2, 1.0))
-    np.testing.assert_allclose(band_to_dense(dm.band), np.eye(5), atol=0)
+    m = market(5, 2, 1.0)
+    dm = build_dual(m)
+    np.testing.assert_allclose(band_to_dense(m.sigma**2 * toeplitz.inverse_band(dm.v, m.n)), np.eye(5), atol=0)
     assert dm.c_hat == 0.0
 
 
@@ -42,11 +43,12 @@ def test_constant_equals_negative_log_value():
 def test_delayed_martingale_structure():
     assert check_delayed_martingale(build_dual(market(4, 1, 1.0)), 1, 1e-12)
     assert check_delayed_martingale(build_dual(market(8, 2, 1.5)), 2, 1e-10)
-    # ones + eye couples every pair of increments, so it is not 1-banded: its first column
-    # is its taps, and the Schur complement of its leading entry 2 is its corner
-    taps, corner = np.array([2.0, 1.0, 1.0, 1.0]), 0.5 * np.ones((3, 3)) + np.eye(3)
-    coupled = DualMeasure(v=taps, corner=corner, solution=solve(market(4, 1, 1.0)))
-    np.testing.assert_array_equal(band_to_dense(coupled.band), np.ones((4, 4)) + np.eye(4))
+    # ones + eye couples every pair of increments, so it is not 1-banded: its inverse
+    # I - ones / 5 is Toeplitz, so its first column is its taps, two more than a delay of 1 allows
+    taps = np.array([2.0, 1.0, 1.0, 1.0])
+    coupled = DualMeasure(v=taps, solution=solve(market(4, 1, 1.0)))
+    np.testing.assert_array_equal(band_to_dense(toeplitz.inverse_band(taps, 4)), np.ones((4, 4)) + np.eye(4))
+    np.testing.assert_array_equal(coupled.corner, 0.5 * np.ones((3, 3)) + np.eye(3))
     assert not check_delayed_martingale(coupled, 1, 1e-10)
 
 
@@ -54,13 +56,10 @@ def test_marginal_condition():
     m = market(7, 3, 0.6)
     dm = build_dual(m)
     assert check_marginal(dm, m, 1e-9)
-    bumped = dm.v.copy()
-    bumped[1] += 0.01  # the covariance of increments 1 and 0, and the rest of its diagonal
-    assert not check_marginal(DualMeasure(v=bumped, corner=dm.corner, solution=dm.solution), m, 1e-9)
-    corner = dm.corner.copy()
-    corner[2, 1] += 0.01  # the covariance of increments 6 and 5 alone
-    corner[1, 2] += 0.01
-    assert not check_marginal(DualMeasure(v=dm.v, corner=corner, solution=dm.solution), m, 1e-9)
+    for tap in (0, 1, 3):
+        bumped = dm.v.copy()
+        bumped[tap] += 0.01  # tap 1: the covariance of increments 1 and 0, and the rest of its diagonal
+        assert not check_marginal(DualMeasure(v=bumped, solution=dm.solution), m, 1e-9)
 
 
 def test_verification_residual_origin():
@@ -197,4 +196,5 @@ def _root(m):
 
 def test_covariance_is_spd():
     for m in [market(5, 2, 0.5), market(8, 3, 2.0), market(16, 7, 1.2, mu=0.2)]:
-        np.linalg.cholesky(band_to_dense(build_dual(m).band))  # raises if not SPD
+        band = m.sigma**2 * toeplitz.inverse_band(build_dual(m).v, m.n)
+        np.linalg.cholesky(band_to_dense(band))  # raises if not SPD

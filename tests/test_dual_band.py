@@ -1,4 +1,4 @@
-"""The dual measure, stored as its taps and corner, against the dense covariance and band oracles."""
+"""The dual measure, stored as its taps, against the dense covariance and band oracles."""
 
 import dataclasses
 import math
@@ -31,7 +31,6 @@ MARKETS = [
     market(256, 1, 0.8, mu=0.01, sigma=0.5),
     market(640, 64, 1.2),
 ]
-EPS = np.finfo(float).eps
 
 
 def _dense_entropy(cov, m):
@@ -46,14 +45,14 @@ def _dense_entropy(cov, m):
 def test_band_matches_the_dense_covariance(m):
     dm = build_dual(m)
     sol = solve(m)
-    assert dm.band.shape == (m.delay + 1, m.n)
+    band = m.sigma**2 * toeplitz.inverse_band(dm.v, m.n)
+    assert band.shape == (m.delay + 1, m.n)
     assert dm.solution == sol
     assert np.array_equal(dm.v, toeplitz.v_vector(sol.a, m.delay, m.n)[: m.delay + 1])
     assert np.array_equal(dm.corner, toeplitz.schur_corner(dm.v))
     inverse = toeplitz.inverse_via_v(sol.a, m.delay, m.n)
     dense = m.sigma**2 * inverse
-    # the view is built from the taps and corner, so it agrees with inverse_band to rounding, not to the bit
-    np.testing.assert_allclose(toeplitz.band_to_dense(dm.band), dense, rtol=0, atol=32 * EPS * np.max(np.abs(dense)))
+    assert np.array_equal(toeplitz.band_to_dense(band), dense)  # one band routine, from the taps
     lead = m.n - m.delay  # the corner is the Schur complement of the leading n - D rows of A^-1
     coupling = inverse[lead:, :lead]
     schur = inverse[lead:, lead:] - coupling @ np.linalg.solve(inverse[:lead, :lead], coupling.T)
@@ -65,60 +64,49 @@ def test_band_matches_the_dense_covariance(m):
     assert check_delayed_martingale(dm, m.delay, 1e-10)
 
 
-def test_measure_is_its_taps_corner_and_solution():
+def test_measure_is_its_taps_and_solution():
     m = market(6, 2, 1.3)
     dm = build_dual(m)
-    assert [f.name for f in dataclasses.fields(dm)] == ["v", "corner", "solution"]
+    assert [f.name for f in dataclasses.fields(dm)] == ["v", "solution"]
     assert dm.v.shape == (3,) and dm.corner.shape == (2, 2)
-    assert dm.band is dm.band  # a view, built once
+    assert dm.corner is dm.corner  # derived from the taps once
     assert dm.c_hat == dm.solution.c_hat == solve(m).c_hat
     with pytest.raises(TypeError):
-        DualMeasure(v=dm.v, corner=dm.corner)  # the solution is required
-    for v, corner in ((dm.v, dm.corner[:1, :1]), (np.ones(7), np.eye(6))):  # a corner of the wrong size; n <= D
+        DualMeasure(v=dm.v)  # the solution is required
+    for v in (np.zeros(0), np.ones(7)):  # no taps; n <= D
         with pytest.raises(LengthMismatch, match="do not fit"):
-            DualMeasure(v=v, corner=corner, solution=dm.solution)
-
-
-def _with(dm, v=None, corner=None):
-    """``dm`` with its taps or corner replaced."""
-    return DualMeasure(v=dm.v if v is None else v, corner=dm.corner if corner is None else corner, solution=dm.solution)
+            DualMeasure(v=v, solution=dm.solution)
 
 
 @pytest.mark.parametrize("m", MARKETS[1:], ids=lambda m: f"n{m.n}-D{m.delay}")
 def test_probe_rejects_a_band_that_does_not_invert_a(m):
     dm = build_dual(m)
-    assert not check_delayed_martingale(_with(dm, v=dm.v * (1.0 + 1e-6)), m.delay, 1e-10)
-    assert not check_delayed_martingale(_with(dm, corner=dm.corner * (1.0 + 1e-6)), m.delay, 1e-10)
-    bumped = dm.v.copy()
-    bumped[min(1, m.delay)] += 1e-6 * np.max(np.abs(bumped))
-    assert not check_delayed_martingale(_with(dm, v=bumped), m.delay, 1e-10)
-    corner = dm.corner.copy()
-    corner[-1, 0] += 1e-6 * np.max(np.abs(corner))
-    assert not check_delayed_martingale(_with(dm, corner=corner), m.delay, 1e-10)
+    assert not check_delayed_martingale(DualMeasure(v=dm.v * (1.0 + 1e-6), solution=dm.solution), m.delay, 1e-10)
+    for tap in {0, min(1, m.delay), m.delay}:
+        bumped = dm.v.copy()
+        bumped[tap] += 1e-6 * np.max(np.abs(bumped))
+        assert not check_delayed_martingale(DualMeasure(v=bumped, solution=dm.solution), m.delay, 1e-10)
 
 
 def test_rows_beyond_the_delay_must_vanish():
     dm = build_dual(market(8, 2, 1.5))
-    wide = np.append(dm.v, 1e-3)
-    wider = _with(dm, v=wide, corner=toeplitz.schur_corner(wide))
+    wider = DualMeasure(v=np.append(dm.v, 1e-3), solution=dm.solution)
     assert not check_delayed_martingale(wider, 2, 1e-10)
     # within a wider delay the tap is allowed, but the measure no longer inverts A
     assert not check_delayed_martingale(wider, 3, 1e-10)
     # an exact zero tap past the delay, with the corner it leaves, is the same measure
-    zero = np.append(dm.v, 0.0)
-    same = _with(dm, v=zero, corner=toeplitz.schur_corner(zero))
+    same = DualMeasure(v=np.append(dm.v, 0.0), solution=dm.solution)
     assert check_delayed_martingale(same, 2, 1e-10) and check_delayed_martingale(same, 3, 1e-10)
 
 
 def test_entropy_rejects_a_covariance_that_is_not_positive_definite():
     m = market(3, 1, 1.0)
-    # a leading tap of -1, the variance of the first increment: no positive definite covariance has it
-    not_spd = DualMeasure(v=np.array([-1.0, 1.0]), corner=np.array([[0.0]]), solution=solve(m))
-    with pytest.raises(NumericalError):
-        relative_entropy(not_spd, m)
-    dm = build_dual(market(9, 3, 0.7))
-    with pytest.raises(NumericalError):
-        relative_entropy(_with(dm, corner=-dm.corner), dm.solution.market)
+    # a leading tap of -1 or 0, the variance of the first increment, which no positive definite
+    # covariance has, and taps (1, 2), whose corner (1 - 2^2) / 1 = -3 is negative; the corner
+    # divides by v_0, so v_0 is checked first and no RuntimeWarning is raised
+    for taps in ([-1.0, 1.0], [0.0, 1.0], [1.0, 2.0]):
+        with pytest.raises(NumericalError):
+            relative_entropy(DualMeasure(v=np.array(taps), solution=solve(m)), m)
 
 
 def test_dual_layer_at_n_4096_builds_no_n_by_n_array():
@@ -149,22 +137,24 @@ def _random_market(n, delay, seed):
     return market(n, delay, sigma * float(rng.uniform(0.5, 2.0)), mu=float(rng.uniform(-0.2, 0.2)), sigma=sigma)
 
 
-def _random_measure(n, delay, seed):
-    """Random taps with a dominant leading tap and a random positive definite corner: K is then positive definite."""
+def _random_taps(delay, seed):
+    """Random taps in [-1, 1] behind a leading tap above 2D: K is then positive definite.
+
+    Its corner is (L L' - R R') / v_0 (``toeplitz.schur_corner``), and the smallest singular
+    value of L, at least v_0 - (D - 1), exceeds the largest of R, at most D.
+    """
     rng = np.random.default_rng(seed)
     v = rng.uniform(-1.0, 1.0, delay + 1)
-    v[0] = delay + rng.uniform(0.5, 1.5)
-    square = rng.uniform(-1.0, 1.0, (delay, delay))
-    return v, square @ square.T / max(delay, 1) + np.eye(delay)
+    v[0] = 2 * delay + rng.uniform(0.5, 1.5)
+    return v
 
 
-def _measure(n, delay, source):
-    """(taps, corner) of a dual measure over sigma^2, or of a random stored measure."""
+def _taps(n, delay, source):
+    """The taps of a dual measure over sigma^2, or random taps."""
     seed = 1000 * n + delay
     if source == "random":
-        return _random_measure(n, delay, seed)
-    dm = build_dual(_random_market(n, delay, seed))
-    return dm.v, dm.corner
+        return _random_taps(delay, seed)
+    return build_dual(_random_market(n, delay, seed)).v
 
 
 def _pbtrf_log_det(band):
@@ -183,10 +173,10 @@ def _clean(band):
 @pytest.mark.parametrize("source", ["dual", "random"])
 def test_band_log_det_matches_pbtrf_and_the_dense_log_det(n, delay, source):
     # the log-determinant of a stored measure, read off its leading tap and corner,
-    # against LAPACK's band Cholesky and a dense LU of its band view
-    v, corner = _measure(n, delay, source)
-    band = toeplitz.stored_band(v, corner, n)
-    got = toeplitz.corner_log_det(v, corner, n)
+    # against LAPACK's band Cholesky and a dense LU of its band
+    v = _taps(n, delay, source)
+    band = toeplitz.inverse_band(v, n)
+    got = toeplitz.corner_log_det(v, toeplitz.schur_corner(v), n)
     sign, dense = np.linalg.slogdet(toeplitz.band_to_dense(band))
     assert sign == 1.0
     for want in (_pbtrf_log_det(_clean(band)), dense):
@@ -194,15 +184,14 @@ def test_band_log_det_matches_pbtrf_and_the_dense_log_det(n, delay, source):
 
 
 def test_band_log_det_raises_where_the_band_stops_being_positive_definite():
-    v, corner = _random_measure(300, 3, 7)
-    toeplitz.corner_log_det(v, corner, 300)
-    indefinite = corner.copy()
-    indefinite[2, 2] = -1.0
-    assert np.linalg.eigvalsh(toeplitz.band_to_dense(toeplitz.stored_band(v, indefinite, 300)))[0] < 0.0
+    v = _random_taps(3, 7)
+    toeplitz.corner_log_det(v, toeplitz.schur_corner(v), 300)
+    indefinite = np.array([1.0, 0.0, 0.0, 2.0])  # corner (I - 4 I) / 1 = -3 I
+    assert np.linalg.eigvalsh(toeplitz.band_to_dense(toeplitz.inverse_band(indefinite, 300)))[0] < 0.0
     with pytest.raises(np.linalg.LinAlgError):
-        toeplitz.corner_log_det(v, indefinite, 300)
+        toeplitz.corner_log_det(indefinite, toeplitz.schur_corner(indefinite), 300)
     with pytest.raises(np.linalg.LinAlgError):
-        toeplitz.corner_log_det(-v, corner, 300)
+        toeplitz.corner_log_det(-v, toeplitz.schur_corner(v), 300)
 
 
 @pytest.mark.parametrize("n,delay", BAND_SHAPES)
@@ -210,9 +199,9 @@ def test_band_matvec_matches_the_dense_product_and_dsbmv(n, delay):
     # the measure's product K z by its taps and corner, against the dense product and BLAS dsbmv on its band
     from scipy.linalg.blas import dsbmv
 
-    v, corner = _random_measure(n, delay, n + delay)
-    dm = DualMeasure(v=v, corner=corner, solution=solve(_random_market(n, delay, n)))
-    band = toeplitz.stored_band(v, corner, n)
+    v = _random_taps(delay, n + delay)
+    dm = DualMeasure(v=v, solution=solve(_random_market(n, delay, n)))
+    band = toeplitz.inverse_band(v, n)
     z = np.random.default_rng(delay).standard_normal((3, n))
     got = _apply(dm, z)
     dense = toeplitz.band_to_dense(band) @ z.T

@@ -1,11 +1,13 @@
-"""The stored dual measure (taps and corner) against exact rational arithmetic.
+"""The stored dual measure (its taps, and the corner derived from them) against exact arithmetic.
 
 For rational a the matrix A, its inverse, its trailing D x D block and its
 determinant are computed in ``Fraction``s, and log |A^-1| to 60 digits in
-``decimal``; the float taps, corner, band view and corner log-determinant
-must match them.  The Schur complement of the inverse's leading n - D rows
-is the inverse of A's trailing D x D block, an oracle independent of the
-Gohberg-Semencul sum that ``schur_corner`` takes.
+``decimal``; the float taps, corner, ``inverse_via_v`` and corner
+log-determinant must match them.  The Schur complement of the inverse's
+leading n - D rows is the inverse of A's trailing D x D block, an oracle
+independent of the Gohberg-Semencul sum that ``schur_corner`` takes.  For
+taps that come from no A, ``inverse_band`` must still be the sum
+G G' + diag(0, ``schur_corner(v)``), built densely.
 """
 
 import decimal
@@ -81,7 +83,7 @@ def test_taps_corner_and_log_det_match_exact_arithmetic(market):
     tol = 2 * (delay + 1) * EPS * condition * scale  # about 1e-14 of the largest entry at D = 23, a >= 0
     assert np.all(np.abs(v - exact_v[: delay + 1]) <= tol)
     assert np.all(np.abs(got_corner - np.array(corner, dtype=float).reshape(delay, delay)) <= tol)
-    dense = toeplitz.band_to_dense(toeplitz.stored_band(v, got_corner, n))
+    dense = toeplitz.inverse_via_v(float(a), delay, n)
     exact = np.array([[float(x) for x in row] for row in inverse])
     off_band = np.abs(np.subtract.outer(np.arange(n), np.arange(n))) > delay
     assert np.all(dense[off_band] == 0.0) and all(inverse[i][j] == 0 for i, j in zip(*np.nonzero(off_band)))
@@ -89,3 +91,33 @@ def test_taps_corner_and_log_det_match_exact_arithmetic(market):
     want = -_log(det)
     got = toeplitz.corner_log_det(v, got_corner, n)
     assert abs(decimal.Decimal(got) - want) <= decimal.Decimal(4 * n * EPS * condition * max(1.0, abs(float(want))))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(0, 11).flatmap(lambda delay: st.tuples(
+        st.lists(st.floats(-1.0, 1.0), min_size=delay + 1, max_size=delay + 1),
+        st.integers(delay + 1, 3 * delay + 4),
+    ))
+)
+@example(([0.5], 1))  # D = 0
+@example(([0.5, 0.25, -0.75, 1.0], 4))  # n = D + 1
+@example(([-0.5, 0.25, -0.75, 1.0, 0.125], 8))  # n = 2D < 2D + 1, a negative leading tap
+@example(([1.0, 1.0, 1.0], 5))  # n = 2D + 1
+def test_inverse_band_is_the_gohberg_semencul_sum_of_any_taps(taps_and_n):
+    # K = G G' + diag(0, S), G the first n - D columns of T(v) / sqrt(v_0) and S = schur_corner(v),
+    # with G G' taken as T T' / v_0 so a leading tap below zero needs no square root
+    taps, n = taps_and_n
+    v = np.array(taps)
+    v[0] = np.copysign(max(abs(v[0]), 0.125), v[0])  # |v_0| >= 1/8
+    delay = len(v) - 1
+    lower = np.zeros((n, n))
+    for k, tap in enumerate(v):
+        lower += np.diag(np.full(n - k, tap), -k)
+    head = lower[:, : n - delay]
+    want = head @ head.T / v[0]
+    want[n - delay :, n - delay :] += toeplitz.schur_corner(v)
+    got = toeplitz.band_to_dense(toeplitz.inverse_band(v, n))
+    off_band = np.abs(np.subtract.outer(np.arange(n), np.arange(n))) > delay
+    assert np.all(got[off_band] == 0.0) and np.all(want[off_band] == 0.0)
+    assert np.max(np.abs(got - want)) <= 8 * (delay + 1) * EPS * float(v @ v) / abs(v[0])

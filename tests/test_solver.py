@@ -250,6 +250,26 @@ def test_value_vanishes_in_static_limits():
     assert abs(small[-1]) < 1e-2 and abs(large[-1]) < 1e-2
 
 
+@st.composite
+def _decades_of_markets(draw):
+    """n up to 10^6, any delay, sigma from e^-20 to e^20 and sigma_hat within e^3 of it."""
+    n = draw(st.integers(min_value=1, max_value=10**6))
+    sigma = math.exp(draw(st.floats(min_value=-20.0, max_value=20.0)))
+    sigma_hat = sigma * math.exp(draw(st.floats(min_value=-3.0, max_value=3.0)))
+    mu = sigma * draw(st.floats(min_value=-2.0, max_value=2.0)) / math.sqrt(n)
+    return market(n, draw(st.integers(min_value=0, max_value=n - 1)), sigma_hat, mu=mu, sigma=sigma)
+
+
+@settings(deadline=None, max_examples=300)
+@given(m=_decades_of_markets())
+def test_value_is_minus_exp_of_minus_c_hat_to_the_bit(m):
+    # the exponent written out as it was before value was defined from c_hat; IEEE rounding is
+    # symmetric under negation, so -exp(-c_hat) gives the same bits, -0.0 where both underflow
+    sol = solve(m)
+    exponent = m.n * (sol.a * m.sigma_hat**2 - m.mu**2) / (2.0 * m.sigma**2)
+    assert sol.value.hex() == (-math.exp(exponent - 0.5 * sol.log_det)).hex()
+
+
 # --- path evaluation -------------------------------------------------------
 
 def test_evaluate_flat_path_prices_static_leg():

@@ -324,7 +324,7 @@ BAND_CASES = [(n, d) for n in (1, 2, 3, 8, 33, 200) for d in sorted({0, 1, n // 
 def test_inverse_band_repeats_the_row_recurrence_bit_for_bit(n, delay, sigma_hat):
     a = solve_a(market(n, delay, sigma_hat))
     reference = _row_recurrence(a, delay, n)
-    band = inverse_band(a, delay, n)
+    band = inverse_band(v_vector(a, delay, delay + 1), n)
     assert band.shape == (delay + 1, n)
     for d in range(delay + 1):
         assert np.array_equal(band[d, : n - d], np.diagonal(reference, -d))
@@ -336,5 +336,8 @@ def test_inverse_band_repeats_the_row_recurrence_bit_for_bit(n, delay, sigma_hat
 
 def test_inverse_band_rejects_a_delay_outside_the_horizon():
     for delay in (-1, 4):
-        with pytest.raises(DomainError):
-            inverse_band(0.1, delay, 4)
+        with pytest.raises(DomainError, match="need 0 <= delay < n"):
+            inverse_via_v(0.1, delay, 4)
+    for taps in (np.zeros(0), np.ones(5)):  # D = -1 and D = n
+        with pytest.raises(DomainError, match="need 0 <= delay < n"):
+            inverse_band(taps, 4)
