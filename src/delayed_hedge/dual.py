@@ -17,11 +17,11 @@ formula.  The D x D Schur block S of its last D rows is derived from the taps
 on first use (``toeplitz.schur_corner``).  The entropy reads
 log |A^-1| = (n - D) log v_0 + log |S| off one D x D Cholesky factorization
 (``toeplitz.corner_log_det``), the marginal and the trace are sums over v and
-S, and the martingale check applies A^-1 as one correlation and one
-convolution with v plus the corner: building the measure and its entropy and
-marginal take O(D^3) time and O(D^2) memory whatever n, and the check O(n D).
-No path here imports scipy.  The dense oracles read the covariance's band as
-sigma^2 ``toeplitz.inverse_band(v, n)``.
+S, and the martingale check tests the equation A v = e_0 that the taps
+solve, by one convolution with A's first row.  Building the measure
+and its entropy and marginal take O(D^3) time and O(D^2) memory whatever n,
+and the check O(n D).  No path here imports scipy.  The dense oracles read
+the covariance's band as sigma^2 ``toeplitz.inverse_band(v, n)``.
 """
 
 from __future__ import annotations
@@ -33,12 +33,8 @@ import numpy as np
 
 from .errors import DomainError, LengthMismatch, NumericalError
 from .market import DiscreteMarket
-from .solver import HedgeSolution, as_paths, causal_convolve, quadratic_forms, solve, strategy, wealth
+from .solver import HedgeSolution, as_paths, quadratic_forms, solve, strategy, wealth
 from .toeplitz import corner_log_det, schur_corner, v_vector
-
-# Seeded probe vectors of the randomized check that the stored measure inverts A.
-PROBE_COUNT = 3
-PROBE_SEED = 20231
 
 
 @dataclass(frozen=True, eq=False)
@@ -75,16 +71,7 @@ class DualMeasure:
 def build_dual(m: DiscreteMarket) -> DualMeasure:
     """Construct the dual measure for the market's optimal strategy."""
     sol = solve(m)
-    return DualMeasure(v=v_vector(sol.a, m.delay, m.delay + 1), solution=sol)
-
-
-def _apply(dm: DualMeasure, z: np.ndarray) -> np.ndarray:
-    """K z for each row of ``z``: G (G' z) by one correlation and one convolution
-    with the taps, plus the corner on the last D entries."""
-    v, width = dm.v, len(dm.v) - 1
-    out = np.array([np.convolve(np.correlate(row, v, "valid"), v) for row in z]) / v[0]
-    out[:, z.shape[1] - width :] += z[:, z.shape[1] - width :] @ dm.corner.T
-    return out
+    return DualMeasure(v=v_vector(sol.a, m.delay), solution=sol)
 
 
 def _require_own_market(dm: DualMeasure, m: DiscreteMarket) -> None:
@@ -100,24 +87,25 @@ def check_delayed_martingale(dm: DualMeasure, delay: int, tol: float) -> bool:
     filtration iff its covariance is D-banded.  Two tests:
 
     * every stored tap beyond ``delay`` stays below tol * max |tap|;
-    * the measure must invert the solution's A: for seeded probe
-      vectors z, |A (K z) - z| <= tol |z| with K the stored covariance over
-      sigma^2, applied by its taps and corner, and A = (a + 1) I + T(b) by
-      ``causal_convolve`` on y and on reversed y, so neither matrix is built
-      (a randomized check, Freivalds 1977).
+    * the taps must solve the equation that defines them, A v = e_0 with A
+      the solution's matrix: |A v - e_0| <= tol, where (A v)_i is the sum
+      over k of A_ik v_k = r_|i-k| v_k, one O(n D) convolution of the taps
+      with A's first row r mirrored about r_0; no n x n array is built.
 
-    The first test alone is vacuous for a measure stored with ``delay`` + 1
-    taps; the second is what catches a wrong measure.
+    The second test is sufficient: the stored covariance over sigma^2, K, is
+    the Gohberg-Semencul sum of the taps, whose first column K e_0 is v, and
+    for a non-singular Toeplitz A that sum is A^-1 iff A v = e_0 (Gohberg and
+    Semencul 1972).  The first test alone is vacuous for a measure stored with
+    ``delay`` + 1 taps; the second is what catches a wrong measure.
     """
     v = dm.v
-    if len(v) > delay + 1 and np.any(np.abs(v[delay + 1 :]) > tol * np.max(np.abs(v))):
+    width = len(v) - 1
+    if width > delay and np.any(np.abs(v[delay + 1 :]) > tol * np.max(np.abs(v))):
         return False
-    sol = dm.solution
-    z = np.random.default_rng(PROBE_SEED).standard_normal((PROBE_COUNT, sol.market.n))
-    y = _apply(dm, z)
-    lagged = causal_convolve(np.concatenate([y, y[:, ::-1]]), sol.b)
-    residual = (sol.a + 1.0) * y + lagged[: len(z)] + lagged[len(z) :, ::-1] - z
-    return bool(((residual * residual).sum(axis=1) <= tol**2 * (z * z).sum(axis=1)).all())
+    r = dm.solution.matrix.first_row
+    residual = np.convolve(np.concatenate([r[width:0:-1], r]), v, "valid")
+    residual[0] -= 1.0
+    return bool(residual @ residual <= tol**2)
 
 
 def check_marginal(dm: DualMeasure, m: DiscreteMarket, tol: float) -> bool:
@@ -125,10 +113,13 @@ def check_marginal(dm: DualMeasure, m: DiscreteMarket, tol: float) -> bool:
 
     The variance of the sum is sigma^2 1'K1 = sigma^2 ((n - D) (sum v)^2 / v_0
     + 1'S1): every column of G sums to (sum v) / sqrt(v_0).  O(D^2).
-    Raises DomainError unless ``m`` is the measure's own market.
+    False for a leading tap v_0 <= 0, which no variance has and both terms
+    divide by.  Raises DomainError unless ``m`` is the measure's own market.
     """
     _require_own_market(dm, m)
     v = dm.v
+    if not v[0] > 0.0:
+        return False
     total = m.sigma**2 * ((m.n - len(v) + 1) * float(v.sum()) ** 2 / v[0] + float(dm.corner.sum()))
     target = m.n * m.sigma_hat**2
     return abs(total - target) <= tol * abs(target)

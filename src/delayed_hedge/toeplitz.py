@@ -67,13 +67,12 @@ def require_root_domain(a: float, delay: int) -> None:
         raise DomainError(f"a = {a} violates a > -1/(D+1) for D = {delay}")
 
 
-def v_vector(a: float, delay: int, n: int) -> np.ndarray:
-    """First column of A^-1 (the solution of A v = e_0)."""
+def v_vector(a: float, delay: int) -> np.ndarray:
+    """The D + 1 taps v_0..v_D of A^-1's first column (the solution of A v = e_0), past which it is zero."""
     require_root_domain(a, delay)
     denom = a * (delay + 1) + 1.0
-    v = np.zeros(n)
+    v = np.full(delay + 1, -a / denom)
     v[0] = (a * delay + 1.0) / denom
-    v[1 : delay + 1] = -a / denom
     return v
 
 
@@ -163,7 +162,7 @@ def inverse_via_v(a: float, delay: int, n: int) -> np.ndarray:
     Out-of-band entries are exact zeros, so the result is D-banded to the bit.
     """
     _require_width(delay, n)
-    return band_to_dense(inverse_band(v_vector(a, delay, delay + 1), n))
+    return band_to_dense(inverse_band(v_vector(a, delay), n))
 
 
 def log_det_closed_form(a: float, delay: int, n: int) -> float:

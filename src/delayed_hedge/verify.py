@@ -25,7 +25,7 @@ MUS = (0.0, 0.2)
 KERNEL_POINTS = tuple((H, r) for H in (0.15, 0.2, 0.35) for r in (0.5, 2.0))
 PATHS_PER_POINT = 100
 # Long markets the dual suite checks with no dense oracle: the stored taps, their corner,
-# the probe and the FFT paths only.
+# the equation A v = e_0 and the FFT paths only.
 LARGE_DUAL_MARKETS = tuple(
     DiscreteMarket(n=n, delay=20, mu=0.1 / n, sigma=1.0 / math.sqrt(n), sigma_hat=ratio / math.sqrt(n))
     for n, ratio in ((10**4, 1.3), (10**5, 0.8))

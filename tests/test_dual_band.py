@@ -6,11 +6,12 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from delayed_hedge import DiscreteMarket, LengthMismatch, NumericalError, toeplitz
 from delayed_hedge.dual import (
     DualMeasure,
-    _apply,
     build_dual,
     check_delayed_martingale,
     check_marginal,
@@ -48,7 +49,7 @@ def test_band_matches_the_dense_covariance(m):
     band = m.sigma**2 * toeplitz.inverse_band(dm.v, m.n)
     assert band.shape == (m.delay + 1, m.n)
     assert dm.solution == sol
-    assert np.array_equal(dm.v, toeplitz.v_vector(sol.a, m.delay, m.n)[: m.delay + 1])
+    assert np.array_equal(dm.v, toeplitz.v_vector(sol.a, m.delay))
     assert np.array_equal(dm.corner, toeplitz.schur_corner(dm.v))
     inverse = toeplitz.inverse_via_v(sol.a, m.delay, m.n)
     dense = m.sigma**2 * inverse
@@ -107,6 +108,47 @@ def test_entropy_rejects_a_covariance_that_is_not_positive_definite():
     for taps in ([-1.0, 1.0], [0.0, 1.0], [1.0, 2.0]):
         with pytest.raises(NumericalError):
             relative_entropy(DualMeasure(v=np.array(taps), solution=solve(m)), m)
+
+
+def test_checks_refuse_a_leading_tap_of_zero_without_a_warning():
+    # v_0 = 0, the variance of the first increment, is no covariance's; the marginal divides by it,
+    # so it is refused first, and the martingale check divides by nothing
+    m = market(3, 1, 1.0)
+    dm = DualMeasure(v=np.array([0.0, 1.0]), solution=solve(m))
+    assert not check_marginal(dm, m, 1e-9)
+    assert not check_delayed_martingale(dm, 1, 1e-10)
+    with pytest.raises(NumericalError):
+        relative_entropy(dm, m)
+
+
+def _dense_inverse_residual(matrix, taps):
+    """max |A K - I| over max |A| max |K|, with K the dense Gohberg-Semencul sum of the taps."""
+    cov = toeplitz.band_to_dense(toeplitz.inverse_band(taps, matrix.shape[0]))
+    return np.max(np.abs(matrix @ cov - np.eye(len(cov)))) / (np.max(np.abs(matrix)) * np.max(np.abs(cov)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(1, 48).flatmap(lambda n: st.tuples(st.just(n), st.integers(0, n - 1))),
+    st.floats(0.5, 2.0),
+    st.data(),
+)
+def test_column_check_agrees_with_the_dense_inverse_it_stands_for(shape, ratio, data):
+    # a built measure passes both A v = e_0 and the dense A K = I; one tap moved by a relative
+    # 10^-u (of the largest tap) fails both: worst 4.9e-15 for the first, and at least 0.73 10^-u
+    # for the second over 20000 draws
+    n, delay = shape
+    m = market(n, delay, ratio)
+    dm = build_dual(m)
+    matrix = dm.solution.matrix.to_dense()
+    assert check_delayed_martingale(dm, delay, 1e-10)
+    assert _dense_inverse_residual(matrix, dm.v) <= 1e-12
+    tap = data.draw(st.integers(0, delay), label="tap")
+    u = data.draw(st.floats(1.0, 7.0), label="u")
+    moved = dm.v.copy()
+    moved[tap] += 10.0**-u * np.max(np.abs(moved))
+    assert not check_delayed_martingale(DualMeasure(v=moved, solution=dm.solution), delay, 1e-10)
+    assert _dense_inverse_residual(matrix, moved) > 1e-10
 
 
 def test_dual_layer_at_n_4096_builds_no_n_by_n_array():
@@ -192,25 +234,6 @@ def test_band_log_det_raises_where_the_band_stops_being_positive_definite():
         toeplitz.corner_log_det(indefinite, toeplitz.schur_corner(indefinite), 300)
     with pytest.raises(np.linalg.LinAlgError):
         toeplitz.corner_log_det(-v, toeplitz.schur_corner(v), 300)
-
-
-@pytest.mark.parametrize("n,delay", BAND_SHAPES)
-def test_band_matvec_matches_the_dense_product_and_dsbmv(n, delay):
-    # the measure's product K z by its taps and corner, against the dense product and BLAS dsbmv on its band
-    from scipy.linalg.blas import dsbmv
-
-    v = _random_taps(delay, n + delay)
-    dm = DualMeasure(v=v, solution=solve(_random_market(n, delay, n)))
-    band = toeplitz.inverse_band(v, n)
-    z = np.random.default_rng(delay).standard_normal((3, n))
-    got = _apply(dm, z)
-    dense = toeplitz.band_to_dense(band) @ z.T
-    stored = np.asfortranarray(_clean(band))
-    blas = np.array([dsbmv(delay, 1.0, stored, row, lower=1) for row in z])
-    scale = np.max(np.abs(dense))
-    np.testing.assert_allclose(got, dense.T, rtol=0, atol=1e-14 * scale)
-    np.testing.assert_allclose(got, blas, rtol=0, atol=1e-14 * scale)
-    np.testing.assert_allclose(_apply(dm, z[:1]), got[:1], rtol=0, atol=1e-15 * scale)  # one probe alone
 
 
 def _peak_of_the_dual_layer(m):

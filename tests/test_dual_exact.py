@@ -75,7 +75,7 @@ def test_taps_corner_and_log_det_match_exact_arithmetic(market):
     corner, _ = _exact_inverse([[column[abs(i - j)] for j in range(delay)] for i in range(delay)])
     # v's rounding grows as a (D + 1) + 1 falls toward 0
     condition = float((1 + abs(a) * (delay + 1)) / (a * (delay + 1) + 1))
-    v = toeplitz.v_vector(float(a), delay, delay + 1)
+    v = toeplitz.v_vector(float(a), delay)
     got_corner = toeplitz.schur_corner(v)
     exact_v = np.array([float(inverse[i][0]) for i in range(n)])
     assert np.all(exact_v[delay + 1 :] == 0.0) and [inverse[i][0] for i in range(delay + 1, n)] == [0] * (n - delay - 1)

@@ -54,19 +54,19 @@ def test_v_vector_solves_unit_equation():
     m = market(7, 2, 0.8)
     a = solve_a(m)
     A = hedge_matrix(m).to_dense()
-    v = v_vector(a, 2, 7)
+    v = np.pad(v_vector(a, 2), (0, 4))  # the three taps and the zeros past them
     np.testing.assert_allclose(A @ v, np.eye(7)[0], atol=1e-14)
 
 
 def test_v_vector_rejects_root_at_boundary():
     with pytest.raises(DomainError):
-        v_vector(-0.5, 1, 5)
+        v_vector(-0.5, 1)
 
 
 @pytest.mark.parametrize(
     "call",
     [
-        lambda a: v_vector(a, 1, 5),
+        lambda a: v_vector(a, 1),
         lambda a: log_det_closed_form(a, 1, 5),
         lambda a: weights_b(market(5, 1, 1.3), a, 4),
     ],
@@ -306,7 +306,7 @@ def test_dense_oracles_read_the_condition_off_their_one_inverse(monkeypatch):
 
 def _row_recurrence(a, delay, n):
     """The dense row recurrence ``inverse_band`` replaced, kept as its bit-for-bit reference."""
-    v = v_vector(a, delay, n)
+    v = np.pad(v_vector(a, delay), (0, n - delay - 1))
     v0 = v[0]
     inv = np.empty((n, n))
     inv[0, :] = v
@@ -324,7 +324,7 @@ BAND_CASES = [(n, d) for n in (1, 2, 3, 8, 33, 200) for d in sorted({0, 1, n // 
 def test_inverse_band_repeats_the_row_recurrence_bit_for_bit(n, delay, sigma_hat):
     a = solve_a(market(n, delay, sigma_hat))
     reference = _row_recurrence(a, delay, n)
-    band = inverse_band(v_vector(a, delay, delay + 1), n)
+    band = inverse_band(v_vector(a, delay), n)
     assert band.shape == (delay + 1, n)
     for d in range(delay + 1):
         assert np.array_equal(band[d, : n - d], np.diagonal(reference, -d))
