@@ -158,9 +158,10 @@ def cmd_simulate(args) -> int:
     report = mc.estimate_utility(batch, w, m)
     payload = report.to_json()
     payload["value_formula"] = sol.value
-    if report.analytic is not None and report.std_error > 0.0:
-        # how many standard errors the estimate sits from its oracle; left out where it would not be finite
-        payload["z_vs_analytic"] = (report.empirical_mean - report.analytic) / report.std_error
+    if report.analytic is not None and report.analytic < 0.0 and report.relative_std_error > 0.0:
+        # how many relative standard errors the estimate sits from its oracle on the log scale, where the
+        # mean and the oracle stay finite past the underflow of -exp(-V); left out where it would not be finite
+        payload["z_vs_analytic"] = (math.log(-report.analytic) - report.log_neg_mean) / report.relative_std_error
     if report.analytic_skipped is not None:
         payload["analytic_skipped"] = report.analytic_skipped
     payload["generator"] = mc.GENERATOR_ID

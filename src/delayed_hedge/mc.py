@@ -4,11 +4,7 @@ Paths are drawn by numpy's standard normal sampler (the Marsaglia-Tsang
 ziggurat) on the counter-based Philox 4x64 generator keyed by the seed, so a
 (market, count, seed) triple reproduces bit-identical increments on any
 platform.  The draws fill the batch row by row from one stream, so a seed's
-first k paths are the same at every count.  ``generate`` and
-``estimate_utility`` run on numpy alone: ``scipy.linalg`` serves the dense
-oracle and ``toeplitz_quadratic_utility``'s solve when the linear term is not
-the Merton ratio (no strategy of ``solver`` has one), ``scipy.optimize`` the
-brute force.
+first k paths are the same at every count.
 
 For a quadratic wealth V(x) = (1/2) x'Qx + c'x + k and X ~ N(mu 1, sigma^2 I),
 
@@ -17,16 +13,17 @@ For a quadratic wealth V(x) = (1/2) x'Qx + c'x + k and X ~ N(mu 1, sigma^2 I),
 
 with M = I/sigma^2 + Q and b = mu/sigma^2 1 - c, valid iff I + sigma^2 Q is
 positive definite.  For a general Q (``analytic_quadratic_utility``, the
-oracle) one dense Cholesky factorization of M decides that and gives both the
-determinant and M^-1 b.  A strategy's Q is symmetric Toeplitz, so
+oracle) one dense Cholesky factorization of M decides that and gives the
+determinant, and a dense solve gives M^-1 b.  A strategy's Q is symmetric
+Toeplitz and its linear term the Merton ratio mu / sigma^2, so b = 0 and
 ``estimate_utility`` reads M by its first column instead
 (``toeplitz_quadratic_utility``): Durbin's recursion gives the reflection
-coefficients alpha_k, M is positive definite iff every |alpha_k| < 1, the
-log-determinant is a sum over them, and Levinson's recursion solves M^-1 b
-(Levinson 1947; Durbin 1960): O(n) memory, no n x n array, and O(n^2) time
-in general.  The recursion stops with a certificate where the coefficients
-vanish from some order p on, which takes O(n p) time: for the optimal
-strategy M is A / sigma^2, whose inverse is D-banded, so p is D or D + 1.
+coefficients alpha_k, M is positive definite iff every |alpha_k| < 1, and the
+log-determinant is a sum over them (Durbin 1960): O(n) memory, no n x n
+array, and O(n^2) time in general.  The recursion stops with a certificate
+where the coefficients vanish from some order p on, which takes O(n p) time:
+for the optimal strategy M is A / sigma^2, whose inverse is D-banded, so p is
+D or D + 1.
 
 ``generate`` refuses batches of more than ``MAX_PATH_STEPS`` path-steps
 (paths * n) before it allocates anything, and ``estimate_utility`` leaves the
@@ -36,7 +33,8 @@ uncertified steps, the part of its cost that grows as n^2.
 ``brute_force_optimum`` maximizes the same closed-form expectation over every
 quadratic strategy the delayed filtration can measure (Nelder-Mead, n <= 3):
 an optimality oracle for the explicit solution that no production path runs,
-so ``scipy.optimize`` is imported only when it is called.
+so ``scipy.optimize``, the one scipy module this package uses, is imported
+only when it is called.
 """
 
 from __future__ import annotations
@@ -46,7 +44,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .errors import IntegrabilityError, LengthMismatch, OptimizerFailure, SizeError
+from .errors import DomainError, IntegrabilityError, LengthMismatch, OptimizerFailure, SizeError
 from .market import DiscreteMarket, validate_discrete
 from .solver import StrategyWeights, wealth
 
@@ -62,9 +60,8 @@ GENERATOR_ID = "philox4x64/ziggurat-v2"
 MAX_PATH_STEPS = 10**7
 
 # Most reflection coefficients the analytic oracle computes without a
-# certificate that the rest vanish (``reflection_coefficients``' budget), and
-# most Levinson steps it takes for a linear term other than the Merton ratio;
-# past either, estimate_utility leaves it out and says why.  Up to the budget,
+# certificate that the rest vanish (``reflection_coefficients``' budget); past
+# it, estimate_utility leaves the oracle out and says why.  Up to the budget,
 # an uncertified column (a scaled or hand-built kernel) took 0.06-0.2 s on a
 # 2-vCPU host and peaked at 0.4 MB under tracemalloc.  The optimal strategy's
 # column is certified within D + 1 steps, O(n D) in all: 1.1 ms at n = 16385,
@@ -107,7 +104,7 @@ class UtilityReport:
     ess: float  # effective sample size of the exp(-V) weights
     log_neg_mean: float  # log(-empirical_mean), finite where the mean itself underflows to -0.0
     relative_std_error: float  # std_error / |empirical_mean|, from the same shifted moments
-    analytic_skipped: str | None = None  # why ``analytic`` was left out past DURBIN_STEP_BUDGET, else None
+    analytic_skipped: str | None = None  # why ``analytic`` was left out (step budget, linear term), else None
 
     def to_json(self) -> dict:
         """Every field but ``analytic_skipped``, which the caller reports after its own keys."""
@@ -138,9 +135,10 @@ def estimate_utility(batch: PathBatch, w: StrategyWeights, m: DiscreteMarket) ->
     """Empirical mean and standard error of -exp(-V) over the batch.
 
     The analytic expectation of the same quadratic strategy is attached when
-    it exists, evaluated by Levinson-Durbin (``toeplitz_quadratic_utility``);
-    where that would pass ``DURBIN_STEP_BUDGET``, ``analytic_skipped`` says
-    why.  V comes from ``solver.wealth``, which needs no holdings.
+    it exists, evaluated by Durbin's recursion (``toeplitz_quadratic_utility``);
+    where that would pass ``DURBIN_STEP_BUDGET``, or the linear term is not
+    the Merton ratio, ``analytic_skipped`` says why.  V comes from
+    ``solver.wealth``, which needs no holdings.
     Accumulation relies on numpy's pairwise summation, which is deterministic
     for a given batch.
     The moments are those of -exp(shift - V), shift = max(min V, 0), scaled
@@ -162,7 +160,7 @@ def estimate_utility(batch: PathBatch, w: StrategyWeights, m: DiscreteMarket) ->
         analytic = toeplitz_quadratic_utility(*strategy_toeplitz_form(w, m), m)
     except IntegrabilityError:
         pass
-    except SizeError as exc:
+    except (SizeError, DomainError) as exc:
         skipped = str(exc)
     return UtilityReport(
         empirical_mean=shifted_mean * scale,
@@ -201,11 +199,10 @@ def analytic_quadratic_utility(
 ) -> float:
     """E[-exp(-V)] in closed form for quadratic V under the market Gaussian.
 
-    One dense Cholesky factorization of M gives log |M| and, through
-    ``cho_solve``, M^-1 b.  The oracle for any Q, Toeplitz or not.
+    One dense Cholesky factorization of M decides that it is positive
+    definite and gives log |M|; ``np.linalg.solve`` gives M^-1 b.  The oracle
+    for any Q and any linear term, Toeplitz or not.
     """
-    from scipy.linalg import cho_solve
-
     n = m.n
     quad = np.asarray(quad, dtype=float)
     linear = np.asarray(linear, dtype=float)
@@ -218,8 +215,7 @@ def analytic_quadratic_utility(
     except np.linalg.LinAlgError as exc:
         raise IntegrabilityError("I + sigma^2 Q is not positive definite") from exc
     b = np.full(n, m.mu / sig2) - linear
-    # chol.T is the upper factor in Fortran order, which LAPACK takes without a copy
-    solved = cho_solve((chol.T, False), b, check_finite=False)
+    solved = np.linalg.solve(matrix, b)
     log_det = n * math.log(sig2) + 2.0 * float(np.sum(np.log(np.diag(chol))))
     return _utility(log_det, float(b @ solved), constant, m)
 
@@ -228,14 +224,14 @@ def reflection_coefficients(column: np.ndarray) -> np.ndarray:
     """Durbin's reflection coefficients alpha_0..alpha_{n-2} of the symmetric Toeplitz
     matrix with first ``column`` (column[0] > 0).
 
-    The matrix is positive definite iff every |alpha_k| < 1; the recursion stops
-    at the first that is not, which then ends the array returned.  Each step
+    The matrix is positive definite iff every |alpha_k| < 1; the recursion
+    raises ``IntegrabilityError`` at the first that is not, the last
+    included, so an array it returns always has n - 1 entries.  Each step
     is one ``np.dot`` and one update of the preallocated solution y of the
     Yule-Walker system (Golub & Van Loan, Algorithm 4.7.1).
 
     The recursion also stops where the remaining coefficients vanish, and
-    returns the full-length array with that tail set to exact zeros (a
-    shorter array still means only "not positive definite").  When
+    returns the array with that tail set to exact zeros.  When
     |alpha_p| <= DURBIN_TAIL_ETA / n, which the certificate needs, the
     order-p predictor is tested against every remaining lag in one
     ``np.convolve`` (``_tail_vanishes``), and passes when the zeros move
@@ -258,7 +254,7 @@ def reflection_coefficients(column: np.ndarray) -> np.ndarray:
     beta = 1.0
     for k in range(1, len(r)):
         if not abs(alpha) < 1.0:
-            return alphas[:k]
+            break
         if k >= DURBIN_STEP_BUDGET:
             raise SizeError(f"Durbin's recursion computed {k} of {len(r)} reflection coefficients with no "
                             f"certificate that the rest vanish, the limit DURBIN_STEP_BUDGET = {k}")
@@ -271,7 +267,10 @@ def reflection_coefficients(column: np.ndarray) -> np.ndarray:
             test_from = 2 * k
         y[:k] += alpha * y[k - 1 :: -1]
         y[k] = alpha
-    return alphas
+    if abs(alpha) < 1.0:
+        return alphas
+    raise IntegrabilityError(f"a reflection coefficient is {alpha}, not inside (-1, 1): the Toeplitz matrix is "
+                             "not positive definite")
 
 
 def reflection_log_det(alphas: np.ndarray) -> float:
@@ -324,11 +323,12 @@ def toeplitz_quadratic_utility(
     recursion's in exact arithmetic, and the utility within a relative
     5e-14.  The optimal strategy's column certifies by order D + 1 on every
     market the tests and the benchmark run.
-    M^-1 b comes from ``scipy.linalg.solve_toeplitz`` and is skipped when b is
-    exactly zero, as for every strategy whose linear term is the Merton ratio.
-    Raises ``SizeError`` where Durbin's recursion would pass
-    ``DURBIN_STEP_BUDGET`` uncertified steps, or the n - 1 steps of that solve
-    would.
+    The linear term must be the Merton ratio mu / sigma^2 in every entry, as
+    for every strategy of ``solver``: then b = 0 and the exponent needs no
+    M^-1 b.  Any other linear term raises ``DomainError`` before Durbin runs;
+    ``analytic_quadratic_utility`` takes it.  ``reflection_coefficients``
+    gives the positive-definite verdict (``IntegrabilityError``) and raises
+    ``SizeError`` past ``DURBIN_STEP_BUDGET`` uncertified steps.
     """
     n = m.n
     column = np.asarray(column, dtype=float)
@@ -336,25 +336,15 @@ def toeplitz_quadratic_utility(
     if column.shape != (n,) or linear.shape != (n,):
         raise LengthMismatch(f"form shapes {column.shape}, {linear.shape} do not match n={n}")
     sig2 = m.sigma**2
+    if not np.all(linear == m.mu / sig2):
+        raise DomainError("the Toeplitz oracle takes only the Merton ratio mu / sigma^2 as its linear term")
     diagonal = sig2 * column[0]
     if not diagonal > -1.0:
         raise IntegrabilityError("I + sigma^2 Q is not positive definite")
     matrix_column = column.copy()
     matrix_column[0] += 1.0 / sig2
-    b = np.full(n, m.mu / sig2) - linear
-    if np.any(b) and n - 1 > DURBIN_STEP_BUDGET:
-        raise SizeError(f"the Levinson solve for a linear term other than the Merton ratio takes n - 1 = {n - 1} "
-                        f"steps, past DURBIN_STEP_BUDGET = {DURBIN_STEP_BUDGET}")
-    alphas = reflection_coefficients(matrix_column)
-    if not np.all(np.abs(alphas) < 1.0):
-        raise IntegrabilityError("I + sigma^2 Q is not positive definite")
-    log_det = n * math.log1p(diagonal) + reflection_log_det(alphas)
-    quad_b = 0.0
-    if np.any(b):
-        from scipy.linalg import solve_toeplitz
-
-        quad_b = float(b @ solve_toeplitz(matrix_column, b, check_finite=False))
-    return _utility(log_det, quad_b, constant, m)
+    log_det = n * math.log1p(diagonal) + reflection_log_det(reflection_coefficients(matrix_column))
+    return _utility(log_det, 0.0, constant, m)
 
 
 def brute_force_optimum(m: DiscreteMarket):

@@ -39,7 +39,7 @@ import numpy as np
 
 from .errors import DomainError, LengthMismatch, NumericalError
 from .market import DiscreteMarket, validate_discrete
-from .toeplitz import SymToeplitz, log_det_closed_form, require_root_domain
+from .toeplitz import SymToeplitz, log_det_closed_form, lower_toeplitz, require_root_domain
 
 # Residual guard for the explicit root; theory guarantees a real root, so a
 # discriminant below -CLAMP (relative) means the inputs are inconsistent.
@@ -235,9 +235,10 @@ def causal_convolve(x: np.ndarray, taps: np.ndarray) -> np.ndarray:
     exact zeros (the delayed holdings rely on it).  The N = n - 1 - d
     outputs left need x[:, :N] and taps[d:d+N] alone.  Up to
     DIRECT_CONVOLVE_MAX outputs they are one product with the N x N
-    lower-triangular Toeplitz matrix; beyond, one batched real FFT at a
-    power-of-two length >= 2N - 1, which keeps the circular product free
-    of wrap-around: O(P n log n) time, O(P n) memory, no n x n array.
+    lower-triangular Toeplitz matrix (``toeplitz.lower_toeplitz``); beyond,
+    one batched real FFT at a power-of-two length >= 2N - 1, which keeps the
+    circular product free of wrap-around: O(P n log n) time, O(P n) memory,
+    no n x n array.
     Fewer than n - 1 taps raise ``LengthMismatch`` on both paths.
     """
     n = x.shape[1]
@@ -249,10 +250,7 @@ def causal_convolve(x: np.ndarray, taps: np.ndarray) -> np.ndarray:
     size = len(lagged)
     head = x[:, :size]
     if size <= DIRECT_CONVOLVE_MAX:
-        # lower[k, j] = lagged[k - j] for j <= k, else 0
-        padded = np.concatenate([np.zeros(size - 1), lagged])
-        lower = padded[size - 1 + np.subtract.outer(np.arange(size), np.arange(size))]
-        y[:, d + 1 :] = head @ lower.T
+        y[:, d + 1 :] = head @ lower_toeplitz(lagged).T
         return y
     length = _fft_length(size)
     spectrum = np.fft.rfft(head, length)

@@ -132,13 +132,16 @@ def schur_corner(v: np.ndarray) -> np.ndarray:
     (v_D, ..., v_1), whatever n > D; log |A^-1| = (n - D) log v_0 + log |S|
     (``corner_log_det``).  O(D^3) time, no n-sized array.
     """
-    lower, mirror = _lower_toeplitz(v[:-1]), _lower_toeplitz(v[:0:-1])
+    lower, mirror = lower_toeplitz(v[:-1]), lower_toeplitz(v[:0:-1])
     return (lower @ lower.T - mirror @ mirror.T) / v[0]
 
 
-def _lower_toeplitz(taps: np.ndarray) -> np.ndarray:
-    """The square lower-triangular Toeplitz matrix with first column ``taps``."""
-    return np.tril(taps[np.subtract.outer(np.arange(len(taps)), np.arange(len(taps)))])
+def lower_toeplitz(taps: np.ndarray) -> np.ndarray:
+    """The square lower-triangular Toeplitz matrix with first column ``taps``: entry (k, j)
+    is taps[k - j] for j <= k, else 0, gathered from the taps after size - 1 zeros."""
+    size = len(taps)
+    padded = np.concatenate([np.zeros(max(size - 1, 0)), taps])
+    return padded[size - 1 + np.subtract.outer(np.arange(size), np.arange(size))]
 
 
 def corner_log_det(v: np.ndarray, corner: np.ndarray, n: int) -> float:

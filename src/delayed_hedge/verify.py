@@ -16,7 +16,7 @@ from dataclasses import asdict, dataclass, replace
 import numpy as np
 
 from . import convergence, dual, kernel, mc, solver, toeplitz
-from .errors import SizeError
+from .errors import IntegrabilityError, SizeError
 from .market import ContinuousMarket, DiscreteMarket, discretize
 
 N_VALUES = (2, 4, 8, 16, 32)
@@ -189,12 +189,9 @@ def dual_suite(grid_size: int = len(N_VALUES)):
         corner = -toeplitz.corner_log_det(dm.v, dm.corner, m.n)
         column = sol.matrix.first_row
         try:
-            alphas = mc.reflection_coefficients(column)
-        except SizeError:  # no certificate within the budget
-            alphas = np.empty(0)
-        durbin = math.inf  # also where the recursion stops short: A is then not positive definite
-        if len(alphas) == m.n - 1:
-            durbin = m.n * math.log(column[0]) + mc.reflection_log_det(alphas)
+            durbin = m.n * math.log(column[0]) + mc.reflection_log_det(mc.reflection_coefficients(column))
+        except (SizeError, IntegrabilityError):  # no certificate within the budget, or A not positive definite
+            durbin = math.inf
         scale = max(abs(sol.log_det), 1.0)
         return {"log_det_routes": max(abs(corner - sol.log_det), abs(durbin - sol.log_det)) / scale}
 

@@ -97,7 +97,7 @@ def test_simulate_reports_its_distance_from_the_oracle_in_standard_errors(capsys
     )
     assert code == 0
     assert doc["std_error"] > 0.0
-    assert doc["z_vs_analytic"] == (doc["empirical_mean"] - doc["analytic"]) / doc["std_error"]
+    assert doc["z_vs_analytic"] == (math.log(-doc["analytic"]) - doc["log_neg_mean"]) / doc["relative_std_error"]
     assert abs(doc["z_vs_analytic"]) < 5.0
     assert list(doc)[-3:] == ["value_formula", "z_vs_analytic", "generator"]
 

@@ -80,7 +80,7 @@ def test_measure_is_its_taps_and_solution():
 
 
 @pytest.mark.parametrize("m", MARKETS[1:], ids=lambda m: f"n{m.n}-D{m.delay}")
-def test_probe_rejects_a_band_that_does_not_invert_a(m):
+def test_column_check_rejects_taps_that_do_not_invert_a(m):
     dm = build_dual(m)
     assert not check_delayed_martingale(DualMeasure(v=dm.v * (1.0 + 1e-6), solution=dm.solution), m.delay, 1e-10)
     for tap in {0, min(1, m.delay), m.delay}:
@@ -213,7 +213,7 @@ def _clean(band):
 
 @pytest.mark.parametrize("n,delay", BAND_SHAPES)
 @pytest.mark.parametrize("source", ["dual", "random"])
-def test_band_log_det_matches_pbtrf_and_the_dense_log_det(n, delay, source):
+def test_corner_log_det_matches_pbtrf_and_the_dense_log_det(n, delay, source):
     # the log-determinant of a stored measure, read off its leading tap and corner,
     # against LAPACK's band Cholesky and a dense LU of its band
     v = _taps(n, delay, source)
@@ -225,7 +225,7 @@ def test_band_log_det_matches_pbtrf_and_the_dense_log_det(n, delay, source):
         assert abs(got - want) <= 1e-12 * max(abs(want), 1.0)
 
 
-def test_band_log_det_raises_where_the_band_stops_being_positive_definite():
+def test_corner_log_det_raises_where_the_band_stops_being_positive_definite():
     v = _random_taps(3, 7)
     toeplitz.corner_log_det(v, toeplitz.schur_corner(v), 300)
     indefinite = np.array([1.0, 0.0, 0.0, 2.0])  # corner (I - 4 I) / 1 = -3 I

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from delayed_hedge import DiscreteMarket, IntegrabilityError, LengthMismatch, SizeError, mc, value
+from delayed_hedge import DiscreteMarket, DomainError, IntegrabilityError, LengthMismatch, SizeError, mc, value
 from delayed_hedge.mc import (
     DURBIN_STEP_BUDGET,
     DURBIN_TAIL_ETA,
@@ -254,17 +254,21 @@ def test_estimate_skips_the_oracle_past_the_step_budget_and_says_why(monkeypatch
     if kind == "scaled":  # a kernel with no vanishing tail: Durbin gives up after 16 coefficients
         w = dataclasses.replace(w, kernel=1.5 * w.kernel)
         reason = "computed 16 of 63 reflection coefficients"
-    else:  # a linear term other than the Merton ratio: the Levinson solve takes 63 steps
+    else:  # a linear term other than the Merton ratio: the Toeplitz oracle refuses it at any budget
         w = dataclasses.replace(w, merton=w.merton + 0.1)
-        reason = "n - 1 = 63 steps"
+        reason = "the Merton ratio mu / sigma^2"
     report = estimate_utility(batch, w, m)
     assert report.analytic is None
-    assert reason in report.analytic_skipped and "DURBIN_STEP_BUDGET = 16" in report.analytic_skipped
+    assert reason in report.analytic_skipped
     assert "analytic_skipped" not in report.to_json()
     monkeypatch.setattr(mc, "DURBIN_STEP_BUDGET", 63)  # the full recursion fits again
-    assert estimate_utility(batch, w, m).analytic == pytest.approx(
-        analytic_quadratic_utility(*strategy_quadratic_form(w, m), m), rel=1e-10
-    )
+    if kind == "scaled":
+        assert "DURBIN_STEP_BUDGET = 16" in report.analytic_skipped
+        assert estimate_utility(batch, w, m).analytic == pytest.approx(
+            analytic_quadratic_utility(*strategy_quadratic_form(w, m), m), rel=1e-10
+        )
+    else:
+        assert estimate_utility(batch, w, m).analytic_skipped == report.analytic_skipped
 
 
 def test_estimate_moments_overflow_without_warnings():
@@ -305,7 +309,7 @@ def _forms(m, scale=1.0, merton_shift=0.0):
 
 
 def _both_oracles(w, m):
-    """(Levinson value or None, dense value or None): None where the form is not integrable."""
+    """(Toeplitz-oracle value or None, dense value or None): None where the form is not integrable."""
     out = []
     for run in (
         lambda: toeplitz_quadratic_utility(*strategy_toeplitz_form(w, m), m),
@@ -316,6 +320,13 @@ def _both_oracles(w, m):
         except IntegrabilityError:
             out.append(None)
     return out
+
+
+def _assert_refuses_the_linear_term(w, m):
+    """The Toeplitz oracle raises DomainError, naming the Merton ratio, before Durbin runs."""
+    with mock.patch.object(mc, "reflection_coefficients", side_effect=AssertionError("Durbin ran")):
+        with pytest.raises(DomainError, match="Merton ratio"):
+            toeplitz_quadratic_utility(*strategy_toeplitz_form(w, m), m)
 
 
 LEVINSON_MARKETS = [
@@ -333,10 +344,12 @@ LEVINSON_MARKETS = [
 @pytest.mark.parametrize("merton_shift", [0.0, 0.3])
 def test_levinson_oracle_matches_the_dense_cholesky(m, merton_shift):
     w = _forms(m, merton_shift=merton_shift)
+    if merton_shift != 0.0:  # b != 0: only the dense oracle takes it
+        _assert_refuses_the_linear_term(w, m)
+        return
     fast, dense = _both_oracles(w, m)
     assert fast == pytest.approx(dense, rel=1e-10)
-    if merton_shift == 0.0:
-        assert fast == pytest.approx(value(m), rel=1e-10)
+    assert fast == pytest.approx(value(m), rel=1e-10)
 
 
 def _min_eigenvalue(w, m):
@@ -360,6 +373,9 @@ def test_levinson_and_dense_agree_across_the_integrability_boundary(m, direction
     for factor in (0.5, 0.9, 0.99, 1.01, 1.1, 2.0):
         for shift in (0.0, 0.3):
             w = _forms(m, 1.0 + factor * (boundary - 1.0), shift)
+            if shift != 0.0:  # refused on either side of the boundary, before Durbin's verdict
+                _assert_refuses_the_linear_term(w, m)
+                continue
             fast, dense = _both_oracles(w, m)
             assert (fast is None) == (dense is None) == (factor > 1.0)
             if fast is not None:
@@ -406,7 +422,9 @@ def _durbin_sum(alphas, n):
 
 def test_reflection_coefficients_keep_the_bits_of_the_negative_stride_dot():
     # the coefficients before a certified tail of zeros keep the full recursion's bits
-    columns = [np.array([1.0, 0.5, 0.9, 0.1, 0.2])]  # not positive definite: the recursion stops early
+    not_definite = np.array([1.0, 0.5, 0.9, 0.1, 0.2])  # the recursion raises where the reference stops
+    assert _dots_before_the_raise(not_definite) == len(_durbin_on_negative_strides(not_definite)) - 1
+    columns = []
     for n, delay, sigma_hat in [(1, 0, 1.3), (2, 1, 0.8), (64, 3, 1.3), (300, 20, 0.7), (2048, 200, 1.4)]:
         columns.append(_hedge_column(n, delay, sigma_hat))
     for column in columns:
@@ -421,6 +439,14 @@ def _count_dots(column):
     with mock.patch.object(np, "dot", wraps=np.dot) as dot:
         alphas = reflection_coefficients(column)
     return alphas, dot.call_count
+
+
+def _dots_before_the_raise(column):
+    """The number of np.dot calls reflection_coefficients(column) makes before it raises IntegrabilityError."""
+    with mock.patch.object(np, "dot", wraps=np.dot) as dot:
+        with pytest.raises(IntegrabilityError):
+            reflection_coefficients(column)
+    return dot.call_count
 
 
 @pytest.mark.parametrize(
@@ -468,10 +494,13 @@ def _random_spd_columns():
     ids=lambda c: f"n{len(c)}",
 )
 def test_columns_with_no_vanishing_tail_run_the_full_recursion(column):
-    got, steps = _count_dots(column)
     want = _durbin_on_negative_strides(column)
+    if not np.all(np.abs(want) < 1.0):  # not positive definite: the raise comes where the reference stops
+        assert _dots_before_the_raise(column) == len(want) - 1
+        return
+    got, steps = _count_dots(column)
     assert got.tobytes() == want.tobytes()
-    assert steps == len(want) - 1  # every step the reference takes, to n - 2 or to the first |alpha_k| >= 1
+    assert steps == len(want) - 1  # every step the reference takes, to n - 2
 
 
 @pytest.mark.parametrize("factor, certified", [(0.99, True), (1.01, False)])
@@ -538,13 +567,20 @@ def test_reflection_coefficients_vanish_exactly_past_the_delay(market):
 
 def test_reflection_coefficients_stop_at_the_first_that_is_not_below_one():
     column = np.array([1.0, 0.5, 0.9, 0.1, 0.2])  # not positive definite
-    alphas = reflection_coefficients(column)
-    assert np.all(np.abs(alphas[:-1]) < 1.0) and not abs(alphas[-1]) < 1.0
+    want = _durbin_on_negative_strides(column)  # stops at the first |alpha_k| >= 1
+    assert np.all(np.abs(want[:-1]) < 1.0) and not abs(want[-1]) < 1.0 and len(want) < len(column) - 1
+    assert _dots_before_the_raise(column) == len(want) - 1
     assert np.linalg.eigvalsh(SymToeplitz(column).to_dense())[0] < 0.0
     spd = np.array([2.0, 0.5, 0.2, 0.1])
     assert len(reflection_coefficients(spd)) == 3
     log_det = 4 * math.log(2.0) + math.fsum(np.arange(3, 0, -1) * np.log1p(-reflection_coefficients(spd) ** 2))
     assert log_det == pytest.approx(math.log(np.linalg.det(SymToeplitz(spd).to_dense())), rel=1e-14)
+
+
+def test_a_last_reflection_coefficient_of_one_raises():
+    column = np.array([1.0, 0.0, 1.0])  # singular: alpha_0 = 0, and alpha_1 = -1 is the only bad coefficient
+    assert np.linalg.eigvalsh(SymToeplitz(column).to_dense())[0] == pytest.approx(0.0, abs=1e-15)
+    assert _dots_before_the_raise(column) == 1  # the whole recursion runs, and its last coefficient fails
 
 
 def test_estimate_runs_the_levinson_oracle_without_an_n_by_n_array():

@@ -19,6 +19,7 @@ from delayed_hedge.toeplitz import (
     inverse_band,
     inverse_via_v,
     log_det_closed_form,
+    lower_toeplitz,
     v_vector,
 )
 
@@ -341,3 +342,13 @@ def test_inverse_band_rejects_a_delay_outside_the_horizon():
     for taps in (np.zeros(0), np.ones(5)):  # D = -1 and D = n
         with pytest.raises(DomainError, match="need 0 <= delay < n"):
             inverse_band(taps, 4)
+
+
+@pytest.mark.parametrize("size", [0, 1, 2, 3, 17, 128])
+def test_lower_toeplitz_matches_the_masked_gather_bit_for_bit(size):
+    taps = np.random.default_rng(size).standard_normal(size)
+    taps[size // 2 :: 3] *= -0.0  # signed zeros on and below the diagonal keep their sign
+    lags = np.subtract.outer(np.arange(size), np.arange(size))
+    want = np.tril(taps[lags])  # the form the padded gather replaced
+    got = lower_toeplitz(taps)
+    assert got.shape == (size, size) and got.tobytes() == want.tobytes()
