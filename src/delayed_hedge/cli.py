@@ -157,6 +157,7 @@ def cmd_simulate(args) -> int:
         w = dataclasses.replace(w, kernel=args.perturb * w.kernel)
     report = mc.estimate_utility(batch, w, m)
     payload = report.to_json()
+    payload["log_neg_value"] = -sol.c_hat  # log(-value_formula), finite where value_formula underflows to -0.0
     payload["value_formula"] = sol.value
     if report.analytic is not None and report.analytic < 0.0 and report.relative_std_error > 0.0:
         # how many relative standard errors the estimate sits from its oracle on the log scale, where the

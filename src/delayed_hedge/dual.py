@@ -145,8 +145,10 @@ def verification_residual(m: DiscreteMarket, x: np.ndarray) -> np.ndarray:
     sol = w.solution
     own, lagged = quadratic_forms(x, w.kernel, sol.b)
     v = wealth(w, m, x, form=own)
-    quad_dual = ((sol.a + 1.0) * np.sum(x * x, axis=1) + 2.0 * lagged) / m.sigma**2
-    quad_market = np.sum((x - m.mu) ** 2, axis=1) / m.sigma**2
+    squares = np.square(x)  # the one P x n scratch array: x^2, then (x - mu)^2
+    quad_dual = ((sol.a + 1.0) * np.add.reduce(squares, axis=1) + 2.0 * lagged) / m.sigma**2
+    np.square(np.subtract(x, m.mu, out=squares), out=squares)
+    quad_market = np.add.reduce(squares, axis=1) / m.sigma**2
     log_ratio = 0.5 * (sol.log_det - quad_dual + quad_market)
     return v + log_ratio - sol.c_hat
 
@@ -172,5 +174,5 @@ def relative_entropy(dm: DualMeasure, m: DiscreteMarket) -> float:
         raise NumericalError("dual covariance is not positive definite") from exc
     width = len(v) - 1
     # trace(K) - n, with |v|^2 / v_0 - 1 formed without the cancellation of |v|^2 / v_0 against 1
-    trace_excess = (n - width) * ((v[0] - 1.0) + float(v[1:] @ v[1:]) / v[0]) + float(np.trace(dm.corner)) - width
+    trace_excess = (n - width) * ((v[0] - 1.0) + float(v[1:] @ v[1:]) / v[0]) + float(dm.corner.trace()) - width
     return 0.5 * (trace_excess - log_det_k + n * m.mu**2 / m.sigma**2)

@@ -104,6 +104,7 @@ class UtilityReport:
     ess: float  # effective sample size of the exp(-V) weights
     log_neg_mean: float  # log(-empirical_mean), finite where the mean itself underflows to -0.0
     relative_std_error: float  # std_error / |empirical_mean|, from the same shifted moments
+    log_neg_analytic: float | None  # log(-analytic), the oracle's exponent: finite where analytic underflows to -0.0
     analytic_skipped: str | None = None  # why ``analytic`` was left out (step budget, linear term), else None
 
     def to_json(self) -> dict:
@@ -135,12 +136,19 @@ def estimate_utility(batch: PathBatch, w: StrategyWeights, m: DiscreteMarket) ->
     """Empirical mean and standard error of -exp(-V) over the batch.
 
     The analytic expectation of the same quadratic strategy is attached when
-    it exists, evaluated by Durbin's recursion (``toeplitz_quadratic_utility``);
-    where that would pass ``DURBIN_STEP_BUDGET``, or the linear term is not
-    the Merton ratio, ``analytic_skipped`` says why.  V comes from
-    ``solver.wealth``, which needs no holdings.
+    it exists, evaluated by Durbin's recursion (``toeplitz_log_neg_utility``),
+    with its exponent as ``log_neg_analytic``, finite where ``analytic``
+    underflows to -0.0; where the oracle would pass ``DURBIN_STEP_BUDGET``, or
+    the linear term is not the Merton ratio, ``analytic_skipped`` says why.
+    V comes from ``solver.wealth``, which needs no holdings.
     Accumulation relies on numpy's pairwise summation, which is deterministic
-    for a given batch.
+    for a given batch.  The moments are three ``np.add.reduce`` passes over
+    one y = -exp(shift - V) (see below), in this order: its sum s, and the
+    mean s / P; the sum of the squares of y - s / P, over P - 1, the
+    variance, whose square root over sqrt(P) is the standard error (0 for
+    P = 1); and the sum of y^2, with ``ess`` = (-s)^2 / sum y^2.  Those are
+    the operations of ``np.mean``, ``np.std(ddof=1)`` and, since y <= 0,
+    ``np.sum(np.abs(y))``, so the moments equal theirs bit for bit.
     The moments are those of -exp(shift - V), shift = max(min V, 0), scaled
     back by exp(-shift): on long horizons exp(-V) alone squares to zero, and
     the mean itself can underflow to -0.0, where its log, -shift +
@@ -148,16 +156,24 @@ def estimate_utility(batch: PathBatch, w: StrategyWeights, m: DiscreteMarket) ->
     Moments that overflow come out non-finite, without a warning.
     """
     v = wealth(w, m, batch.increments)
-    shift = max(float(np.min(v)), 0.0)
+    count = batch.count
+    shift = max(float(np.minimum.reduce(v)), 0.0)
     scale = math.exp(-shift)
     with np.errstate(over="ignore", invalid="ignore"):
         y = -np.exp(shift - v)
-        shifted_mean = float(np.mean(y))  # at most -1 / count: the path of least V contributes -1 or less
-        shifted_stderr = float(np.std(y, ddof=1) / math.sqrt(batch.count)) if batch.count > 1 else 0.0
-        ess = float(np.sum(np.abs(y)) ** 2 / np.sum(y * y))
-    analytic = skipped = None
+        total = np.add.reduce(y)
+        shifted_mean = float(total) / count  # at most -1 / count: the path of least V contributes -1 or less
+        if count > 1:
+            centred = y - shifted_mean
+            variance = float(np.add.reduce(np.square(centred, out=centred))) / (count - 1)
+            shifted_stderr = math.sqrt(variance) / math.sqrt(count)
+        else:
+            shifted_stderr = 0.0
+        ess = float((-total) ** 2 / np.add.reduce(np.square(y)))  # y <= 0, so -total is the sum of |y|
+    analytic = log_neg_analytic = skipped = None
     try:
-        analytic = toeplitz_quadratic_utility(*strategy_toeplitz_form(w, m), m)
+        log_neg_analytic = toeplitz_log_neg_utility(*strategy_toeplitz_form(w, m), m)
+        analytic = -math.exp(log_neg_analytic)
     except IntegrabilityError:
         pass
     except (SizeError, DomainError) as exc:
@@ -166,11 +182,12 @@ def estimate_utility(batch: PathBatch, w: StrategyWeights, m: DiscreteMarket) ->
         empirical_mean=shifted_mean * scale,
         std_error=shifted_stderr * scale,
         analytic=analytic,
-        n_paths=batch.count,
+        n_paths=count,
         seed=batch.seed,
         ess=ess,
         log_neg_mean=math.log(-shifted_mean) - shift,
         relative_std_error=shifted_stderr / -shifted_mean,
+        log_neg_analytic=log_neg_analytic,
         analytic_skipped=skipped,
     )
 
@@ -188,10 +205,9 @@ def strategy_toeplitz_form(w: StrategyWeights, m: DiscreteMarket):
     return column, np.full(n, w.merton), -w.static_coeff * n * m.sigma_hat**2
 
 
-def _utility(log_det: float, quad_b: float, constant: float, m: DiscreteMarket) -> float:
-    """-exp of the closed-form exponent, from log |I + sigma^2 Q| and b'M^-1 b."""
-    exponent = -constant - 0.5 * log_det + 0.5 * quad_b - 0.5 * m.n * m.mu**2 / m.sigma**2
-    return -math.exp(exponent)
+def _exponent(log_det: float, quad_b: float, constant: float, m: DiscreteMarket) -> float:
+    """The closed-form exponent log(-E[-exp(-V)]), from log |I + sigma^2 Q| and b'M^-1 b."""
+    return -constant - 0.5 * log_det + 0.5 * quad_b - 0.5 * m.n * m.mu**2 / m.sigma**2
 
 
 def analytic_quadratic_utility(
@@ -217,7 +233,7 @@ def analytic_quadratic_utility(
     b = np.full(n, m.mu / sig2) - linear
     solved = np.linalg.solve(matrix, b)
     log_det = n * math.log(sig2) + 2.0 * float(np.sum(np.log(np.diag(chol))))
-    return _utility(log_det, float(b @ solved), constant, m)
+    return -math.exp(_exponent(log_det, float(b @ solved), constant, m))
 
 
 def reflection_coefficients(column: np.ndarray) -> np.ndarray:
@@ -275,8 +291,18 @@ def reflection_coefficients(column: np.ndarray) -> np.ndarray:
 
 def reflection_log_det(alphas: np.ndarray) -> float:
     """fsum_k (n - 1 - k) log1p(-alpha_k^2) over the n - 1 reflection coefficients of an
-    n x n Toeplitz matrix: its log-determinant less n log of its diagonal entry."""
-    return math.fsum(np.arange(len(alphas), 0, -1) * np.log1p(-alphas * alphas))
+    n x n Toeplitz matrix: its log-determinant less n log of its diagonal entry.
+
+    The sum stops at the last nonzero coefficient: the terms past it are
+    signed zeros, which ``math.fsum`` adds exactly, so the prefix's sum is the
+    full sum, 0.0 for an all-zero column.  A certified tail
+    (``reflection_coefficients``) is all exact zeros, so the sum is O(p).
+    """
+    n = len(alphas)
+    nonzero = alphas.nonzero()[0]
+    stop = int(nonzero[-1]) + 1 if len(nonzero) else 0
+    head = alphas[:stop]
+    return math.fsum(np.arange(n, n - stop, -1) * np.log1p(-head * head))
 
 
 def _tail_vanishes(r: np.ndarray, y: np.ndarray, beta: float, prefix: np.ndarray) -> bool:
@@ -301,14 +327,23 @@ def _tail_vanishes(r: np.ndarray, y: np.ndarray, beta: float, prefix: np.ndarray
     """
     p = len(y)
     g = r[p:] + np.convolve(r[:-1], y, "valid")
-    growth = math.exp(-float(np.sum(np.log1p(np.abs(prefix)))))  # 1 / P, 0.0 where P overflows
-    return (len(r) + 1) * float(np.max(np.abs(g))) <= DURBIN_TAIL_ETA * beta * growth
+    growth = math.exp(-float(np.add.reduce(np.log1p(np.abs(prefix)))))  # 1 / P, 0.0 where P overflows
+    return (len(r) + 1) * float(np.maximum.reduce(np.abs(g))) <= DURBIN_TAIL_ETA * beta * growth
 
 
 def toeplitz_quadratic_utility(
     column: np.ndarray, linear: np.ndarray, constant: float, m: DiscreteMarket
 ) -> float:
-    """``analytic_quadratic_utility`` for a symmetric Toeplitz Q given by its first ``column``.
+    """``analytic_quadratic_utility`` for a symmetric Toeplitz Q given by its first ``column``:
+    -exp of ``toeplitz_log_neg_utility``, which says how."""
+    return -math.exp(toeplitz_log_neg_utility(column, linear, constant, m))
+
+
+def toeplitz_log_neg_utility(
+    column: np.ndarray, linear: np.ndarray, constant: float, m: DiscreteMarket
+) -> float:
+    """log(-E[-exp(-V)]), the closed-form exponent, for a symmetric Toeplitz Q given by its
+    first ``column``: finite where -exp of it underflows to -0.0.
 
     M = I/sigma^2 + Q is Toeplitz with first column e_0/sigma^2 + column.
     With q_0 = column[0] and the reflection coefficients alpha_k of M,
@@ -336,7 +371,7 @@ def toeplitz_quadratic_utility(
     if column.shape != (n,) or linear.shape != (n,):
         raise LengthMismatch(f"form shapes {column.shape}, {linear.shape} do not match n={n}")
     sig2 = m.sigma**2
-    if not np.all(linear == m.mu / sig2):
+    if not (linear == m.mu / sig2).all():
         raise DomainError("the Toeplitz oracle takes only the Merton ratio mu / sigma^2 as its linear term")
     diagonal = sig2 * column[0]
     if not diagonal > -1.0:
@@ -344,7 +379,7 @@ def toeplitz_quadratic_utility(
     matrix_column = column.copy()
     matrix_column[0] += 1.0 / sig2
     log_det = n * math.log1p(diagonal) + reflection_log_det(reflection_coefficients(matrix_column))
-    return _utility(log_det, 0.0, constant, m)
+    return _exponent(log_det, 0.0, constant, m)
 
 
 def brute_force_optimum(m: DiscreteMarket):

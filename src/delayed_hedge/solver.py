@@ -215,7 +215,7 @@ def _lagged_taps(taps: np.ndarray, n: int):
     """
     if len(taps) < n - 1:
         raise LengthMismatch(f"need n - 1 = {n - 1} taps for paths of length n={n}, got {len(taps)}")
-    nonzero = np.flatnonzero(taps[: n - 1])
+    nonzero = taps[: n - 1].nonzero()[0]
     if nonzero.size == 0:
         return None
     d = int(nonzero[0])
@@ -241,9 +241,12 @@ def causal_convolve(x: np.ndarray, taps: np.ndarray) -> np.ndarray:
     no n x n array.
     Fewer than n - 1 taps raise ``LengthMismatch`` on both paths.
     """
-    n = x.shape[1]
-    lag = _lagged_taps(taps, n)
-    y = np.zeros_like(x)
+    return _convolve_lagged(x, _lagged_taps(taps, x.shape[1]))
+
+
+def _convolve_lagged(x: np.ndarray, lag) -> np.ndarray:
+    """``causal_convolve`` from the (d, lagged) pair (or None) that ``_lagged_taps`` found."""
+    y = np.zeros(x.shape)
     if lag is None:
         return y
     d, lagged = lag
@@ -266,16 +269,17 @@ def quadratic_forms(x: np.ndarray, *taps: np.ndarray) -> np.ndarray:
     Each form is sum_l taps[l-1] r_l over the lags l = 1 .. n - 1 of the
     row's autocorrelation r_l = sum_i x_i x_{i-l}.  Taps with at most
     DIRECT_CONVOLVE_MAX outputs past their first nonzero lag take the form
-    from ``causal_convolve``.  The others share one rfft X of the rows at a
-    power-of-two L >= 2n - 1, where no lag wraps around, and one rfft T of
-    (0, taps) each; by Parseval the form is (1/L) sum_k w_k |X_k|^2 Re T_k
-    over the half spectrum, with w = 1 at DC and Nyquist and 2 elsewhere
-    (Oppenheim & Schafer, Discrete-Time Signal Processing, 8.5).  |X_k|^2
-    is formed in X's own memory and each form is a row sum of it times the
-    weights: O(P n log n) time, no inverse transform, and past ``x`` one
-    complex P x (L/2 + 1) array plus a real one for each form but the last.
-    Returns shape (len(taps), paths).  Fewer than n - 1 taps raise
-    ``LengthMismatch``.
+    from ``causal_convolve``'s direct product, handed the lag found here, so
+    ``_lagged_taps`` runs once per taps array.  The others share one rfft X
+    of the rows at a power-of-two L >= 2n - 1, where no lag wraps around, and
+    one rfft T of (0, taps) each; by Parseval the form is
+    (1/L) sum_k w_k |X_k|^2 Re T_k over the half spectrum, with w = 1 at DC
+    and Nyquist and 2 elsewhere (Oppenheim & Schafer, Discrete-Time Signal
+    Processing, 8.5).  |X_k|^2 is formed in X's own memory and each form is
+    a row sum of it times the weights: O(P n log n) time, no inverse
+    transform, and past ``x`` one complex P x (L/2 + 1) array plus a real
+    one for each form but the last.  Returns shape (len(taps), paths).
+    Fewer than n - 1 taps raise ``LengthMismatch``.
     """
     n = x.shape[1]
     forms = np.zeros((len(taps), x.shape[0]))
@@ -285,7 +289,8 @@ def quadratic_forms(x: np.ndarray, *taps: np.ndarray) -> np.ndarray:
         if lag is None:
             continue
         if len(lag[1]) <= DIRECT_CONVOLVE_MAX:
-            forms[i] = np.sum(x * causal_convolve(x, t), axis=1)
+            y = _convolve_lagged(x, lag)
+            np.add.reduce(np.multiply(x, y, out=y), axis=1, out=forms[i])
         else:
             spectral.append(i)
     if not spectral:

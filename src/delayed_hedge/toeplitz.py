@@ -83,7 +83,9 @@ def inverse_band(v: np.ndarray, n: int) -> np.ndarray:
     The two partial sums telescope along diagonals,
     B[j+d, j] = B[j+d-1, j-1] + (v_{j+d} v_j - v_{n-j-d} v_{n-j}) / v_0 (0-based),
     from B[d, 0] = v_d, so each diagonal is one cumulative sum of its
-    increments: O(n D) time and memory.  The cumulative sum adds left to right,
+    increments: O(n D) time and memory, with the lagged factors v_{j+d} and
+    v_{n-j-d} read as windows of two padded n + D vectors (``_windows``), not
+    gathered.  The cumulative sum adds left to right,
     the order of the row-by-row recurrence, so the dense view repeats it to
     the bit.  Entries past the end of a diagonal (j > n - 1 - d) are zero.
     For any taps the band is that of G G' + diag(0, S) with G and S as in
@@ -91,16 +93,23 @@ def inverse_band(v: np.ndarray, n: int) -> np.ndarray:
     """
     delay = len(v) - 1
     _require_width(delay, n)
-    v = np.concatenate([v, np.zeros(n - delay - 1)])
-    pad = np.zeros(delay)
-    ahead = np.concatenate([v, pad])  # ahead[k] = v_k
-    mirror = np.concatenate([[0.0], v[:0:-1], pad])  # mirror[k] = v_{n-k} for 0 < k < n
-    shifted = np.arange(n) + np.arange(delay + 1)[:, None]  # j + d
-    band = (ahead[shifted] * v - mirror[shifted] * mirror[:n]) / v[0]
-    band[:, 0] = v[: delay + 1]
+    ahead = np.zeros(n + delay)  # ahead[k] = v_k, zero past the taps
+    ahead[: delay + 1] = v
+    mirror = np.zeros(n + delay)  # mirror[k] = v_{n-k} for 0 < k < n, else zero
+    mirror[n - delay : n] = v[:0:-1]
+    past = np.zeros(n + delay, dtype=bool)  # past[k]: k >= n
+    past[n:] = True
+    band = (_windows(ahead, delay + 1, n) * ahead[:n] - _windows(mirror, delay + 1, n) * mirror[:n]) / v[0]
+    band[:, 0] = v
     band.cumsum(axis=1, out=band)
-    band[shifted >= n] = 0.0
+    np.copyto(band, 0.0, where=_windows(past, delay + 1, n))
     return band
+
+
+def _windows(a: np.ndarray, rows: int, cols: int) -> np.ndarray:
+    """The (rows, cols) view of the contiguous 1-D ``a`` whose entry (d, j) is a[d + j],
+    for len(a) >= rows + cols - 1: no index array, no copy.  Read it; never write to it."""
+    return np.ndarray((rows, cols), a.dtype, a, strides=(a.itemsize, a.itemsize))
 
 
 def _require_width(delay: int, n: int) -> None:
@@ -138,10 +147,11 @@ def schur_corner(v: np.ndarray) -> np.ndarray:
 
 def lower_toeplitz(taps: np.ndarray) -> np.ndarray:
     """The square lower-triangular Toeplitz matrix with first column ``taps``: entry (k, j)
-    is taps[k - j] for j <= k, else 0, gathered from the taps after size - 1 zeros."""
+    is taps[k - j] for j <= k, else 0, copied from the windows of the taps after size - 1 zeros."""
     size = len(taps)
-    padded = np.concatenate([np.zeros(max(size - 1, 0)), taps])
-    return padded[size - 1 + np.subtract.outer(np.arange(size), np.arange(size))]
+    padded = np.zeros(max(2 * size - 1, 0))
+    padded[size - 1 :] = taps
+    return _windows(padded, size, size)[:, ::-1].copy()  # window (k, size - 1 - j) is padded[size - 1 + k - j]
 
 
 def corner_log_det(v: np.ndarray, corner: np.ndarray, n: int) -> float:
@@ -155,7 +165,7 @@ def corner_log_det(v: np.ndarray, corner: np.ndarray, n: int) -> float:
     """
     if not v[0] > 0.0:
         raise np.linalg.LinAlgError(f"leading tap v_0 = {v[0]} is not positive")
-    log_det_corner = 2.0 * float(np.sum(np.log(np.linalg.cholesky(corner).diagonal())))
+    log_det_corner = 2.0 * float(np.add.reduce(np.log(np.linalg.cholesky(corner).diagonal())))
     return (n - len(v) + 1) * math.log(v[0]) + log_det_corner
 
 

@@ -102,6 +102,28 @@ def test_simulate_reports_its_distance_from_the_oracle_in_standard_errors(capsys
     assert list(doc)[-3:] == ["value_formula", "z_vs_analytic", "generator"]
 
 
+def test_simulate_log_scale_values_stay_finite_where_the_values_underflow(capsys):
+    code, doc = run_json(
+        capsys, "simulate", "--n", "60000", "--delay", "3", "--mu", "0.1", "--sigma", "1",
+        "--sigma-hat", "1.3", "--paths", "100", "--seed", "1",
+    )
+    assert code == 0
+    assert doc["value_formula"] == 0.0 and doc["analytic"] == 0.0  # -exp(-c_hat) underflows: c_hat is about 1070
+    assert math.isfinite(doc["log_neg_value"]) and doc["log_neg_value"] < -745.0
+    assert doc["log_neg_analytic"] == pytest.approx(doc["log_neg_value"], rel=1e-13)
+
+
+@pytest.mark.parametrize("perturb", [[], ["--perturb", "1.5"]])
+def test_simulate_log_scale_values_are_the_logs_of_the_values_where_representable(capsys, perturb):
+    code, doc = run_json(
+        capsys, "simulate", "--n", "5", "--delay", "2", "--mu", "0.1", "--sigma", "1",
+        "--sigma-hat", "1.3", "--paths", "100", "--seed", "42", *perturb,
+    )
+    assert code == 0
+    assert doc["log_neg_value"] == pytest.approx(math.log(-doc["value_formula"]), rel=1e-13)
+    assert doc["log_neg_analytic"] == pytest.approx(math.log(-doc["analytic"]), rel=1e-13)
+
+
 def test_simulate_leaves_the_distance_out_when_the_standard_error_is_zero(capsys):
     # mu = 0 and equal volatilities: a zero strategy, so every path has V = 0
     code, out = run_cli(

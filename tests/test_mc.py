@@ -19,10 +19,11 @@ from delayed_hedge.mc import (
     estimate_utility,
     generate,
     reflection_coefficients,
+    reflection_log_det,
     strategy_toeplitz_form,
     toeplitz_quadratic_utility,
 )
-from delayed_hedge.solver import StrategyWeights, evaluate_paths, strategy
+from delayed_hedge.solver import StrategyWeights, evaluate_paths, solve, strategy, wealth
 from delayed_hedge.toeplitz import SymToeplitz
 
 ACCEPTANCE_MARKET = DiscreteMarket(n=5, delay=2, mu=0.1, sigma=1.0, sigma_hat=1.3)
@@ -130,6 +131,7 @@ def test_report_json_fields():
     doc = report.to_json()
     assert set(doc) == {
         "empirical_mean", "std_error", "analytic", "n_paths", "seed", "ess", "log_neg_mean", "relative_std_error",
+        "log_neg_analytic",
     }
     assert doc["seed"] == 9
 
@@ -151,6 +153,54 @@ def test_log_scale_moments_match_the_mean_where_it_is_representable():
     assert report.empirical_mean < 0.0
     assert report.log_neg_mean == pytest.approx(math.log(-report.empirical_mean), rel=1e-13)
     assert report.relative_std_error == pytest.approx(report.std_error / -report.empirical_mean, rel=1e-13)
+
+
+def test_the_analytic_exponent_stays_finite_where_analytic_underflows():
+    report = _long_horizon_report(60000)
+    assert report.analytic == 0.0  # -exp(-c_hat) underflows: c_hat is about 1070
+    assert math.isfinite(report.log_neg_analytic) and report.log_neg_analytic < -745.0
+    m = DiscreteMarket(n=60000, delay=3, mu=0.1, sigma=1.0, sigma_hat=1.3)  # _long_horizon_report's market
+    assert report.log_neg_analytic == pytest.approx(-solve(m).c_hat, rel=1e-13)
+
+
+@pytest.mark.parametrize("n", [5, 20000])
+def test_the_analytic_exponent_is_the_log_of_analytic_where_it_is_representable(n):
+    report = _long_horizon_report(n)
+    assert report.analytic < 0.0
+    assert report.log_neg_analytic == pytest.approx(math.log(-report.analytic), rel=1e-13)
+
+
+def _moments_by_numpy(v):
+    """(mean, std_error, ess) of -exp(-v) from np.mean, np.std(ddof=1) and np.sum(np.abs(y)),
+    with y = -exp(shift - v), shift = max(min v, 0): the form estimate_utility must repeat bit for bit."""
+    count = len(v)
+    shift = max(float(np.min(v)), 0.0)
+    y = -np.exp(shift - v)
+    mean = float(np.mean(y)) * math.exp(-shift)
+    std_error = float(np.std(y, ddof=1) / math.sqrt(count)) * math.exp(-shift) if count > 1 else 0.0
+    ess = float(np.sum(np.abs(y)) ** 2 / np.sum(y * y))
+    return mean, std_error, ess
+
+
+@pytest.mark.parametrize("paths", [1, 2, 101, 1000])
+@pytest.mark.parametrize("case", ["direct", "fft", "shifted"])
+def test_moments_repeat_np_mean_std_and_abs_sum_bit_for_bit(monkeypatch, paths, case):
+    # n = 16 takes the direct product for V, n = 300 the FFT; "shifted" lifts every V above 0
+    n, lift = {"direct": (16, 0.0), "fft": (300, 0.0), "shifted": (16, 50.0)}[case]
+    m = DiscreteMarket(n=n, delay=2, mu=0.1, sigma=1.0, sigma_hat=1.3)
+    seen = []
+
+    def recorded_wealth(*args):
+        seen.append(wealth(*args) + lift)
+        return seen[-1]
+
+    monkeypatch.setattr(mc, "wealth", recorded_wealth)
+    report = estimate_utility(generate(m, paths, seed=5), strategy(m), m)
+    (v,) = seen
+    if case == "shifted":
+        assert np.all(v > 0.0)
+    got = (report.empirical_mean, report.std_error, report.ess)
+    assert [repr(x) for x in got] == [repr(x) for x in _moments_by_numpy(v)]
 
 
 def strategy_quadratic_form(w: StrategyWeights, m: DiscreteMarket):
@@ -501,6 +551,26 @@ def test_columns_with_no_vanishing_tail_run_the_full_recursion(column):
     got, steps = _count_dots(column)
     assert got.tobytes() == want.tobytes()
     assert steps == len(want) - 1  # every step the reference takes, to n - 2
+
+
+@pytest.mark.parametrize(
+    "column",
+    [
+        _hedge_column(n, delay, sigma_hat)
+        for n, delay in [(1, 0), (2, 1), (64, 3), (2048, 200)]
+        for sigma_hat in (0.7, 1.0, 1.3)
+    ]
+    + [_hedge_column(n, delay, 1.3, scale) for scale in (0.97, 1.05) for n, delay in [(64, 3), (1024, 20)]]
+    + list(_random_spd_columns())[:5],
+    ids=lambda c: f"n{len(c)}",
+)
+def test_the_log_det_sum_stops_at_the_last_nonzero_coefficient_with_the_full_sums_bits(column):
+    alphas = reflection_coefficients(column)
+    full = _durbin_sum(alphas, len(column))  # every term, zeros included
+    with mock.patch.object(np, "log1p", wraps=np.log1p) as log1p:
+        got = reflection_log_det(alphas)
+    assert repr(got) == repr(full)  # the same bits, and 0.0 (not -0.0) for the all-zero column of sigma_hat = 1
+    assert len(log1p.call_args.args[0]) == _certified_order(alphas)  # the terms past the last nonzero are skipped
 
 
 @pytest.mark.parametrize("factor, certified", [(0.99, True), (1.01, False)])

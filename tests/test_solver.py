@@ -429,6 +429,26 @@ def test_quadratic_forms_share_one_call_across_branches():
         assert np.array_equal(form, solver.quadratic_forms(x, taps)[0])
 
 
+def test_quadratic_forms_find_each_lag_once_on_the_direct_branch(monkeypatch):
+    n = 40
+    rng = np.random.default_rng(6)
+    x = rng.normal(size=(5, n))
+    taps = list(rng.normal(size=(2, n - 1)))
+    taps[1][:3] = 0.0  # a first nonzero lag past 0
+    seen = []
+    lagged_taps = solver._lagged_taps
+
+    def counted(t, size):
+        seen.append(t)
+        return lagged_taps(t, size)
+
+    monkeypatch.setattr(solver, "_lagged_taps", counted)
+    forms = solver.quadratic_forms(x, taps[0], taps[1])
+    assert len(seen) == 2 and seen[0] is taps[0] and seen[1] is taps[1]  # no second search by causal_convolve
+    for form, t in zip(forms, taps):
+        assert np.array_equal(form, np.sum(x * solver.causal_convolve(x, t), axis=1))
+
+
 def test_wealth_takes_a_batch_of_paths_of_length_n_only():
     m = market(4, 1, 1.0)
     with pytest.raises(LengthMismatch, match="paths of length"):
