@@ -40,7 +40,10 @@ def _config(args) -> dict:
 
 def _open_out(args):
     if getattr(args, "out", None):
-        return open(args.out, "w", encoding="utf-8")
+        try:
+            return open(args.out, "w", encoding="utf-8")
+        except OSError as exc:
+            raise DelayedHedgeError(f"cannot write --out {args.out}: {exc.strerror}") from exc
     return nullcontext(sys.stdout)
 
 

@@ -37,10 +37,8 @@ from .solver import solve_a, weights_b
 
 CSV_FORMAT = "%.12g"
 # pieces per block in l2_distance_to_kappa: its two node buffers hold 17 _BLOCK_ROWS floats each,
-# so beyond the O(n) piece ends and step values its memory is O(block).  Chosen by measurement
-# on a 2-vCPU host: one market's L2 ladder n = 100 .. 10^4 (median of 80) and the tracemalloc
-# peak at n = 10^4 read 3.1 ms, 469 kB at 256 rows; 2.7 ms, 603 kB at 512; 2.4 ms, 750 kB at
-# 1024; 2.4 ms, 1041 kB at 2048.  Past 512 rows the buffers raise the process's peak RSS.
+# so beyond the O(n) piece ends and step values its memory is O(block).  Larger blocks save
+# little time and raise the process's peak RSS; smaller ones pay numpy's per-call overhead.
 _BLOCK_ROWS = 512
 _QUADSTEPS = 8  # Simpson panels per smooth piece in l2_distance_to_kappa
 

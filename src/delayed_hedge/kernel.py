@@ -24,14 +24,14 @@ and the limit static option is alpha / (2 varsigma^2 (1 - alpha H)) * (P_1 - P_0
 
 An independent RK4 method-of-steps integrator and the first ten c_k in closed
 form are provided as cross-check oracles for the recursion.
-Quadrature evaluates one interval's polynomial on whole arrays of nodes inside
-that interval, its breakpoints included, with ``_interval_values``: Horner's
-rule in alpha (t - kH), two array passes per term.  ``_piece``'s array branch,
-the written-out series at four passes per term, is the reference the tests
-compare it with; scalar ``kappa`` keeps ``math.exp``.  The constants are a tuple of
-Python floats, and the scalar loops (the recurrence and scalar ``kappa``) run
-on Python floats: numpy scalars would give the same bits at about twice the
-cost, so ``kappa`` and ``kappa_integral_residual`` convert ``t`` on entry.
+Arrays of nodes inside one interval, its breakpoints included, go through
+``_interval_values``: Horner's rule in alpha (t - kH), two array passes per
+term.  A float goes through the written-out series with ``math.exp``:
+``_piece`` at an explicit interval, and scalar ``kappa`` with the series loop
+inline.  The constants are a tuple of Python floats, and the scalar loops
+(the recurrence, ``_piece`` and scalar ``kappa``) run on Python floats, since
+numpy scalars give the same bits with more overhead per operation; ``kappa``
+and ``kappa_integral_residual`` convert ``t`` on entry.
 The RK4 oracle has no step loop: one RK4 step of the linear delay equation is
 the map y -> rho y + f_i, so ``kappa_ode_grid`` solves an interval's m steps
 as one recurrence, y_j = rho^j (y_0 + sum_{i<j} f_i rho^-(i+1)), by
@@ -132,7 +132,7 @@ def _series(c: Sequence[float], k: int, ratio):
     """sum_{j<k} c[k-1-j] ratio^j / j!, with an incrementally updated term (no factorials).
 
     ``ratio`` is -alpha H for the recurrence of c_coefficients and -alpha (t - kH)
-    (a float or a node array) for interval k's polynomial in ``_piece``.
+    for interval k's polynomial at a float t in ``_piece``.
     """
     term = 1.0
     total = 0.0
@@ -185,8 +185,8 @@ class KernelSpec:
         return table
 
 
-# kernel_spec builds at most this many intervals (H >= 0.001): c_coefficients is O(K^2), about
-# 0.09 s at K = 1000 on a 2-vCPU host.  alpha and limit_value need no c_k and take any H.
+# kernel_spec builds at most this many intervals (H >= 0.001), since c_coefficients is O(K^2) in
+# Python floats.  alpha and limit_value need no c_k and take any H.
 MAX_INTERVALS = 1000
 
 
@@ -214,26 +214,12 @@ def spec_for_market(c: ContinuousMarket) -> KernelSpec:
     return kernel_spec(c.H, c.varsigma, c.varsigma_hat)
 
 
-def _piece(t, k: int, spec: KernelSpec):
-    """Evaluate interval k's exponential polynomial at t (no domain snapping).
-
-    At a float (``math.exp``) or a node array (``np.exp``); outside [kH, (k+1)H)
-    it is the one-sided analytic continuation quadrature needs at breakpoints.
-    Interval 0 has no series terms, so its polynomial is the level itself.
-    The series reference: ``_scalar_piece``, ``kappa`` and ``_interval_values``
-    are tested against it, and no production path calls it.
-    """
-    u = t - k * spec.H
-    total = _series(spec.c, k, (-spec.alpha) * u)
-    return spec.level + (np.exp if isinstance(u, np.ndarray) else math.exp)(spec.alpha * u) * total
-
-
 def _interval_values(v: np.ndarray, k: int, spec: KernelSpec, out: np.ndarray | None = None) -> np.ndarray:
     """Interval k's polynomial at nodes t inside the interval, given as v = alpha (t - kH).
 
     level + exp(v) times the polynomial sum_{j<k} c_{k-j} (-v)^j / j! by
     Horner's rule, its coefficients built as running products: two array
-    passes per term, where ``_piece``'s series takes four.  In v the
+    passes per term, where the written-out series would take four.  In v the
     coefficients are the c_k over j!, never larger than the c_k; in u = t - kH
     they would carry alpha^j, which overflows at K = 1000 once |alpha| > 750.
     ``v`` is overwritten (it holds exp(v) on return when k >= 1); the
@@ -259,18 +245,15 @@ def _interval_values(v: np.ndarray, k: int, spec: KernelSpec, out: np.ndarray | 
     return out
 
 
-def _scalar_piece(t: float, k: int, spec: KernelSpec) -> float:
-    """``_piece`` at a Python float, to the bit: ``_series``'s loop inline, in its
-    order of operations, without the array dispatch."""
-    c, al = spec.c, spec.alpha
+def _piece(t: float, k: int, spec: KernelSpec) -> float:
+    """Interval k's exponential polynomial at a Python float t (no domain snapping).
+
+    Outside [kH, (k+1)H) it is the one-sided analytic continuation quadrature
+    needs at breakpoints.  Interval 0 has no series terms, so its polynomial
+    is the level itself.
+    """
     u = t - k * spec.H
-    ratio = (-al) * u
-    term = 1.0
-    total = 0.0
-    for j in range(k):
-        total += c[k - 1 - j] * term
-        term *= ratio / (j + 1)
-    return spec.level + math.exp(al * u) * total
+    return spec.level + math.exp(spec.alpha * u) * _series(spec.c, k, -spec.alpha * u)
 
 
 def _interval_at(t: float, spec: KernelSpec) -> int:
@@ -297,7 +280,7 @@ def kappa(t: float, spec: KernelSpec) -> float:
     H, c, al = spec.H, spec.c, spec.alpha
     if t < H:
         return spec.level
-    # _interval_at and _piece inline, with _series's order of operations: kappa is the hot scalar path
+    # _interval_at and _piece inline, in _series's order: a helper call per value measurably slows this hot path
     k = math.floor(t / H)
     if k >= len(c):
         k = max(1, len(c) - 1)
@@ -331,15 +314,6 @@ def simpson_weights(panels: int) -> np.ndarray:
     return weights
 
 
-def simpson(f, lo, hi, panels: int):
-    """Composite Simpson rule with ``panels`` panels; f gets the whole node array,
-    one row per interval when ``lo`` and ``hi`` are arrays of interval ends."""
-    # C order, so that einsum sums each row as the call on its interval alone would
-    vals = np.ascontiguousarray(f(np.linspace(lo, hi, 2 * panels + 1, axis=-1)))
-    h = (hi - lo) / (2 * panels)
-    return h / 3.0 * np.einsum("...j,j->...", vals, simpson_weights(panels))
-
-
 def _running_integral(spec: KernelSpec, k: int, s: float, at_s: float, quadsteps: int) -> float:
     """Simpson integral of interval k's polynomial over [kH, s]: the table entry up to the
     panel holding s, plus one Simpson panel of its own on the rest.  ``at_s`` is the
@@ -348,8 +322,8 @@ def _running_integral(spec: KernelSpec, k: int, s: float, at_s: float, quadsteps
     width = spec.H / quadsteps
     j = min(max(math.floor((s - k * spec.H) / width), 0), quadsteps - 1)
     left = k * spec.H + j * width
-    ends = _scalar_piece(left, k, spec) + at_s
-    return table.item(j) + (s - left) / 6.0 * (ends + 4.0 * _scalar_piece(0.5 * (left + s), k, spec))
+    ends = _piece(left, k, spec) + at_s
+    return table.item(j) + (s - left) / 6.0 * (ends + 4.0 * _piece(0.5 * (left + s), k, spec))
 
 
 def kappa_integral_residual(t: float, spec: KernelSpec, quadsteps: int = 2000) -> float:
@@ -365,13 +339,13 @@ def kappa_integral_residual(t: float, spec: KernelSpec, quadsteps: int = 2000) -
     t = float(t)
     if not spec.H <= t <= 1.0:
         raise DomainError(f"t must lie in [H, 1], got {t}")
-    # type() first: an isinstance check against the numbers ABC costs about 1 us, a tenth of the call
+    # type() first: an isinstance check against the numbers ABC is slow next to the rest of the call
     if not ((type(quadsteps) is int or isinstance(quadsteps, numbers.Integral)) and quadsteps >= 1):
         raise DomainError(f"quadsteps must be an integer >= 1, got {quadsteps!r}")
     k = _interval_at(t, spec)
     s = t - spec.H
     whole = spec._integral_table(k - 1, quadsteps).item(quadsteps)
-    below = whole - _running_integral(spec, k - 1, s, _scalar_piece(s, k - 1, spec), quadsteps)
+    below = whole - _running_integral(spec, k - 1, s, _piece(s, k - 1, spec), quadsteps)
     at_t = kappa(t, spec)  # interval k's polynomial at t, since t >= H
     return at_t - spec.alpha * (below + _running_integral(spec, k, t, at_t, quadsteps))
 
@@ -403,8 +377,8 @@ def limit_static_coeff(c: ContinuousMarket) -> float:
 # Independent oracles
 # ---------------------------------------------------------------------------
 
-# kappa_ode_grid holds at most this many nodes: at the cap (H = 0.2, step 1e-6) it took 0.9 s and
-# peaked at 54 MB under tracemalloc on a 2-vCPU host.  The oracle checks run step 1e-4 (about 10^4 nodes).
+# kappa_ode_grid holds at most this many nodes, a few dozen bytes each across its arrays, so its
+# time and memory stay bounded.  The oracle checks run step 1e-4 (about 10^4 nodes).
 MAX_ODE_NODES = 10**6
 
 

@@ -17,7 +17,8 @@ oracle) one dense Cholesky factorization of M decides that and gives the
 determinant, and a dense solve gives M^-1 b.  A strategy's Q is symmetric
 Toeplitz and its linear term the Merton ratio mu / sigma^2, so b = 0 and
 ``estimate_utility`` reads M by its first column instead
-(``toeplitz_quadratic_utility``): Durbin's recursion gives the reflection
+(``toeplitz_log_neg_utility``, the exponent log(-E[-exp(-V)]), finite where
+-exp of it underflows): Durbin's recursion gives the reflection
 coefficients alpha_k, M is positive definite iff every |alpha_k| < 1, and the
 log-determinant is a sum over them (Durbin 1960): O(n) memory, no n x n
 array, and O(n^2) time in general.  The recursion stops with a certificate
@@ -61,11 +62,9 @@ MAX_PATH_STEPS = 10**7
 
 # Most reflection coefficients the analytic oracle computes without a
 # certificate that the rest vanish (``reflection_coefficients``' budget); past
-# it, estimate_utility leaves the oracle out and says why.  Up to the budget,
-# an uncertified column (a scaled or hand-built kernel) took 0.06-0.2 s on a
-# 2-vCPU host and peaked at 0.4 MB under tracemalloc.  The optimal strategy's
-# column is certified within D + 1 steps, O(n D) in all: 1.1 ms at n = 16385,
-# D = 3, and 25 ms at n = 8192, D = 4096.
+# it, estimate_utility leaves the oracle out and says why.  The budget bounds
+# the quadratic time of an uncertified column (a scaled or hand-built kernel);
+# the optimal strategy's column is certified within D + 1 steps, O(n D) at any n.
 DURBIN_STEP_BUDGET = 8191
 
 # reflection_coefficients sets a tail of coefficients to zero only when its
@@ -329,14 +328,6 @@ def _tail_vanishes(r: np.ndarray, y: np.ndarray, beta: float, prefix: np.ndarray
     g = r[p:] + np.convolve(r[:-1], y, "valid")
     growth = math.exp(-float(np.add.reduce(np.log1p(np.abs(prefix)))))  # 1 / P, 0.0 where P overflows
     return (len(r) + 1) * float(np.maximum.reduce(np.abs(g))) <= DURBIN_TAIL_ETA * beta * growth
-
-
-def toeplitz_quadratic_utility(
-    column: np.ndarray, linear: np.ndarray, constant: float, m: DiscreteMarket
-) -> float:
-    """``analytic_quadratic_utility`` for a symmetric Toeplitz Q given by its first ``column``:
-    -exp of ``toeplitz_log_neg_utility``, which says how."""
-    return -math.exp(toeplitz_log_neg_utility(column, linear, constant, m))
 
 
 def toeplitz_log_neg_utility(

@@ -47,11 +47,8 @@ DISCRIMINANT_CLAMP = 1e-12
 ROOT_RESIDUAL_TOL = 1e-12
 
 # causal_convolve multiplies by the dense Toeplitz matrix up to this many
-# outputs and uses the FFT beyond.  Each FFT carries ~10 us of call overhead;
-# on one core the direct product took 0.1-0.8x the FFT's time up to 128
-# outputs for 16, 100 and 1000 paths, and 1.05-3.4x from 192 to 512 outputs
-# for 16 paths (more paths move the break-even out, but the product's work
-# grows as n^2 per path).
+# outputs and uses the FFT beyond: below it the FFT's fixed call overhead
+# dominates, above it the product's n^2 work per path does.
 DIRECT_CONVOLVE_MAX = 128
 
 

@@ -328,7 +328,24 @@ def test_out_file_roundtrip(tmp_path, capsys):
     assert doc["config"]["H"] == 0.5
 
 
-MARKET = ["--n", "4", "--delay", "1", "--sigma", "1", "--sigma-hat", "1.3"]
+@pytest.mark.parametrize(
+    "argv,target,reason",
+    [
+        (["solve", "--n", "4", "--delay", "1", "--sigma", "1", "--sigma-hat", "1.3"],
+         "missing/x.json", "No such file or directory"),
+        (["fig2", "--h-grid", "0.5", "--logratio-grid", "0"], ".", "Is a directory"),
+    ],
+)
+def test_out_to_an_unwritable_path_exits_2_with_one_line(tmp_path, capsys, argv, target, reason):
+    path = tmp_path / target
+    code = main(argv + ["--out", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == f"error: cannot write --out {path}: {reason}\n"
+
+
+MARKET =["--n", "4", "--delay", "1", "--sigma", "1", "--sigma-hat", "1.3"]
 
 
 @pytest.mark.parametrize(

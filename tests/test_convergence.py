@@ -73,7 +73,7 @@ def _l2_per_step(values, spec, quadsteps=8):
         for left, right in zip(breaks[:-1], breaks[1:]):
             piece = min(int(math.floor(0.5 * (left + right) / spec.H)), spec.K - 1)
             nodes = np.linspace(left, right, 2 * quadsteps + 1)
-            vals = np.array([(values[k] - _piece(t, piece, spec)) ** 2 for t in nodes])
+            vals = np.array([(values[k] - _piece(t, piece, spec)) ** 2 for t in nodes.tolist()])
             h = (right - left) / (2 * quadsteps)
             total += h / 3.0 * (vals[0] + vals[-1] + 4.0 * vals[1:-1:2].sum() + 2.0 * vals[2:-2:2].sum())
     return total

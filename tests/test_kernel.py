@@ -21,7 +21,7 @@ from delayed_hedge.kernel import (
     kernel_spec,
     limit_static_coeff,
     limit_value,
-    simpson,
+    simpson_weights,
     smooth_pieces,
 )
 
@@ -172,41 +172,33 @@ def test_series_keeps_the_written_out_recurrence_bit_for_bit(H, ratio):
             term *= (-al * H) / (j + 1)
         c.append(math.exp(al * H) * total)
     assert list(spec.c) == c
-    for t in np.linspace(H, 1.0, 97).tolist():
-        k = min(math.floor(t / H), max(1, spec.K - 1))  # t = 1 = H takes interval 1
+
+    def written_out(t, k):
         u = t - k * H
         term, total = 1.0, 0.0
         for j in range(k):
             total += c[k - 1 - j] * term
             term *= ((-al) * u) / (j + 1)
-        assert kappa(t, spec) == spec.level + math.exp(al * u) * total
+        return spec.level + math.exp(al * u) * total
 
-
-@pytest.mark.parametrize("H", [0.2, 0.15, 0.02])
-@pytest.mark.parametrize("ratio", [0.5, 2.0])
-def test_array_piece_matches_scalar_piece(H, ratio):
-    # np.exp on arrays may differ from math.exp in the last bit, nothing more
-    spec = spec_of(H, ratio)
-    breaks = np.arange(spec.K + 1) * H
-    for k in range(spec.K):
-        ts = np.concatenate([np.linspace(k * H, min((k + 1) * H, 1.0), 41), breaks])
-        got = _piece(ts, k, spec)
-        want = np.array([_piece(float(t), k, spec) for t in ts])
-        assert got.shape == ts.shape
-        np.testing.assert_allclose(got, want, rtol=0, atol=1e-13 * max(1.0, np.abs(want).max()))
+    for t in np.linspace(H, 1.0, 97).tolist():
+        k = min(math.floor(t / H), max(1, spec.K - 1))  # t = 1 = H takes interval 1
+        assert kappa(t, spec) == _piece(t, k, spec) == written_out(t, k)
+        # the residual's window starts at t - H on interval k - 1, interval 0 included
+        assert _piece(t - H, k - 1, spec) == written_out(t - H, k - 1)
 
 
 @pytest.mark.parametrize("H", [0.2, 0.02, 0.001])
 @pytest.mark.parametrize("ratio", [0.5, 2.0])
 def test_horner_interval_values_match_the_series_inside_each_interval(H, ratio):
-    # Horner in alpha (t - kH) against _piece's series on nodes inside interval k, both
+    # Horner in alpha (t - kH) against _piece's series at each node inside interval k, both
     # breakpoints included; the gap grows with the K terms: measured worst 4.4e-16 of
     # max(1, |kappa|) at K = 5, 1.4e-14 at K = 50 and 3.4e-13 at K = 1000
     spec = spec_of(H, ratio)
     rng = np.random.default_rng(spec.K)
     for k in sorted(set(range(0, spec.K, max(1, spec.K // 25))) | {spec.K - 1}):
         ts = np.concatenate([np.linspace(k * H, (k + 1) * H, 41), rng.uniform(k * H, (k + 1) * H, 40)])
-        want = _piece(ts, k, spec)
+        want = np.array([_piece(t, k, spec) for t in ts.tolist()])
         got = kernel_module._interval_values(spec.alpha * (ts - k * H), k, spec)
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-15 * spec.K * max(1.0, np.abs(want).max()))
 
@@ -218,33 +210,7 @@ def test_first_piece_is_exactly_the_level(H, ratio):
     spec = spec_of(H, ratio)
     ts = np.linspace(0.0, H, 9)
     assert all(_piece(t, 0, spec) == spec.level for t in ts.tolist())
-    assert np.array_equal(_piece(ts, 0, spec), np.full_like(ts, spec.level))
     assert np.array_equal(kernel_module._interval_values(spec.alpha * ts, 0, spec), np.full_like(ts, spec.level))
-
-
-@pytest.mark.parametrize("H", [0.2, 0.15, 0.02, 1.0])
-@pytest.mark.parametrize("ratio", [0.5, 2.0])
-def test_scalar_piece_keeps_the_bits_of_piece_at_a_float(H, ratio):
-    spec = spec_of(H, ratio)
-    for k in range(spec.K):
-        ts = np.linspace(max(k - 1, 0) * H, min((k + 1) * H, 1.0), 23).tolist()
-        assert [kernel_module._scalar_piece(t, k, spec) for t in ts] == [_piece(t, k, spec) for t in ts]
-
-
-@pytest.mark.parametrize("panels", [1, 8, 2000])
-@pytest.mark.parametrize("H,ratio", [(0.2, 2.0), (0.15, 0.5), (0.02, 2.0)])
-def test_simpson_with_array_ends_matches_scalar_rows(H, ratio, panels):
-    spec = spec_of(H, ratio)
-    left, right, k = smooth_pieces(np.linspace(0.0, 1.0, 101), spec)
-    for piece in np.unique(k).tolist():
-        rows = k == piece
-
-        def f(t):
-            return (0.3 - _piece(t, piece, spec)) ** 2
-
-        got = simpson(f, left[rows], right[rows], panels)
-        want = [simpson(f, lo, hi, panels) for lo, hi in zip(left[rows].tolist(), right[rows].tolist())]
-        assert got.tolist() == want
 
 
 def test_kappa_outside_domain():
@@ -440,7 +406,8 @@ def _per_window_residual(t, spec, quadsteps=2000):
     t = float(t)
     integral = 0.0
     for left, right, k, panels in _window_pieces(t, spec, quadsteps):
-        integral += simpson(lambda u: _piece(u, k, spec), left, right, panels)
+        vals = [_piece(u, k, spec) for u in np.linspace(left, right, 2 * panels + 1).tolist()]
+        integral += (right - left) / (6 * panels) * float(np.dot(vals, simpson_weights(panels)))
     return kappa(t, spec) - spec.alpha * integral
 
 

@@ -21,7 +21,7 @@ from delayed_hedge.mc import (
     reflection_coefficients,
     reflection_log_det,
     strategy_toeplitz_form,
-    toeplitz_quadratic_utility,
+    toeplitz_log_neg_utility,
 )
 from delayed_hedge.solver import StrategyWeights, evaluate_paths, solve, strategy, wealth
 from delayed_hedge.toeplitz import SymToeplitz
@@ -362,7 +362,7 @@ def _both_oracles(w, m):
     """(Toeplitz-oracle value or None, dense value or None): None where the form is not integrable."""
     out = []
     for run in (
-        lambda: toeplitz_quadratic_utility(*strategy_toeplitz_form(w, m), m),
+        lambda: -math.exp(toeplitz_log_neg_utility(*strategy_toeplitz_form(w, m), m)),
         lambda: analytic_quadratic_utility(*strategy_quadratic_form(w, m), m),
     ):
         try:
@@ -376,7 +376,7 @@ def _assert_refuses_the_linear_term(w, m):
     """The Toeplitz oracle raises DomainError, naming the Merton ratio, before Durbin runs."""
     with mock.patch.object(mc, "reflection_coefficients", side_effect=AssertionError("Durbin ran")):
         with pytest.raises(DomainError, match="Merton ratio"):
-            toeplitz_quadratic_utility(*strategy_toeplitz_form(w, m), m)
+            toeplitz_log_neg_utility(*strategy_toeplitz_form(w, m), m)
 
 
 LEVINSON_MARKETS = [
