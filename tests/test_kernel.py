@@ -159,6 +159,16 @@ def test_scalar_kappa_keeps_math_exp(monkeypatch):
     assert len(calls) == 1
 
 
+def _written_out_piece(t, k, spec):
+    """Interval k's polynomial at t, the series written out term by term in the recurrence's order."""
+    u = t - k * spec.H
+    term, total = 1.0, 0.0
+    for j in range(k):
+        total += spec.c[k - 1 - j] * term
+        term *= ((-spec.alpha) * u) / (j + 1)
+    return spec.level + math.exp(spec.alpha * u) * total
+
+
 @pytest.mark.parametrize("H", [0.2, 0.15, 0.02, 1.0])
 @pytest.mark.parametrize("ratio", [0.5, 2.0])
 def test_series_keeps_the_written_out_recurrence_bit_for_bit(H, ratio):
@@ -173,19 +183,24 @@ def test_series_keeps_the_written_out_recurrence_bit_for_bit(H, ratio):
         c.append(math.exp(al * H) * total)
     assert list(spec.c) == c
 
-    def written_out(t, k):
-        u = t - k * H
-        term, total = 1.0, 0.0
-        for j in range(k):
-            total += c[k - 1 - j] * term
-            term *= ((-al) * u) / (j + 1)
-        return spec.level + math.exp(al * u) * total
-
     for t in np.linspace(H, 1.0, 97).tolist():
         k = min(math.floor(t / H), max(1, spec.K - 1))  # t = 1 = H takes interval 1
-        assert kappa(t, spec) == _piece(t, k, spec) == written_out(t, k)
+        assert kappa(t, spec) == _piece(t, k, spec) == _written_out_piece(t, k, spec)
         # the residual's window starts at t - H on interval k - 1, interval 0 included
-        assert _piece(t - H, k - 1, spec) == written_out(t - H, k - 1)
+        assert _piece(t - H, k - 1, spec) == _written_out_piece(t - H, k - 1, spec)
+
+
+@pytest.mark.parametrize("H", [0.2, 0.15, 0.02, 1.0])
+@pytest.mark.parametrize("ratio", [0.5, 2.0])
+def test_scalar_piece_keeps_the_bits_of_the_series_over_its_quadrature_window(H, ratio):
+    # quadrature evaluates interval k's polynomial on [(k-1)H, (k+1)H]: below kH for the
+    # residual's window, at (k+1)H for a one-sided end; on t's own interval it is kappa
+    spec = spec_of(H, ratio)
+    for k in range(spec.K):
+        for t in np.linspace(max(k - 1, 0) * H, min((k + 1) * H, 1.0), 23).tolist():
+            assert _piece(t, k, spec) == _written_out_piece(t, k, spec)
+            if t >= H and kernel_module._interval_at(t, spec) == k:
+                assert kappa(t, spec) == _piece(t, k, spec)
 
 
 @pytest.mark.parametrize("H", [0.2, 0.02, 0.001])
@@ -201,6 +216,28 @@ def test_horner_interval_values_match_the_series_inside_each_interval(H, ratio):
         want = np.array([_piece(t, k, spec) for t in ts.tolist()])
         got = kernel_module._interval_values(spec.alpha * (ts - k * H), k, spec)
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-15 * spec.K * max(1.0, np.abs(want).max()))
+
+
+@pytest.mark.parametrize("H", [0.2, 0.15, 0.02])
+@pytest.mark.parametrize("ratio", [0.5, 2.0])
+def test_array_piece_matches_scalar_piece(H, ratio):
+    # the L2 distance's layout: (node, piece) views of two larger reused buffers, the values
+    # written to ``out``, with the Horner test's tolerance; ``v`` is left holding exp(v)
+    spec = spec_of(H, ratio)
+    left, right, k = smooth_pieces(np.linspace(0.0, 1.0, 101), spec)
+    fractions = np.arange(17)[:, None] / 16
+    nodes, values = np.full(17 * len(k), np.nan), np.full(17 * len(k), np.nan)
+    for piece in np.unique(k).tolist():
+        rows = k == piece
+        ts = left[rows] + fractions * (right[rows] - left[rows])
+        v, f = (buffer[: ts.size].reshape(ts.shape) for buffer in (nodes, values))
+        v[...] = spec.alpha * (ts - piece * H)
+        exp_v = np.exp(v)
+        assert kernel_module._interval_values(v, piece, spec, out=f) is f
+        want = np.array([[_piece(t, piece, spec) for t in row] for row in ts.tolist()])
+        np.testing.assert_allclose(f, want, rtol=0, atol=1e-15 * spec.K * max(1.0, np.abs(want).max()))
+        if piece >= 1:
+            assert np.array_equal(v, exp_v)
 
 
 @pytest.mark.parametrize("H", [0.2, 0.15, 0.02])
@@ -431,6 +468,23 @@ def test_running_integral_residual_matches_the_per_window_simpson(H, ratio, quad
         assert abs(kappa_integral_residual(t, spec, quadsteps) - _per_window_residual(t, spec, quadsteps)) <= 1e-12
     if quadsteps == 2000:
         assert max(abs(kappa_integral_residual(t, spec)) for t in ts) <= 1e-12
+
+
+@pytest.mark.parametrize("quadsteps", [1, 8, 2000])
+@pytest.mark.parametrize("H,ratio", [(0.2, 2.0), (0.15, 0.5), (0.02, 2.0)])
+def test_integral_tables_match_scalar_simpson_rows(H, ratio, quadsteps):
+    # entry j of interval k's table against Simpson with j panels over [kH, kH + j H / quadsteps]
+    # on scalar _piece values; the gap is the Horner values' (K terms) and the running sum's (j terms)
+    spec = spec_of(H, ratio)
+    width = H / quadsteps
+    for k in range(spec.K):
+        table = spec._integral_table(k, quadsteps)
+        assert table.shape == (quadsteps + 1,) and table[0] == 0.0
+        for j in sorted({1, min(2, quadsteps), (quadsteps + 1) // 2, quadsteps}):
+            vals = [_piece(t, k, spec) for t in np.linspace(k * H, k * H + j * width, 2 * j + 1).tolist()]
+            want = j * width / (6 * j) * float(np.dot(vals, simpson_weights(j)))
+            scale = j * width * max(1.0, max(abs(x) for x in vals))
+            assert abs(table[j] - want) <= 1e-15 * (spec.K + j) * scale
 
 
 def _residual_with_piece_at_both_ends(t, spec, quadsteps=2000):
