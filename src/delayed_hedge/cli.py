@@ -295,7 +295,8 @@ def main(argv=None) -> int:
         with np.errstate(all="ignore"):
             return args.func(args)
     except ArithmeticError as exc:  # Python floats raise on overflow and division by zero
-        error = f"floating-point error at extreme inputs: {exc}"
+        # float ** raises OverflowError(errno, strerror), whose str is the args tuple
+        error = f"floating-point error at extreme inputs: {exc.args[-1] if exc.args else exc}"
     except DelayedHedgeError as exc:
         error = str(exc)
     print(f"error: {error}", file=sys.stderr)

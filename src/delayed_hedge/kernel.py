@@ -22,8 +22,9 @@ kappa jumps at H and is continuous on [H, 1].  The limit expected utility is
 
 and the limit static option is alpha / (2 varsigma^2 (1 - alpha H)) * (P_1 - P_0)^2.
 
-An independent RK4 method-of-steps integrator and the first ten c_k in closed
-form are provided as cross-check oracles for the recursion.
+An independent RK4 method-of-steps integrator and the first ten c_k as the
+delayed-exponential sum (``c_closed_forms``) are cross-check oracles for the
+recursion.
 Arrays of nodes inside one interval, its breakpoints included, go through
 ``_interval_values``: Horner's rule in alpha (t - kH), two array passes per
 term.  A float goes through the written-out series with ``math.exp``:
@@ -449,43 +450,20 @@ def kappa_ode_grid(spec: KernelSpec, step: float = 1e-4):
 
 
 def c_closed_forms(alpha_value: float, H: float) -> np.ndarray:
-    """First ten interval constants in closed form (cross-check oracle)."""
-    a = alpha_value
-    E = math.exp(a * H)
-    z = a * H
+    """First ten interval constants as the delayed-exponential sum (cross-check oracle).
+
+    c_k = -alpha sum_{j<k} (-alpha H)^j (k-1-j)^j exp((k-1-j) alpha H) / j!, with
+    0^0 = 1: the method-of-steps fundamental solution of y' = alpha (y(t) - y(t - H))
+    (Bellman & Cooke 1963; the "delayed exponential" of Khusainov & Shuklin 2003),
+    derived apart from the recurrence of ``c_coefficients``.  It equals that
+    recurrence exactly, but in floats its alternating terms cancel once alpha H > 0:
+    1e-7 relative by k = 30, hence ten constants.
+    """
+    z = alpha_value * H
     return np.array(
         [
-            -a,
-            -E * a,
-            E * a * (z - E),
-            E * a * (-(z**2) + 4 * E * z - 2 * E**2) / 2,
-            E * (-6 * E**3 + (18 * E**2 + z * (z - 12 * E)) * z) * a / 6,
-            -E * a * (z**4 - 32 * E * z**3 + 108 * E**2 * z**2 - 96 * z * E**3 + 24 * E**4) / 24,
-            E * a * (
-                -120 * E**5
-                + z * (z**4 - 80 * E * z**3 + 540 * E**2 * z**2 - 960 * z * E**3 + 600 * E**4)
-            ) / 120,
-            -E * a / 720 * (
-                720 * E**6
-                + z * (
-                    z**5 - 192 * E * z**4 + 2430 * E**2 * z**3
-                    - 7680 * z**2 * E**3 + 9000 * z * E**4 - 4320 * E**5
-                )
-            ),
-            E * a / 5040 * (
-                -5040 * E**7
-                + z * (
-                    z**6 - 448 * E * z**5 + 10206 * E**2 * z**4 - 53760 * z**3 * E**3
-                    + 105000 * z**2 * E**4 - 90720 * z * E**5 + 35280 * E**6
-                )
-            ),
-            -E * a / 40320 * (
-                40320 * E**8
-                + z * (
-                    z**7 - 1024 * E * z**6 + 40824 * E**2 * z**5 - 344064 * z**4 * E**3
-                    + 1050000 * z**3 * E**4 - 1451520 * z**2 * E**5
-                    + 987840 * z * E**6 - 322560 * E**7
-                )
-            ),
+            -alpha_value
+            * sum((-z) ** j * (k - 1 - j) ** j * math.exp((k - 1 - j) * z) / math.factorial(j) for j in range(k))
+            for k in range(1, 11)
         ]
     )

@@ -86,10 +86,6 @@ class PathBatch:
     def count(self) -> int:
         return self.increments.shape[0]
 
-    @property
-    def n(self) -> int:
-        return self.increments.shape[1]
-
 
 @dataclass(frozen=True)
 class UtilityReport:

@@ -36,10 +36,10 @@ from .errors import DomainError, SingularMatrix, SizeError
 
 # Exhaustive minor enumeration is combinatorial; beyond this size it is
 # pointless (the property is structural and small n already exercises it).
-# The worst case at the cap is n = 12, D = 5: 6188 minors of size 6.
+# Up to the cap every minor is gathered at once: no (n, D) has more than 8008
+# pairs (n = 12, D = 4), and the largest gather is n = 12, D = 5, 6188 minors of
+# size 6 (1.8 MB of doubles).
 MINOR_ENUMERATION_LIMIT = 12
-# Minors stacked per determinant call: a chunk is at most 4096 (D+1)^2 doubles.
-MINOR_CHUNK = 4096
 
 # Dense oracles refuse matrices whose condition estimate exceeds this.
 CONDITION_LIMIT = 1e12
@@ -193,10 +193,9 @@ def check_vanishing_minors(matrix: SymToeplitz, delay: int, tol: float = 1e-9) -
 
     The (D+1)-subsets of the indices are one int array; the (rows, cols)
     pairs that meet the condition are the nonzeros of one broadcast
-    comparison, in row-major order, and each chunk of ``MINOR_CHUNK`` pairs
-    is gathered by one fancy index into one stacked determinant call; the
-    check stops at the first chunk with a non-vanishing minor.  Each
-    minor is normalized by the Hadamard bound (product of row norms) of its
+    comparison, gathered by one fancy index into one stacked determinant
+    call: at most 6188 minors of size 6 (n = 12, D = 5).  Each minor is
+    normalized by the Hadamard bound (product of row norms) of its
     submatrix, so the tolerance is scale invariant.  Raises SizeError for
     n > MINOR_ENUMERATION_LIMIT and DomainError for a negative delay.
     """
@@ -213,25 +212,22 @@ def check_vanishing_minors(matrix: SymToeplitz, delay: int, tol: float = 1e-9) -
     # 1-based condition i_1 > j_{D+1} - D reads i[0] > j[-1] - delay in 0-based form;
     # nonzero walks the mask row-major: row subsets outer, column subsets inner.
     row_ids, col_ids = np.nonzero(subsets[:, :1] > subsets[:, -1] - delay)
-    for start in range(0, len(row_ids), MINOR_CHUNK):
-        r = subsets[row_ids[start : start + MINOR_CHUNK]]
-        c = subsets[col_ids[start : start + MINOR_CHUNK]]
-        sub = dense[r[:, :, None], c[:, None, :]]
-        dets = np.linalg.det(sub)
-        row_norms = np.linalg.norm(sub, axis=2)
-        scale = np.maximum(np.prod(row_norms, axis=1), 1e-300)
-        if np.any(np.abs(dets) > tol * scale):
-            return False
-    return True
+    r, c = subsets[row_ids], subsets[col_ids]
+    sub = dense[r[:, :, None], c[:, None, :]]
+    dets = np.linalg.det(sub)
+    scale = np.maximum(np.prod(np.linalg.norm(sub, axis=2), axis=1), 1e-300)
+    return not np.any(np.abs(dets) > tol * scale)
 
 
-def _checked_inverse(matrix: np.ndarray) -> np.ndarray:
-    """The inverse of a square float ``matrix`` whose 1-norm condition is below CONDITION_LIMIT.
+def dense_inverse(matrix: np.ndarray) -> np.ndarray:
+    """Inverse by pivoted elimination; oracle for inverse_via_v.
 
-    The condition is norm(A, 1) norm(A^-1, 1), the value ``np.linalg.cond(A, 1)``
-    computes from an inverse of its own, here read off the one inverse;
-    ``SingularMatrix`` when LAPACK finds no inverse or the condition is too large.
+    The 1-norm condition is norm(A, 1) norm(A^-1, 1), the value
+    ``np.linalg.cond(A, 1)`` computes from an inverse of its own, here read off
+    the one inverse; ``SingularMatrix`` when LAPACK finds no inverse or the
+    condition reaches CONDITION_LIMIT.
     """
+    matrix = np.asarray(matrix, dtype=float)
     if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1] or matrix.size == 0:
         raise DomainError(f"expected a non-empty square matrix, got shape {matrix.shape}")
     try:
@@ -244,13 +240,8 @@ def _checked_inverse(matrix: np.ndarray) -> np.ndarray:
     return inverse
 
 
-def dense_inverse(matrix: np.ndarray) -> np.ndarray:
-    """Inverse by pivoted elimination; oracle for inverse_via_v."""
-    return _checked_inverse(np.asarray(matrix, dtype=float))
-
-
 def dense_det(matrix: np.ndarray) -> float:
     """Determinant by pivoted elimination; oracle for det_closed_form."""
     matrix = np.asarray(matrix, dtype=float)
-    _checked_inverse(matrix)  # the condition check
+    dense_inverse(matrix)  # the condition check
     return float(np.linalg.det(matrix))

@@ -4,6 +4,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import time
@@ -381,6 +382,8 @@ MARKET =["--n", "4", "--delay", "1", "--sigma", "1", "--sigma-hat", "1.3"]
         ["verify", "--suite", "matrix", "--grid-size", "-5"],
         ["verify", "--suite", "matrix", "--grid-size", "0"],
         ["kernel", "--H", "0.02", "--ratio", "1e16"],
+        ["solve", "--n", "3", "--delay", "1", "--sigma", "1", "--sigma-hat", "1.3", "--mu", "1e308"],
+        ["limit", "--H", "0.5", "--theta", "1e200", "--vsigma", "1", "--vsigma-hat", "1"],
     ],
     ids=lambda argv: " ".join(argv),
 )
@@ -394,6 +397,7 @@ def test_bad_input_exits_2_with_one_error_line(capsys, argv):
     assert captured.out == ""
     assert "Traceback" not in captured.err
     assert sum("error:" in line for line in captured.err.splitlines()) == 1
+    assert not re.search(r"\(\d+, '", captured.err)  # no exception args tuple such as (34, '...')
 
 
 def test_threads_environment_variable_is_ignored(capsys, monkeypatch):

@@ -1,5 +1,7 @@
 import math
+import random
 import types
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -95,6 +97,31 @@ def test_all_closed_forms(H, ratio):
     closed = c_closed_forms(spec.alpha, H)
     for k in range(min(10, spec.K)):
         assert spec.c[k] == pytest.approx(closed[k], rel=1e-10)
+
+
+def _delayed_exponential(a, z, E, k):
+    """c_k as ``c_closed_forms`` sums it, with exp((k-1-j) z) written E^(k-1-j) for an E free of z."""
+    return -a * sum((-z) ** j * (k - 1 - j) ** j * E ** (k - 1 - j) / math.factorial(j) for j in range(k))
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_delayed_exponential_sum_is_the_recurrence_exactly(seed):
+    rng = random.Random(seed)
+    a, z, E = (Fraction(rng.randint(-50, 50), rng.randint(1, 50)) for _ in range(3))
+    c = [-a]  # c_coefficients' recurrence in exact rationals, with exp(alpha H) = E
+    for k in range(1, 30):
+        c.append(E * sum(c[k - 1 - j] * (-z) ** j / math.factorial(j) for j in range(k)))
+    assert c == [_delayed_exponential(a, z, E, k) for k in range(1, 31)]
+
+
+@pytest.mark.parametrize("H", [0.001, 0.01, 0.02, 0.05, 0.1, 0.5, 1.0])
+@pytest.mark.parametrize("ratio", [1e-4, 1e-2, 0.25, 0.99, 1.01, 4.0, 100.0, 1e4])
+def test_closed_forms_match_the_recurrence_across_the_domain(H, ratio):
+    spec = spec_of(H, ratio)
+    closed = c_closed_forms(spec.alpha, H)
+    assert closed.shape == (10,)
+    for k in range(min(10, spec.K)):
+        assert abs(closed[k] - spec.c[k]) <= 1e-11 * abs(spec.c[k])
 
 
 def test_kernel_spec_caps_the_interval_count():

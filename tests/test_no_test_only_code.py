@@ -3,8 +3,9 @@
 A definition whose name appears nowhere in ``src/``, ``scripts/`` or the
 benchmark harness (its own tests left out) serves only the tests, and should
 be deleted or moved into them.  Names are matched by spelling, so the check
-can miss dead code that shares a name with live code, but it never flags
-code that a path uses.
+can miss dead code that shares a name with live code (a property ``n`` that
+only tests read hides behind every ``m.n``), but it never flags code that a
+path uses.
 """
 
 import ast

@@ -564,7 +564,7 @@ def test_lengths_are_read_off_the_arrays():
     assert spec.K == len(spec.c) == 7
     batch = generate(EQ_MARKET, 100, seed=1)
     assert batch.increments.shape == (100, 6)
-    assert (batch.count, batch.n) == (100, 6)
+    assert batch.count == 100
 
 
 # --- brute force -----------------------------------------------------------

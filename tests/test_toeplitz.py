@@ -8,7 +8,6 @@ from hypothesis import given, settings, strategies as st
 from delayed_hedge import DiscreteMarket, DomainError, SingularMatrix, SizeError, hedge_matrix
 from delayed_hedge.solver import solve_a, weights_b
 from delayed_hedge.toeplitz import (
-    MINOR_CHUNK,
     MINOR_ENUMERATION_LIMIT,
     SymToeplitz,
     check_vanishing_minors,
@@ -159,7 +158,7 @@ def test_vanishing_minors_rejects_a_negative_delay(delay):
 
 
 def _pairwise_minors(matrix, delay, tol):
-    """The per-pair ``np.ix_`` enumeration the gathered chunks replaced: (verdict, [(chunk, dets)])."""
+    """The per-pair ``np.ix_`` enumeration the single gather replaced: (verdict, [(minors, dets)])."""
     n = matrix.n
     k = delay + 1
     if k > n:
@@ -167,31 +166,26 @@ def _pairwise_minors(matrix, delay, tol):
     dense = matrix.to_dense()
     subsets = list(combinations(range(n), k))  # tuples: np.ix_ gathers the same entries, the filter runs faster
     pairs = [(rows, cols) for rows in subsets for cols in subsets if rows[0] > cols[-1] - delay]
-    chunks = []
-    for start in range(0, len(pairs), 4096):
-        sub = np.stack([dense[np.ix_(r, c)] for r, c in pairs[start : start + 4096]])
-        dets = np.linalg.det(sub)
-        chunks.append((sub, dets))
-        scale = np.maximum(np.prod(np.linalg.norm(sub, axis=2), axis=1), 1e-300)
-        if np.any(np.abs(dets) > tol * scale):
-            return False, chunks
-    return True, chunks
+    sub = np.array([dense[np.ix_(r, c)] for r, c in pairs]).reshape(-1, k, k)  # (0, k, k) without pairs
+    dets = np.linalg.det(sub)
+    scale = np.maximum(np.prod(np.linalg.norm(sub, axis=2), axis=1), 1e-300)
+    return not np.any(np.abs(dets) > tol * scale), [(sub, dets)]
 
 
 def _gathered_minors(monkeypatch, matrix, delay, tol):
-    """``check_vanishing_minors`` with every chunk it stacks and the determinants it gets recorded."""
+    """``check_vanishing_minors`` with the minors it stacks and the determinants it gets recorded."""
     det = np.linalg.det
-    chunks = []
+    calls = []
 
     def recording_det(sub):
         dets = det(sub)
-        chunks.append((sub.copy(), dets))
+        calls.append((sub.copy(), dets))
         return dets
 
     with monkeypatch.context() as patch:
         patch.setattr(np.linalg, "det", recording_det)
         verdict = check_vanishing_minors(matrix, delay, tol=tol)
-    return verdict, chunks
+    return verdict, calls
 
 
 @pytest.mark.parametrize("n", range(2, MINOR_ENUMERATION_LIMIT + 1))
@@ -207,8 +201,8 @@ def test_gathered_minors_repeat_the_pairwise_enumeration_bit_for_bit(monkeypatch
                 got_verdict, got = _gathered_minors(monkeypatch, matrix, delay, 1e-9)
                 assert got_verdict == want_verdict
                 assert len(got) == len(want)
-                for (got_chunk, got_dets), (want_chunk, want_dets) in zip(got, want):
-                    assert np.array_equal(got_chunk, want_chunk)
+                for (got_minors, got_dets), (want_minors, want_dets) in zip(got, want):
+                    assert np.array_equal(got_minors, want_minors)
                     assert np.array_equal(got_dets, want_dets)
 
 
@@ -232,19 +226,14 @@ class _DenseView:
 
 
 @pytest.mark.parametrize("delay", [3, 4, 5])
-def test_vanishing_minors_detect_a_corner_entry_in_the_last_chunk(monkeypatch, delay):
+def test_vanishing_minors_detect_a_corner_entry_in_the_last_chunk(delay):
     # entry (11, 10) lies only in the minors of the last row subset {11 - D, ..., 11},
-    # the end of the row-major pair order, so every chunk runs before the verdict
+    # the end of the row-major pair order
     n = 12
-    subsets = np.array(list(combinations(range(n), delay + 1)))
-    pair_count = np.count_nonzero(subsets[:, :1] > subsets[:, -1] - delay)
-    assert pair_count > MINOR_CHUNK
     dense = hedge_matrix(market(n, delay, 1.3)).to_dense()
     dense[n - 1, n - 2] += 0.01
     dense[n - 2, n - 1] += 0.01
-    verdict, chunks = _gathered_minors(monkeypatch, _DenseView(dense), delay, 1e-9)
-    assert not verdict
-    assert len(chunks) == -(-pair_count // MINOR_CHUNK) > 1
+    assert not check_vanishing_minors(_DenseView(dense), delay, tol=1e-9)
 
 
 def test_vanishing_minors_peak_memory_at_the_cap():
