@@ -3,11 +3,14 @@ and the data tables behind the two convergence figures.
 
 The step function b^n is held as its values n * b_{k+1} on [k/n, (k+1)/n)
 (last interval closed); its squared L2 distance to kappa decays like 1/n,
-with the non-smooth point at t = H dominating.  The distance is integrated
-block by block: up to ``_BLOCK_ROWS`` pieces of one kernel interval at a time,
-their Simpson nodes evaluated in place in two buffers reused across blocks,
-so beyond the O(n) arrays of piece ends and step values its memory is
-O(block).
+with the non-smooth point at t = H dominating.  The pieces are the steps cut
+at the at most K multiples of H inside (0, 1), which ``kernel.smooth_pieces``
+inserts into the sorted step ends, with each piece's step read off the
+number of insertions before it: no sort and no search over the pieces.  The
+distance is integrated block by block: up to ``_BLOCK_ROWS`` pieces of one
+kernel interval at a time, their Simpson nodes evaluated in place in two
+buffers reused across blocks, so beyond the O(n) arrays of piece ends and
+step values its memory is O(block).
 Figure 2 is one pass of the limit-value formula over the whole
 (H, log-ratio) mesh.
 """
@@ -71,12 +74,12 @@ def l2_distance_to_kappa(values: np.ndarray, spec: KernelSpec) -> float:
     """
     n = len(values)
     steps = np.arange(n + 1) / n
-    left, right, k = smooth_pieces(steps, spec)
-    levels = values[np.searchsorted(steps, left, side="right") - 1]  # the step holding each left end
+    left, right, k, step = smooth_pieces(steps, spec)
+    levels = values[step]
     fractions = np.arange(2 * _QUADSTEPS + 1)[:, None] / (2 * _QUADSTEPS)
     weights = simpson_weights(_QUADSTEPS)
-    cuts = np.union1d(np.flatnonzero(np.diff(k)) + 1, np.arange(_BLOCK_ROWS, len(k), _BLOCK_ROWS))
-    bounds = [0, *cuts.tolist(), len(k)]
+    changes = (np.flatnonzero(np.diff(k)) + 1).tolist()
+    bounds = sorted({0, *changes, *range(_BLOCK_ROWS, len(k), _BLOCK_ROWS), len(k)})
     nodes = np.empty(len(fractions) * min(_BLOCK_ROWS, len(k)))
     squares = np.empty_like(nodes)
     total = 0.0

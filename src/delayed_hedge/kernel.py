@@ -298,13 +298,23 @@ def kappa(t: float, spec: KernelSpec) -> float:
 
 
 def smooth_pieces(breaks, spec: KernelSpec):
-    """Cut the sorted ``breaks`` also at the multiples of H strictly inside them into arrays (left,
-    right, k): interval k's polynomial (k read at the midpoint) is smooth on [left, right]."""
+    """Cut the strictly increasing ``breaks`` also at the multiples of H strictly inside them
+    into arrays (left, right, k, step): interval k's polynomial (k read at the midpoint) is
+    smooth on [left, right], which lies in [breaks[step], breaks[step + 1]].
+
+    Each multiple goes in before the first break not below it, unless it equals that break, so
+    the cuts come out sorted without a sort, and the piece a multiple starts lies in the step
+    before that break."""
     breaks = np.asarray(breaks, dtype=float)
     multiples = np.arange(spec.K + 1) * spec.H
-    cuts = np.unique(np.concatenate([breaks, multiples[(breaks[0] < multiples) & (multiples < breaks[-1])]]))
+    inside = multiples[(breaks[0] < multiples) & (multiples < breaks[-1])]
+    at = np.searchsorted(breaks, inside)
+    new = breaks[at] != inside
+    inside, at = inside[new], at[new]
+    cuts = np.insert(breaks, at, inside)
+    step = np.insert(np.arange(len(breaks) - 1), at, at - 1)
     k = np.minimum(np.floor(0.5 * (cuts[:-1] + cuts[1:]) / spec.H).astype(int), spec.K - 1)
-    return cuts[:-1], cuts[1:], k
+    return cuts[:-1], cuts[1:], k, step
 
 
 def simpson_weights(panels: int) -> np.ndarray:

@@ -41,6 +41,7 @@ only when it is called.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -109,19 +110,44 @@ class UtilityReport:
         return doc
 
 
+_thread = threading.local()  # .generator: this thread's Generator over a Philox bit generator
+
+
+def _philox_generator(seed: int) -> np.random.Generator:
+    """This thread's Generator, its Philox in the state of ``Philox(key=seed)``.
+
+    Building a Philox costs four times as much as setting the state of one,
+    and, seeded from a fresh ``SeedSequence()``, reads OS entropy that the key
+    then overwrites.  So each thread builds one, from a fixed seed, and every
+    call sets its state: counter 0, key (seed, 0), no buffered draws.
+    """
+    generator = getattr(_thread, "generator", None)
+    if generator is None:
+        generator = _thread.generator = np.random.Generator(np.random.Philox(0))
+    generator.bit_generator.state = {
+        "bit_generator": "Philox",
+        "state": {"counter": np.zeros(4, dtype=np.uint64), "key": np.array([seed, 0], dtype=np.uint64)},
+        "buffer": np.zeros(4, dtype=np.uint64),
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+    return generator
+
+
 def generate(m: DiscreteMarket, count: int, seed: int) -> PathBatch:
     """Draw ``count`` increment paths of length n from Normal(mu, sigma^2).
 
     Standard normals from ``Generator(Philox(key=seed)).standard_normal``,
     scaled and shifted in place; path p is row p, drawn after rows 0..p-1.
+    The generator is this thread's, set to that state (``_philox_generator``).
     """
     validate_discrete(m)
     if count < 1:
         raise LengthMismatch(f"count must be >= 1, got {count}")
     if count * m.n > MAX_PATH_STEPS:
         raise SizeError(f"{count} paths of {m.n} steps exceed the cap of {MAX_PATH_STEPS} path-steps")
-    gen = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
-    increments = gen.standard_normal((count, m.n))
+    increments = _philox_generator(seed).standard_normal((count, m.n))
     increments *= m.sigma
     increments += m.mu
     return PathBatch(seed=seed, increments=increments)

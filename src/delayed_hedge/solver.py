@@ -34,6 +34,7 @@ import array
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import islice
 
 import numpy as np
 
@@ -122,9 +123,26 @@ def solve_a(m: DiscreteMarket) -> float:
 def weights_b(m: DiscreteMarket, a: float, count: int) -> np.ndarray:
     """First ``count`` weights b_1, b_2, ... via the depth-D recursion.
 
-    The window sum of the last D weights is updated in O(1) per step, on an
-    ``array.array`` of doubles: its items read back as Python floats, which give
-    numpy scalars' bits at about half the cost, and it holds 8 bytes per weight.
+    One loop appends b_i = ratio * window to an ``array.array`` of doubles
+    while it reads the outgoing b_{i-D} off the same array through
+    ``islice``, and moves the window sum of the last D weights by their
+    difference: O(1) per step and 8 bytes per weight.  The items read back
+    as Python floats, which give numpy scalars' bits at less cost.
+
+    The loop stops at the recursion's float fixed point.  Suppose the last
+    D + 1 weights b_{i-D} .. b_i and the next one, ratio * window, all have
+    the bits of one w.  Then w is finite: the step that made b_i added
+    b_i - b_{i-D} = w - w to the window, which is NaN for an infinite w, and
+    ratio * NaN is not w.  So that step added +0.0, the window is not -0.0,
+    and adding +0.0 leaves the bits of any other float alone.  Each later
+    step adds w - w = +0.0 again: the window keeps its bits, every later
+    weight is ratio * window = w, and so is every outgoing one.  So the
+    rest of the output is w, bit for bit what the recursion would write:
+    the loop copies the weights so far into the output and fills the rest
+    with w.  It tests the certificate where b_i == b_{i-D} and D steps have
+    passed since its last test, so the tests cost O(1) per step and the
+    loop ends within D steps of the first weight where the certificate
+    holds.  The test compares bits, so signed zeros keep theirs.
     """
     if count < 0:
         raise DomainError(f"weight count must be >= 0, got {count}")
@@ -132,12 +150,26 @@ def weights_b(m: DiscreteMarket, a: float, count: int) -> np.ndarray:
     if D == 0:
         return np.zeros(count)
     require_root_domain(a, D)
-    b = array.array("d", [a]) * count  # b_1 .. b_D = a
+    if count <= D:
+        return np.frombuffer(array.array("d", [a]) * count, dtype=float)
+    b = array.array("d", [a]) * D  # b_1 .. b_D
+    append = b.append
     ratio = a / (a * D + 1.0)
     window = a * D  # sum of b_{i-D} .. b_{i-1}
-    for i in range(D, count):
-        b[i] = bi = ratio * window
-        window += bi - b[i - D]
+    due = 0  # the length of b from which the next certificate test may run
+    for outgoing in islice(b, count - D):
+        bi = ratio * window
+        append(bi)
+        window += bi - outgoing
+        if bi == outgoing and len(b) >= due:
+            due = len(b) + D
+            run = b[-D - 1 :]
+            run.append(ratio * window)  # b_{i-D} .. b_i and the next weight
+            if run.tobytes() == (array.array("d", [bi]) * (D + 2)).tobytes():
+                out = np.empty(count)
+                out[: len(b)] = np.frombuffer(b, dtype=float)
+                out[len(b) :] = bi
+                return out
     return np.frombuffer(b, dtype=float)
 
 

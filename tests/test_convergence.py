@@ -16,7 +16,7 @@ from delayed_hedge.convergence import (
     l2_distance_to_kappa,
     write_csv,
 )
-from delayed_hedge.kernel import _piece, limit_value, spec_for_market
+from delayed_hedge.kernel import _piece, limit_value, smooth_pieces, spec_for_market
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 
@@ -61,6 +61,36 @@ def test_l2_distance_shrinks():
     d100 = l2_distance_to_kappa(build_bn(market, 100), spec)
     d800 = l2_distance_to_kappa(build_bn(market, 800), spec)
     assert d800 < d100
+
+
+def _pieces_by_sorting(breaks, spec):
+    """(left, right, k, step) built by sorting: the breaks and the multiples of H inside them
+    through np.unique, and each left end's step found by searchsorted."""
+    multiples = np.arange(spec.K + 1) * spec.H
+    cuts = np.unique(np.concatenate([breaks, multiples[(breaks[0] < multiples) & (multiples < breaks[-1])]]))
+    k = np.minimum(np.floor(0.5 * (cuts[:-1] + cuts[1:]) / spec.H).astype(int), spec.K - 1)
+    step = np.searchsorted(breaks, cuts[:-1], side="right") - 1
+    return cuts[:-1], cuts[1:], k, step
+
+
+@pytest.mark.parametrize("n", [2, 3, 7, 10, 33, 99, 100, 101, 2500, 10_000])
+@pytest.mark.parametrize("H", [0.2, 0.25, 0.3, 0.333, 1.0])
+def test_l2_pieces_match_the_sorted_construction_bit_for_bit(n, H):
+    steps = np.arange(n + 1) / n
+    spec = spec_for_market(cm(2.0, H))
+    got, want = smooth_pieces(steps, spec), _pieces_by_sorting(steps, spec)
+    for name, g, w in zip(("left", "right", "k", "step"), got, want):
+        assert g.dtype == w.dtype and g.tobytes() == w.tobytes(), name
+
+
+def test_l2_pieces_at_multiples_of_h_on_and_an_ulp_off_a_step_end():
+    steps = np.arange(11) / 10
+    assert steps[2] == 0.2 and steps[6] == math.nextafter(3 * 0.2, 0.0)
+    left, right, _, step = smooth_pieces(steps, spec_for_market(cm(2.0, 0.2)))
+    # 0.2 is a step end and adds no piece; 3 * 0.2 lies an ulp past 6/10 and cuts a sliver off step 6
+    assert len(left) == 10 + 1 and left.tolist().count(0.2) == 1
+    sliver = left.tolist().index(6 / 10)
+    assert right[sliver] == 3 * 0.2 and step[sliver : sliver + 2].tolist() == [6, 6]
 
 
 def _l2_per_step(values, spec, quadsteps=8):

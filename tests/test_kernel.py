@@ -251,7 +251,7 @@ def test_array_piece_matches_scalar_piece(H, ratio):
     # the L2 distance's layout: (node, piece) views of two larger reused buffers, the values
     # written to ``out``, with the Horner test's tolerance; ``v`` is left holding exp(v)
     spec = spec_of(H, ratio)
-    left, right, k = smooth_pieces(np.linspace(0.0, 1.0, 101), spec)
+    left, right, k, _ = smooth_pieces(np.linspace(0.0, 1.0, 101), spec)
     fractions = np.arange(17)[:, None] / 16
     nodes, values = np.full(17 * len(k), np.nan), np.full(17 * len(k), np.nan)
     for piece in np.unique(k).tolist():
@@ -460,7 +460,7 @@ def test_integral_equation_domain():
 
 def _window_pieces(t, spec, quadsteps):
     """(left, right, k, panels) of each smooth piece of [t - H, t], as the per-window residual cut it."""
-    pieces = zip(*(a.tolist() for a in smooth_pieces([t - spec.H, t], spec)))
+    pieces = zip(*(a.tolist() for a in smooth_pieces([t - spec.H, t], spec)[:3]))
     return [(left, right, k, max(1, int(math.ceil(quadsteps * (right - left) / spec.H)))) for left, right, k in pieces]
 
 

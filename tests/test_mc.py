@@ -1,5 +1,7 @@
 import dataclasses
 import math
+import sys
+import threading
 import tracemalloc
 from fractions import Fraction
 from unittest import mock
@@ -50,6 +52,53 @@ def test_generate_is_the_scaled_philox_ziggurat_stream():
     m = ACCEPTANCE_MARKET
     z = np.random.Generator(np.random.Philox(key=np.uint64(42))).standard_normal((20, m.n))
     assert np.array_equal(generate(m, 20, seed=42).increments, z * m.sigma + m.mu)
+
+
+def test_generate_reproduces_each_seed_after_another_seed():
+    m = ACCEPTANCE_MARKET
+    first, second, again = (generate(m, 30, seed=seed).increments for seed in (1, 2, 1))
+    for seed, got in ((1, first), (2, second), (1, again)):
+        z = np.random.Generator(np.random.Philox(key=np.uint64(seed))).standard_normal((30, m.n))
+        assert got.tobytes() == (z * m.sigma + m.mu).tobytes()
+
+
+def test_generate_reads_no_os_entropy():
+    # numpy's SeedSequence() draws its entropy through the randbits it imported from secrets; a
+    # new thread builds its own generator
+    with mock.patch("numpy.random.bit_generator.randbits", side_effect=AssertionError("OS entropy read")) as randbits:
+        for seed in (1, 2, 3):
+            generate(ACCEPTANCE_MARKET, 3, seed=seed)
+        worker = threading.Thread(target=generate, args=(ACCEPTANCE_MARKET, 3, 4))
+        worker.start()
+        worker.join()
+    assert randbits.call_count == 0
+
+
+def test_generate_keeps_each_threads_stream_under_concurrent_calls():
+    # four threads on two cores, each switching seeds, with a short switch interval to interleave
+    # the state setting and the draws of different threads
+    m = ACCEPTANCE_MARKET
+    want = {seed: generate(m, 40, seed=seed).increments.tobytes() for seed in range(8)}
+    mismatches = []
+
+    def worker(offset):
+        for i in range(300):
+            seed = (offset + i) % 8
+            if generate(m, 40, seed=seed).increments.tobytes() != want[seed]:
+                mismatches.append(seed)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(offset,)) for offset in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert mismatches == []
 
 
 def test_generate_moments():

@@ -1,5 +1,6 @@
 import dataclasses
 import decimal
+import itertools
 import math
 
 import numpy as np
@@ -188,6 +189,93 @@ def test_weights_match_direct_recursion():
     for i in range(3, 9):
         b.append(a / (a * 3 + 1.0) * sum(b[i - 3 : i]))
     np.testing.assert_allclose(got, b, rtol=1e-14)
+
+
+def _bits(values):
+    return np.asarray(values, dtype=float).tobytes()
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    data=st.data(),
+    n=st.integers(1, 5000),
+    ratio=st.one_of(
+        st.floats(0.5, 2.0),
+        st.just(1.0),
+        st.floats(1.0 - 1e-12, 1.0 + 1e-12),
+    ),
+)
+def test_weights_keep_the_bits_of_the_ndarray_recurrence(data, n, ratio):
+    # sigma_hat / sigma = ratio; the draws reach D = 0, count <= D and D = n - 1
+    delay = data.draw(st.one_of(st.just(0), st.just(n - 1), st.integers(0, n - 1)), label="delay")
+    count = data.draw(st.one_of(st.integers(0, delay), st.integers(0, n)), label="count")
+    m = market(n, delay, ratio, sigma=1.0)
+    a = solve_a(m)
+    # with D = 0 the weights are empty sums, +0.0; the ndarray loop would write a * (a * 0)
+    want = _weights_on_ndarray(m, a, count) if delay else np.zeros(count)
+    assert _bits(weights_b(m, a, count)) == _bits(want)
+
+
+def _counting_islice(counter):
+    """itertools.islice that appends one entry to ``counter`` per item it yields."""
+
+    def counting(iterable, stop):
+        for item in itertools.islice(iterable, stop):
+            counter.append(None)
+            yield item
+
+    return counting
+
+
+@pytest.mark.parametrize(
+    "n,delay,sigma_hat",
+    [(2048, 3, 1.3), (2048, 3, 0.8), (1024, 20, 1.3), (1024, 20, 0.8), (10**5, 20, 1.3), (10**5, 200, 0.8)],
+)
+def test_weights_stop_within_d_steps_of_the_fixed_point(monkeypatch, n, delay, sigma_hat):
+    m = market(n, delay, sigma_hat)
+    a = solve_a(m)
+    want = _weights_on_ndarray(m, a, n - 1)
+    tail = want.view(np.uint64)
+    first = int(np.flatnonzero(tail != tail[-1])[-1]) + 1  # b from index `first` on is the fixed point
+    assert first + 2 * delay < n - 1  # the market settles well before its last weight
+    steps = []
+    monkeypatch.setattr(solver, "islice", _counting_islice(steps))
+    got = weights_b(m, a, n - 1)
+    assert _bits(got) == _bits(want)
+    # the certificate first holds over b[first .. first + D], after first + 1 steps; the next test comes within D
+    assert first + 1 <= len(steps) <= first + delay
+
+
+def test_weights_run_every_step_where_the_recursion_never_settles(monkeypatch):
+    m = market(640, 64, 1.3)
+    a = solve_a(m)
+    steps = []
+    monkeypatch.setattr(solver, "islice", _counting_islice(steps))
+    got = weights_b(m, a, m.n - 1)
+    assert len(steps) == m.n - 1 - m.delay
+    assert _bits(got) == _bits(_weights_on_ndarray(m, a, m.n - 1))
+
+
+@pytest.mark.parametrize("delay", [1, 3, 64])
+@pytest.mark.parametrize("zero", [-0.0, 0.0])
+def test_weights_keep_signed_zeros(monkeypatch, delay, zero):
+    # a = -0.0: ratio = -0.0 and the window starts at -0.0, so b_{D+1} = (-0.0)(-0.0) = +0.0; that
+    # step turns the window into +0.0, and every later weight is (-0.0)(+0.0) = -0.0.  `==` cannot
+    # see the difference, so the stop compares bits.
+    m = market(10**4, delay, 1.3)
+    count = 10**4 - 1
+    want = _weights_on_ndarray(m, zero, count)
+    if math.copysign(1.0, zero) < 0:
+        signs = [-1.0] * delay + [1.0] + [-1.0] * (count - delay - 1)
+    else:
+        signs = [1.0] * count
+    assert [math.copysign(1.0, w) for w in want.tolist()] == signs and not want.any()
+    for length in (0, delay, delay + 1, 2 * delay + 2, count):
+        assert _bits(weights_b(m, zero, length)) == _bits(want[:length])
+    steps = []
+    monkeypatch.setattr(solver, "islice", _counting_islice(steps))
+    assert _bits(weights_b(m, zero, count)) == _bits(want)
+    assert len(steps) <= 2 * delay + 1  # the zeros settle by b_{D+2}, and the loop stops within D steps
 
 
 # --- strategy --------------------------------------------------------------
