@@ -23,8 +23,6 @@ from .market import (
     DiscreteMarket,
     delay_steps,
     discretize,
-    validate_continuous,
-    validate_discrete,
 )
 from .solver import (
     HedgeSolution,
@@ -76,8 +74,6 @@ __all__ = [
     "solve",
     "solve_a",
     "strategy",
-    "validate_continuous",
-    "validate_discrete",
     "value",
     "weights_b",
 ]

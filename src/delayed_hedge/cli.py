@@ -19,7 +19,7 @@ import numpy as np
 
 from . import convergence, kernel, mc, solver, verify
 from .errors import DelayedHedgeError, NumericalError, SizeError
-from .market import ContinuousMarket, DiscreteMarket, validate_continuous, validate_discrete
+from .market import ContinuousMarket, DiscreteMarket
 
 SCHEMA_VERSION = 1
 
@@ -68,9 +68,7 @@ def _emit_csv(args, table: convergence.Table, command: str) -> None:
 
 
 def _market_from(args) -> DiscreteMarket:
-    return validate_discrete(
-        DiscreteMarket(n=args.n, delay=args.delay, mu=args.mu, sigma=args.sigma, sigma_hat=args.sigma_hat)
-    )
+    return DiscreteMarket(n=args.n, delay=args.delay, mu=args.mu, sigma=args.sigma, sigma_hat=args.sigma_hat)
 
 
 def _parse_grid(text: str):
@@ -185,9 +183,7 @@ def cmd_kernel(args) -> int:
 
 
 def cmd_limit(args) -> int:
-    market = validate_continuous(
-        ContinuousMarket(H=args.H, theta=args.theta, varsigma=args.vsigma, varsigma_hat=args.vsigma_hat)
-    )
+    market = ContinuousMarket(H=args.H, theta=args.theta, varsigma=args.vsigma, varsigma_hat=args.vsigma_hat)
     _emit_json(
         args,
         {

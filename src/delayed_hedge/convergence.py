@@ -35,7 +35,7 @@ from .kernel import (
     smooth_pieces,
     spec_for_market,
 )
-from .market import ContinuousMarket, discretize, validate_continuous
+from .market import ContinuousMarket, discretize
 from .solver import solve_a, weights_b
 
 CSV_FORMAT = "%.12g"
@@ -140,9 +140,9 @@ def figure2_data(h_grid: Sequence[float], logratio_grid: Sequence[float]) -> Tab
     log-ratio, varsigma_hat = exp(log-ratio) and its square stay Python floats
     (``math.exp`` and ``**``), and so does each cell's final ``math.exp``, so
     every cell keeps the bits of a ``limit_value`` call.  A grid that holds a
-    cell ``limit_value`` would refuse, or one whose value is not finite, is
-    evaluated cell by cell by ``limit_value`` itself, which raises the error of
-    the first bad cell in row order (or gives today's NaN).
+    cell whose market is refused, or one whose value is not finite, is
+    evaluated cell by cell by ``limit_value`` on each built market, which
+    raises the error of the first bad cell in row order (or gives today's NaN).
     """
     hs, lrs = sorted(h_grid), sorted(logratio_grid)
     theta, varsigma = 0.0, 1.0
@@ -153,7 +153,7 @@ def figure2_data(h_grid: Sequence[float], logratio_grid: Sequence[float]) -> Tab
     values = None
     try:
         # each log-ratio checked once, at H = 1; each H on its own
-        pricing_vol2 = np.array([validate_continuous(market(1.0, lr)).varsigma_hat ** 2 for lr in lrs])
+        pricing_vol2 = np.array([market(1.0, lr).varsigma_hat ** 2 for lr in lrs])
         if all(0.0 < H <= 1.0 for H in hs):
             delays, vol2 = np.array(hs, dtype=float)[:, None], varsigma**2
             with np.errstate(all="ignore"):  # a cell that is not finite goes to limit_value below

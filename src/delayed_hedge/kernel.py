@@ -67,7 +67,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DomainError, NumericalError, SizeError
-from .market import ContinuousMarket, validate_continuous
+from .market import ContinuousMarket
 
 
 def alpha(H: float, varsigma: float, varsigma_hat: float) -> float:
@@ -211,7 +211,6 @@ def kernel_spec(H: float, varsigma: float, varsigma_hat: float) -> KernelSpec:
 
 
 def spec_for_market(c: ContinuousMarket) -> KernelSpec:
-    validate_continuous(c)
     return kernel_spec(c.H, c.varsigma, c.varsigma_hat)
 
 
@@ -351,7 +350,8 @@ def kappa_integral_residual(t: float, spec: KernelSpec, quadsteps: int = 2000) -
     if not spec.H <= t <= 1.0:
         raise DomainError(f"t must lie in [H, 1], got {t}")
     # type() first: an isinstance check against the numbers ABC is slow next to the rest of the call
-    if not ((type(quadsteps) is int or isinstance(quadsteps, numbers.Integral)) and quadsteps >= 1):
+    integer = type(quadsteps) is int or isinstance(quadsteps, numbers.Integral) and type(quadsteps) is not bool
+    if not (integer and quadsteps >= 1):
         raise DomainError(f"quadsteps must be an integer >= 1, got {quadsteps!r}")
     k = _interval_at(t, spec)
     s = t - spec.H
@@ -363,8 +363,7 @@ def kappa_integral_residual(t: float, spec: KernelSpec, quadsteps: int = 2000) -
 
 def limit_value(c: ContinuousMarket) -> float:
     """Limit of the optimal expected utility as the trading frequency grows."""
-    validate_continuous(c)
-    a = alpha(c.H, c.varsigma, c.varsigma_hat)
+    a = _alpha_core(c.H, c.varsigma**2 / c.varsigma_hat**2)
     exponent, one_minus = _limit_exponent(c.H, a, -c.theta**2 / c.varsigma**2, c.varsigma**2, c.varsigma_hat**2)
     return -math.exp(exponent) * math.sqrt(one_minus)
 
@@ -379,8 +378,7 @@ def _limit_exponent(H, a, drift, vol2, pricing_vol2):
 
 def limit_static_coeff(c: ContinuousMarket) -> float:
     """Limit coefficient of (P_1 - P_0)^2 in the static option."""
-    validate_continuous(c)
-    a = alpha(c.H, c.varsigma, c.varsigma_hat)
+    a = _alpha_core(c.H, c.varsigma**2 / c.varsigma_hat**2)
     return a / (2.0 * c.varsigma**2 * (1.0 - a * c.H))
 
 

@@ -5,7 +5,9 @@ Gaussian price increments with mean mu and variance sigma^2, a D-step
 information delay, and a static option pricing rule under which the terminal
 price is Normal(S0, n * sigma_hat^2).  Its continuous counterpart is a
 Bachelier price on [0, 1] with delay H, drift theta, volatility varsigma and
-pricing volatility varsigma_hat.
+pricing volatility varsigma_hat.  Building either market checks its rules in
+``__post_init__`` and raises DomainError at the first that fails, so no
+invalid market exists and no caller checks one again.
 """
 
 from __future__ import annotations
@@ -27,6 +29,19 @@ class DiscreteMarket:
     sigma: float
     sigma_hat: float
 
+    def __post_init__(self) -> None:
+        if self.n < 1:
+            raise DomainError(f"n must be >= 1, got {self.n}")
+        if self.delay < 0:
+            raise DomainError(f"delay must be non-negative, got {self.delay}")
+        if self.delay >= self.n:
+            raise DomainError(f"delay must be < n, got delay={self.delay}, n={self.n}")
+        if not self.sigma > 0:
+            raise DomainError(f"sigma must be positive, got {self.sigma}")
+        if not self.sigma_hat > 0:
+            raise DomainError(f"sigma_hat must be positive, got {self.sigma_hat}")
+        _require_finite("mu", self.mu, "sigma^2 / sigma_hat^2", self.sigma, self.sigma_hat)
+
 
 @dataclass(frozen=True)
 class ContinuousMarket:
@@ -37,6 +52,15 @@ class ContinuousMarket:
     varsigma: float
     varsigma_hat: float
 
+    def __post_init__(self) -> None:
+        if not 0.0 < self.H <= 1.0:
+            raise DomainError(f"H must lie in (0, 1], got {self.H}")
+        if not self.varsigma > 0:
+            raise DomainError(f"varsigma must be positive, got {self.varsigma}")
+        if not self.varsigma_hat > 0:
+            raise DomainError(f"varsigma_hat must be positive, got {self.varsigma_hat}")
+        _require_finite("theta", self.theta, "varsigma^2 / varsigma_hat^2", self.varsigma, self.varsigma_hat)
+
 
 def _require_finite(name: str, drift: float, ratio_name: str, vol: float, pricing_vol: float) -> None:
     """Reject a non-finite ``drift``, and squared volatilities or a variance
@@ -46,34 +70,6 @@ def _require_finite(name: str, drift: float, ratio_name: str, vol: float, pricin
     top, bottom = vol * vol, pricing_vol * pricing_vol
     if not (0.0 < top < math.inf and 0.0 < bottom < math.inf and 0.0 < top / bottom < math.inf):
         raise DomainError(f"{ratio_name} must be finite and positive, got ({vol!r} / {pricing_vol!r})^2")
-
-
-def validate_discrete(m: DiscreteMarket) -> DiscreteMarket:
-    """Return ``m`` unchanged if all invariants hold, else raise DomainError."""
-    if m.n < 1:
-        raise DomainError(f"n must be >= 1, got {m.n}")
-    if m.delay < 0:
-        raise DomainError(f"delay must be non-negative, got {m.delay}")
-    if m.delay >= m.n:
-        raise DomainError(f"delay must be < n, got delay={m.delay}, n={m.n}")
-    if not m.sigma > 0:
-        raise DomainError(f"sigma must be positive, got {m.sigma}")
-    if not m.sigma_hat > 0:
-        raise DomainError(f"sigma_hat must be positive, got {m.sigma_hat}")
-    _require_finite("mu", m.mu, "sigma^2 / sigma_hat^2", m.sigma, m.sigma_hat)
-    return m
-
-
-def validate_continuous(c: ContinuousMarket) -> ContinuousMarket:
-    """Return ``c`` unchanged if all invariants hold, else raise DomainError."""
-    if not 0.0 < c.H <= 1.0:
-        raise DomainError(f"H must lie in (0, 1], got {c.H}")
-    if not c.varsigma > 0:
-        raise DomainError(f"varsigma must be positive, got {c.varsigma}")
-    if not c.varsigma_hat > 0:
-        raise DomainError(f"varsigma_hat must be positive, got {c.varsigma_hat}")
-    _require_finite("theta", c.theta, "varsigma^2 / varsigma_hat^2", c.varsigma, c.varsigma_hat)
-    return c
 
 
 def delay_steps(H: float, n: int) -> int:
@@ -95,7 +91,6 @@ def discretize(c: ContinuousMarket, n: int) -> DiscreteMarket:
     already use no observed increment: every H > (n - 1) / n gives this same
     no-information market.
     """
-    validate_continuous(c)
     if n < 2:
         raise DomainError(f"discretization needs n >= 2, got {n}")
     root_n = math.sqrt(n)

@@ -41,13 +41,14 @@ only when it is called.
 from __future__ import annotations
 
 import math
+import numbers
 import threading
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .errors import DomainError, IntegrabilityError, LengthMismatch, OptimizerFailure, SizeError
-from .market import DiscreteMarket, validate_discrete
+from .market import DiscreteMarket
 from .solver import StrategyWeights, wealth
 
 GENERATOR_ID = "philox4x64/ziggurat-v2"
@@ -141,10 +142,13 @@ def generate(m: DiscreteMarket, count: int, seed: int) -> PathBatch:
     Standard normals from ``Generator(Philox(key=seed)).standard_normal``,
     scaled and shifted in place; path p is row p, drawn after rows 0..p-1.
     The generator is this thread's, set to that state (``_philox_generator``).
+    ``count`` is an integer >= 1 and ``seed``, the key's first word, one in
+    [0, 2^64); neither is a bool.  Any other seed would mislabel its paths.
     """
-    validate_discrete(m)
-    if count < 1:
-        raise LengthMismatch(f"count must be >= 1, got {count}")
+    if not (isinstance(count, numbers.Integral) and not isinstance(count, bool) and count >= 1):
+        raise LengthMismatch(f"count must be an integer >= 1, got {count!r}")
+    if not (isinstance(seed, numbers.Integral) and not isinstance(seed, bool) and 0 <= seed < 2**64):
+        raise DomainError(f"seed must be an integer in [0, 2^64), got {seed!r}")
     if count * m.n > MAX_PATH_STEPS:
         raise SizeError(f"{count} paths of {m.n} steps exceed the cap of {MAX_PATH_STEPS} path-steps")
     increments = _philox_generator(seed).standard_normal((count, m.n))
@@ -406,7 +410,6 @@ def brute_force_optimum(m: DiscreteMarket):
     """
     from scipy.optimize import minimize  # only this oracle needs the optimizer
 
-    validate_discrete(m)
     n = m.n
     if n > BRUTE_FORCE_MAX_N:
         raise SizeError(f"brute force limited to n <= {BRUTE_FORCE_MAX_N}, got {n}")

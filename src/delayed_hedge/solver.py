@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import array
 import math
+import numbers
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import islice
@@ -39,7 +40,7 @@ from itertools import islice
 import numpy as np
 
 from .errors import DomainError, LengthMismatch, NumericalError
-from .market import DiscreteMarket, validate_discrete
+from .market import DiscreteMarket
 from .toeplitz import SymToeplitz, log_det_closed_form, lower_toeplitz, require_root_domain
 
 # Residual guard for the explicit root; theory guarantees a real root, so a
@@ -98,7 +99,6 @@ def quadratic_coeffs(m: DiscreteMarket) -> QuadraticCoeffs:
 
 def solve_a(m: DiscreteMarket) -> float:
     """Largest root of the hedging quadratic, via the explicit expression."""
-    validate_discrete(m)
     D = m.delay
     q = quadratic_coeffs(m)
     disc = q.qb * q.qb - 4.0 * q.qa * q.qc
@@ -144,8 +144,8 @@ def weights_b(m: DiscreteMarket, a: float, count: int) -> np.ndarray:
     loop ends within D steps of the first weight where the certificate
     holds.  The test compares bits, so signed zeros keep theirs.
     """
-    if count < 0:
-        raise DomainError(f"weight count must be >= 0, got {count}")
+    if not (isinstance(count, numbers.Integral) and count >= 0):
+        raise DomainError(f"weight count must be an integer >= 0, got {count!r}")
     D = m.delay
     if D == 0:
         return np.zeros(count)

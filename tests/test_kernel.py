@@ -453,9 +453,14 @@ def test_integral_equation_residuals():
 def test_integral_equation_domain():
     with pytest.raises(DomainError):
         kappa_integral_residual(0.1, spec_of(0.2, 2.0))
-    for quadsteps in (0, -3, 2.5, 2000.0):
+    for quadsteps in (0, -3, 2.5, 2000.0, True, np.True_):  # a bool is an Integral, but no panel count
         with pytest.raises(DomainError, match="quadsteps"):
             kappa_integral_residual(0.5, spec_of(0.2, 2.0), quadsteps=quadsteps)
+
+
+def test_integral_equation_takes_numpy_integer_quadsteps():
+    spec = spec_of(0.2, 2.0)
+    assert kappa_integral_residual(0.5, spec, quadsteps=np.int64(40)) == kappa_integral_residual(0.5, spec, quadsteps=40)
 
 
 def _window_pieces(t, spec, quadsteps):

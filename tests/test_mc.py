@@ -110,8 +110,25 @@ def test_generate_moments():
 
 
 def test_generate_count_guard():
-    with pytest.raises(LengthMismatch):
-        generate(ACCEPTANCE_MARKET, 0, seed=1)
+    for count in (0, 2.5, 3.0, True, "3"):
+        with pytest.raises(LengthMismatch):
+            generate(ACCEPTANCE_MARKET, count, seed=1)
+
+
+@pytest.mark.parametrize("seed", [1.5, 1.0, -1, 2**64, True, "1", None, np.int64(-1), np.float64(1.0)])
+def test_generate_refuses_a_seed_that_is_not_an_integer_in_range(seed):
+    # the seed is the Philox key's first word: 1.5 would draw seed 1's paths under another label
+    with pytest.raises(DomainError, match=r"seed must be an integer in \[0, 2\^64\)"):
+        generate(ACCEPTANCE_MARKET, 3, seed=seed)
+
+
+@pytest.mark.parametrize("seed", [0, 7, np.int64(7), np.uint32(7), 2**64 - 1, np.uint64(2**64 - 1)])
+def test_generate_keeps_the_bits_of_every_valid_seed(seed):
+    m = ACCEPTANCE_MARKET
+    batch = generate(m, 4, seed=seed)
+    z = np.random.Generator(np.random.Philox(key=np.uint64(seed))).standard_normal((4, m.n))
+    assert np.array_equal(batch.increments, z * m.sigma + m.mu)
+    assert batch.seed == seed
 
 
 def test_generate_caps_path_steps():

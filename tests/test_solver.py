@@ -149,6 +149,13 @@ def test_weights_refuse_a_negative_count(delay):
         weights_b(m, solve_a(m), -1)
 
 
+@pytest.mark.parametrize("count", [2.5, 3.0, "3", None])
+def test_weights_refuse_a_count_that_is_not_an_integer(count):
+    m = market(6, 2, 1.3)
+    with pytest.raises(DomainError, match="weight count must be an integer >= 0"):
+        weights_b(m, solve_a(m), count)
+
+
 def _weights_on_ndarray(m, a, count):
     """The window recursion of weights_b written into an ndarray, one np.float64 at a time."""
     D = m.delay
