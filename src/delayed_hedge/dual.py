@@ -13,28 +13,28 @@ solution.
 
 The measure is stored as its taps: the first column v of A^-1, whose D + 1
 leading entries are all that is nonzero and fix A^-1 by the Gohberg-Semencul
-formula.  The D x D Schur block S of its last D rows is derived from the taps
-on first use (``toeplitz.schur_corner``).  The entropy reads
-log |A^-1| = (n - D) log v_0 + log |S| off one D x D Cholesky factorization
-(``toeplitz.corner_log_det``), the marginal and the trace are sums over v and
-S, and the martingale check tests the equation A v = e_0 that the taps
-solve, by one convolution with A's first row.  Building the measure
-and its entropy and marginal take O(D^3) time and O(D^2) memory whatever n,
-and the check O(n D).  No path here imports scipy.  The dense oracles read
-the covariance's band as sigma^2 ``toeplitz.inverse_band(v, n)``.
+formula.  Every number the checks read off the covariance is a short sum over
+the taps: the marginal and the trace are O(D) sums, the entropy reads
+log |A^-1| off the taps' reflection coefficients in O(D^2) time
+(``toeplitz.taps_log_det``), and the martingale check tests the equation
+A v = e_0 that the taps solve, by one convolution with A's first row.  So
+building the measure and its marginal take O(D) time, its entropy O(D^2),
+each in O(D) memory whatever n, and the check O(n D); no D x D or n x n
+array is made and no ``np.linalg`` routine is called.  No path here imports
+scipy.  The dense oracles read the covariance's band as
+sigma^2 ``toeplitz.inverse_band(v, n)``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
 from .errors import DomainError, LengthMismatch, NumericalError
 from .market import DiscreteMarket
 from .solver import HedgeSolution, as_paths, quadratic_forms, solve, strategy, wealth
-from .toeplitz import corner_log_det, schur_corner, v_vector
+from .toeplitz import taps_log_det, v_vector
 
 
 @dataclass(frozen=True, eq=False)
@@ -42,11 +42,10 @@ class DualMeasure:
     """Centered Gaussian law of the increments under the dual measure.
 
     The covariance is sigma^2 K with K the Gohberg-Semencul sum of the taps
-    ``v`` (D = len(v) - 1): K = G G' + diag(0, corner), where G holds the
-    first n - D columns of T(v) / sqrt(v_0), T(v) the lower-triangular
-    Toeplitz matrix of the taps, and ``corner`` is the D x D Schur complement
-    of K's first n - D rows, derived from the taps on first use.  For the
-    measure ``build_dual`` makes, K = A^-1 and v is its first column.
+    ``v`` (D = len(v) - 1, ``toeplitz.inverse_band``).  K is positive
+    definite iff v_0 > 0 and every reflection coefficient of v / v_0 lies
+    inside (-1, 1) (``toeplitz.taps_log_det``).  For the measure
+    ``build_dual`` makes, K = A^-1 and v is its first column.
     ``solution`` is the ``HedgeSolution`` the measure was built from, and C
     is its ``c_hat``.
     """
@@ -61,11 +60,6 @@ class DualMeasure:
     @property
     def c_hat(self) -> float:
         return self.solution.c_hat
-
-    @cached_property
-    def corner(self) -> np.ndarray:
-        """The D x D Schur complement S of K's first n - D rows (``toeplitz.schur_corner``)."""
-        return schur_corner(self.v)
 
 
 def build_dual(m: DiscreteMarket) -> DualMeasure:
@@ -111,16 +105,16 @@ def check_delayed_martingale(dm: DualMeasure, delay: int, tol: float) -> bool:
 def check_marginal(dm: DualMeasure, m: DiscreteMarket, tol: float) -> bool:
     """True iff Var(S_n - S_0) under the dual measure equals n sigma_hat^2.
 
-    The variance of the sum is sigma^2 1'K1 = sigma^2 ((n - D) (sum v)^2 / v_0
-    + 1'S1): every column of G sums to (sum v) / sqrt(v_0).  O(D^2).
-    False for a leading tap v_0 <= 0, which no variance has and both terms
-    divide by.  Raises DomainError unless ``m`` is the measure's own market.
+    The variance of the sum is sigma^2 1'K1, and summing the Gohberg-Semencul
+    sum's entries gives 1'K1 = (sum_i v_i) (sum_i (n - 2i) v_i) / v_0: O(D).
+    False for a leading tap v_0 <= 0, which no variance has and the sum
+    divides by.  Raises DomainError unless ``m`` is the measure's own market.
     """
     _require_own_market(dm, m)
     v = dm.v
     if not v[0] > 0.0:
         return False
-    total = m.sigma**2 * ((m.n - len(v) + 1) * float(v.sum()) ** 2 / v[0] + float(dm.corner.sum()))
+    total = m.sigma**2 * float(v.sum()) * float((m.n - 2.0 * np.arange(len(v))) @ v) / v[0]
     target = m.n * m.sigma_hat**2
     return abs(total - target) <= tol * abs(target)
 
@@ -157,22 +151,20 @@ def relative_entropy(dm: DualMeasure, m: DiscreteMarket) -> float:
     """KL divergence of the dual Gaussian from the market Gaussian.
 
     Closed Gaussian form (1/2)(trace(A^-1) - n + log |A| + n mu^2 / sigma^2),
-    computed from the stored measure itself: trace(K) = (n - D) |v|^2 / v_0
-    + trace(S), taken less n, and log |K| = (n - D) log v_0 + log |S| from one D x D
-    Cholesky factorization (``toeplitz.corner_log_det``), so agreement with
-    c_hat genuinely tests the closed-form determinant.  O(D^3) whatever n.
+    computed from the stored measure itself: the diagonal of the
+    Gohberg-Semencul sum adds up to trace(K) = sum_i (n - 2i) v_i^2 / v_0, and
+    log |K| comes from the taps' reflection coefficients
+    (``toeplitz.taps_log_det``), so agreement with c_hat genuinely tests the
+    closed-form determinant.  O(D^2) time and O(D) memory whatever n.
     Raises DomainError unless ``m`` is the measure's own market,
     NumericalError unless the stored covariance is positive definite.
     """
     _require_own_market(dm, m)
     v, n = dm.v, m.n
-    if not v[0] > 0.0:  # checked before the corner, which divides by v_0
-        raise NumericalError(f"dual covariance is not positive definite: leading tap v_0 = {v[0]}")
     try:
-        log_det_k = corner_log_det(v, dm.corner, n)
+        log_det_k = taps_log_det(v, n)
     except np.linalg.LinAlgError as exc:
         raise NumericalError("dual covariance is not positive definite") from exc
-    width = len(v) - 1
-    # trace(K) - n, with |v|^2 / v_0 - 1 formed without the cancellation of |v|^2 / v_0 against 1
-    trace_excess = (n - width) * ((v[0] - 1.0) + float(v[1:] @ v[1:]) / v[0]) + float(dm.corner.trace()) - width
+    # trace(K) - n, with v_0^2 / v_0 - 1 taken as v_0 - 1, which does not cancel
+    trace_excess = n * (v[0] - 1.0) + float((n - 2.0 * np.arange(1, len(v))) @ np.square(v[1:])) / v[0]
     return 0.5 * (trace_excess - log_det_k + n * m.mu**2 / m.sigma**2)

@@ -13,6 +13,7 @@ invalid market exists and no caller checks one again.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -30,6 +31,9 @@ class DiscreteMarket:
     sigma_hat: float
 
     def __post_init__(self) -> None:
+        for name, size in (("n", self.n), ("delay", self.delay)):
+            if not isinstance(size, numbers.Integral) or isinstance(size, bool):
+                raise DomainError(f"{name} must be an integer, got {size!r}")
         if self.n < 1:
             raise DomainError(f"n must be >= 1, got {self.n}")
         if self.delay < 0:

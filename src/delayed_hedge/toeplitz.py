@@ -14,10 +14,9 @@ lower band (``inverse_band``), from the vector v that solves A v = e_0:
 with 1-based i, j and i^j = min(i, j).  The closed-form determinant is
 |A| = (1 + (D+1) a)^{n-D} / (1 + D a)^{n-D-1}.
 
-So A^-1 is fixed by its taps v_0..v_D.  ``inverse_band`` takes them and n, and
-the D x D Schur complement S of A^-1's first n - D rows is a function of the
-taps alone, whatever n (``schur_corner``), which gives
-log |A^-1| = (n - D) log v_0 + log |S| (``corner_log_det``) in O(D^3).
+So A^-1 is fixed by its taps v_0..v_D.  ``inverse_band`` takes them and n,
+and ``taps_log_det`` gives log |A^-1| from the taps' reflection coefficients
+in O(D^2) time and O(D) memory, whatever n.
 
 ``inverse_via_v`` is the dense n x n view of the band.  Dense inversion /
 determinant oracles (pivoted LAPACK via numpy) live here too so that every
@@ -87,8 +86,9 @@ def inverse_band(v: np.ndarray, n: int) -> np.ndarray:
     gathered.  The cumulative sum adds left to right,
     the order of the row-by-row recurrence, so the dense view repeats it to
     the bit.  Entries past the end of a diagonal (j > n - 1 - d) are zero.
-    For any taps the band is that of G G' + diag(0, S) with G and S as in
-    ``corner_log_det`` and S = ``schur_corner(v)``.
+    For any taps the band is that of (T(v) T(v)' - T(w) T(w)') / v_0, with
+    T(.) the n x n lower-triangular Toeplitz matrix of a first column and
+    w = (0, v_{n-1}, ..., v_1).
     """
     delay = len(v) - 1
     _require_width(delay, n)
@@ -128,22 +128,6 @@ def band_to_dense(band: np.ndarray) -> np.ndarray:
     return dense
 
 
-def schur_corner(v: np.ndarray) -> np.ndarray:
-    """The D x D block S of A^-1 left after its first n - D rows, from the taps v_0..v_D.
-
-    By the Gohberg-Semencul sum A^-1 = (T(v) T(v)' - T(w) T(w)') / v_0, with
-    T(.) lower-triangular Toeplitz and w = (0, v_{n-1}, ..., v_1), the
-    Cholesky factor of A^-1 is T(v) / sqrt(v_0) in its first n - D columns
-    and T(w) T(w)' touches only the last D rows and columns.  So the Schur
-    complement there is S = (L L' - R R') / v_0 with L, R the D x D
-    lower-triangular Toeplitz matrices of (v_0, ..., v_{D-1}) and
-    (v_D, ..., v_1), whatever n > D; log |A^-1| = (n - D) log v_0 + log |S|
-    (``corner_log_det``).  O(D^3) time, no n-sized array.
-    """
-    lower, mirror = lower_toeplitz(v[:-1]), lower_toeplitz(v[:0:-1])
-    return (lower @ lower.T - mirror @ mirror.T) / v[0]
-
-
 def lower_toeplitz(taps: np.ndarray) -> np.ndarray:
     """The square lower-triangular Toeplitz matrix with first column ``taps``: entry (k, j)
     is taps[k - j] for j <= k, else 0, copied from the windows of the taps after size - 1 zeros."""
@@ -153,19 +137,35 @@ def lower_toeplitz(taps: np.ndarray) -> np.ndarray:
     return _windows(padded, size, size)[:, ::-1].copy()  # window (k, size - 1 - j) is padded[size - 1 + k - j]
 
 
-def corner_log_det(v: np.ndarray, corner: np.ndarray, n: int) -> float:
-    """log |K| = (n - D) log v_0 + log |S| for the n x n matrix K stored as its taps and corner.
+def taps_log_det(v: np.ndarray, n: int) -> float:
+    """log |K| = n log v_0 + sum_{p=1..D} p log(1 - k_p^2) for the n x n Gohberg-Semencul sum K of
+    the taps v_0..v_D (D = len(v) - 1 < n), with no D x D array.
 
-    K = G G' + diag(0, S): G holds the first n - D columns of T(v) / sqrt(v_0)
-    (T(.) lower-triangular Toeplitz, D = len(v) - 1) and S = ``corner`` is the
-    Schur complement of K's leading n - D rows, so one D x D Cholesky
-    factorization gives log |S|.  Raises ``np.linalg.LinAlgError`` unless
-    v_0 > 0 and S is positive definite, which is when K is.
+    phi = v / v_0 is an order-D predictor; stepping it down one order at a
+    time gives its reflection coefficients k_D, ..., k_1: k_p is the
+    predictor's last coefficient, then phi_j <- (phi_j - k_p phi_{p-j}) /
+    (1 - k_p^2) for j < p.  This is Durbin's recursion
+    (``mc.reflection_coefficients``) run backwards.  The loop keeps
+    psi = (1 - k_D^2) ... (1 - k_{p+1}^2) phi instead, so k_p = psi_p / psi_0
+    and each step is one scaled subtraction.  K is A^-1 for the Toeplitz A
+    of the autoregression with that predictor: its reflection coefficients
+    past order D vanish, so log |A| = n log r_0 + sum_p (n - p) log(1 - k_p^2)
+    with r_0 = 1 / (v_0 prod_p (1 - k_p^2)), and log |K| = -log |A| is the
+    sum above.  K is positive definite iff v_0 > 0 and every |k_p| < 1
+    (Schur-Cohn); otherwise this raises ``np.linalg.LinAlgError``.  O(D^2)
+    time and O(D) memory, whatever n.
     """
     if not v[0] > 0.0:
         raise np.linalg.LinAlgError(f"leading tap v_0 = {v[0]} is not positive")
-    log_det_corner = 2.0 * float(np.add.reduce(np.log(np.linalg.cholesky(corner).diagonal())))
-    return (n - len(v) + 1) * math.log(v[0]) + log_det_corner
+    psi = v / v[0]
+    total = 0.0
+    for p in range(len(v) - 1, 0, -1):
+        k = psi.item(p) / psi.item(0)
+        if not abs(k) < 1.0:
+            raise np.linalg.LinAlgError(f"reflection coefficient k_{p} = {k} is not inside (-1, 1)")
+        total += p * math.log1p(-k * k)
+        psi[:p] -= k * psi[p:0:-1]
+    return n * math.log(v[0]) + total
 
 
 def inverse_via_v(a: float, delay: int, n: int) -> np.ndarray:

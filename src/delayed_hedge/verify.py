@@ -24,11 +24,11 @@ SIGMA_HATS = (0.5, 0.8, 1.0, 1.3, 2.0)
 MUS = (0.0, 0.2)
 KERNEL_POINTS = tuple((H, r) for H in (0.15, 0.2, 0.35) for r in (0.5, 2.0))
 PATHS_PER_POINT = 100
-# Long markets the dual suite checks with no dense oracle: the stored taps, their corner,
-# the equation A v = e_0 and the FFT paths only.
+# Long markets the dual suite checks with no dense oracle: the sums over the stored taps, their
+# reflection coefficients, the equation A v = e_0 and the FFT paths only; the last has D = n / 5.
 LARGE_DUAL_MARKETS = tuple(
-    DiscreteMarket(n=n, delay=20, mu=0.1 / n, sigma=1.0 / math.sqrt(n), sigma_hat=ratio / math.sqrt(n))
-    for n, ratio in ((10**4, 1.3), (10**5, 0.8))
+    DiscreteMarket(n=n, delay=delay, mu=0.1 / n, sigma=1.0 / math.sqrt(n), sigma_hat=ratio / math.sqrt(n))
+    for n, delay, ratio in ((10**4, 20, 1.3), (10**5, 20, 0.8), (10**4, 2000, 1.3))
 )
 LARGE_DUAL_PATHS = 8  # keeps the pathwise identity near 29 MB under tracemalloc at n = 10^5
 # Markets at n = 10^6 on which log |A| is taken three ways, each O(n D) or less (``dual.log_det_routes``)
@@ -182,18 +182,18 @@ def dual_suite(grid_size: int = len(N_VALUES)):
         }
 
     def routes(m: DiscreteMarket):
-        # the closed form, the corner formula on the taps, and Durbin's recursion on A's first column,
+        # the closed form, the step-down of the taps, and Durbin's recursion on A's first column,
         # certified past order D + 1
         dm = dual.build_dual(m)
         sol = dm.solution
-        corner = -toeplitz.corner_log_det(dm.v, dm.corner, m.n)
+        taps = -toeplitz.taps_log_det(dm.v, m.n)
         column = sol.matrix.first_row
         try:
             durbin = m.n * math.log(column[0]) + mc.reflection_log_det(mc.reflection_coefficients(column))
         except (SizeError, IntegrabilityError):  # no certificate within the budget, or A not positive definite
             durbin = math.inf
         scale = max(abs(sol.log_det), 1.0)
-        return {"log_det_routes": max(abs(corner - sol.log_det), abs(durbin - sol.log_det)) / scale}
+        return {"log_det_routes": max(abs(taps - sol.log_det), abs(durbin - sol.log_det)) / scale}
 
     grid = default_grid(grid_size)
     results = [point(index, m) for index, m in enumerate(grid)]

@@ -484,11 +484,12 @@ def test_verify_dual_suite_reaches_n_1e5_without_dense_oracles(capsys, monkeypat
     monkeypatch.setattr(toeplitz.SymToeplitz, "to_dense", no_dense)
     built = []
     build_dual = dual.build_dual
-    monkeypatch.setattr(dual, "build_dual", lambda m: built.append(m.n) or build_dual(m))
+    monkeypatch.setattr(dual, "build_dual", lambda m: built.append((m.n, m.delay)) or build_dual(m))
     code, doc = run_json(capsys, "verify", "--suite", "dual", "--grid-size", "1")
     assert code == 0
     assert doc["all_passed"] is True
-    assert built[-4:] == [10**4, 10**5, 10**6, 10**6]  # the large markets, then the two log |A| routes markets
+    # the large markets, D = n / 5 last, then the two log |A| routes markets
+    assert built[-5:] == [(10**4, 20), (10**5, 20), (10**4, 2000), (10**6, 20), (10**6, 200)]
 
 
 def test_simulate_at_the_analytic_cap_runs_the_oracle(capsys):

@@ -6,7 +6,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from delayed_hedge import DiscreteMarket, LengthMismatch, NumericalError, toeplitz
@@ -23,6 +23,8 @@ from delayed_hedge.solver import solve
 def market(n, delay, sigma_hat, mu=0.0, sigma=1.0):
     return DiscreteMarket(n=n, delay=delay, mu=mu, sigma=sigma, sigma_hat=sigma_hat)
 
+
+EPS = np.finfo(float).eps
 
 MARKETS = [
     market(1, 0, 1.3, mu=0.1),
@@ -50,14 +52,17 @@ def test_band_matches_the_dense_covariance(m):
     assert band.shape == (m.delay + 1, m.n)
     assert dm.solution == sol
     assert np.array_equal(dm.v, toeplitz.v_vector(sol.a, m.delay))
-    assert np.array_equal(dm.corner, toeplitz.schur_corner(dm.v))
     inverse = toeplitz.inverse_via_v(sol.a, m.delay, m.n)
     dense = m.sigma**2 * inverse
     assert np.array_equal(toeplitz.band_to_dense(band), dense)  # one band routine, from the taps
-    lead = m.n - m.delay  # the corner is the Schur complement of the leading n - D rows of A^-1
+    # log |A^-1| by the Schur complement of its leading n - D rows, whose block is T T' / v_0 with T
+    # lower triangular of diagonal v_0, so of determinant v_0^(n - D)
+    lead = m.n - m.delay
     coupling = inverse[lead:, :lead]
     schur = inverse[lead:, lead:] - coupling @ np.linalg.solve(inverse[:lead, :lead], coupling.T)
-    np.testing.assert_allclose(dm.corner, schur, rtol=0, atol=1e-12 * max(np.max(np.abs(schur), initial=0.0), 1.0))
+    sign, log_det_schur = np.linalg.slogdet(schur)
+    want = lead * math.log(dm.v[0]) + log_det_schur
+    assert sign == 1.0 and abs(toeplitz.taps_log_det(dm.v, m.n) - want) <= 1e-12 * max(abs(want), 1.0)
     entropy = relative_entropy(dm, m)
     assert entropy == pytest.approx(_dense_entropy(dense, m), rel=1e-12, abs=1e-12)
     assert entropy == pytest.approx(dm.c_hat, rel=1e-10, abs=1e-12)
@@ -69,8 +74,7 @@ def test_measure_is_its_taps_and_solution():
     m = market(6, 2, 1.3)
     dm = build_dual(m)
     assert [f.name for f in dataclasses.fields(dm)] == ["v", "solution"]
-    assert dm.v.shape == (3,) and dm.corner.shape == (2, 2)
-    assert dm.corner is dm.corner  # derived from the taps once
+    assert dm.v.shape == (3,)
     assert dm.c_hat == dm.solution.c_hat == solve(m).c_hat
     with pytest.raises(TypeError):
         DualMeasure(v=dm.v)  # the solution is required
@@ -182,8 +186,8 @@ def _random_market(n, delay, seed):
 def _random_taps(delay, seed):
     """Random taps in [-1, 1] behind a leading tap above 2D: K is then positive definite.
 
-    Its corner is (L L' - R R') / v_0 (``toeplitz.schur_corner``), and the smallest singular
-    value of L, at least v_0 - (D - 1), exceeds the largest of R, at most D.
+    The leading tap exceeds the sum of the other taps' sizes, so the predictor v / v_0 has no
+    zero in the closed unit disk and its reflection coefficients lie inside (-1, 1) (Schur-Cohn).
     """
     rng = np.random.default_rng(seed)
     v = rng.uniform(-1.0, 1.0, delay + 1)
@@ -213,27 +217,74 @@ def _clean(band):
 
 @pytest.mark.parametrize("n,delay", BAND_SHAPES)
 @pytest.mark.parametrize("source", ["dual", "random"])
-def test_corner_log_det_matches_pbtrf_and_the_dense_log_det(n, delay, source):
-    # the log-determinant of a stored measure, read off its leading tap and corner,
+def test_taps_log_det_matches_pbtrf_and_the_dense_log_det(n, delay, source):
+    # the log-determinant of a stored measure, read off its taps' reflection coefficients,
     # against LAPACK's band Cholesky and a dense LU of its band
     v = _taps(n, delay, source)
     band = toeplitz.inverse_band(v, n)
-    got = toeplitz.corner_log_det(v, toeplitz.schur_corner(v), n)
+    got = toeplitz.taps_log_det(v, n)
     sign, dense = np.linalg.slogdet(toeplitz.band_to_dense(band))
     assert sign == 1.0
     for want in (_pbtrf_log_det(_clean(band)), dense):
         assert abs(got - want) <= 1e-12 * max(abs(want), 1.0)
 
 
-def test_corner_log_det_raises_where_the_band_stops_being_positive_definite():
+def test_taps_log_det_raises_where_the_band_stops_being_positive_definite():
     v = _random_taps(3, 7)
-    toeplitz.corner_log_det(v, toeplitz.schur_corner(v), 300)
-    indefinite = np.array([1.0, 0.0, 0.0, 2.0])  # corner (I - 4 I) / 1 = -3 I
+    toeplitz.taps_log_det(v, 300)
+    indefinite = np.array([1.0, 0.0, 0.0, 2.0])  # k_3 = 2; the Schur complement on the last 3 rows is I - 4 I
     assert np.linalg.eigvalsh(toeplitz.band_to_dense(toeplitz.inverse_band(indefinite, 300)))[0] < 0.0
-    with pytest.raises(np.linalg.LinAlgError):
-        toeplitz.corner_log_det(indefinite, toeplitz.schur_corner(indefinite), 300)
-    with pytest.raises(np.linalg.LinAlgError):
-        toeplitz.corner_log_det(-v, toeplitz.schur_corner(v), 300)
+    for taps in (indefinite, np.array([1.0, 2.0]), -v, np.append(0.0, v[1:])):
+        with pytest.raises(np.linalg.LinAlgError):
+            toeplitz.taps_log_det(taps, 300)
+
+
+@st.composite
+def _any_taps(draw):
+    """(taps, n) with 1 <= n <= 48 and 0 <= D < n: taps in [-1, 1] behind a leading tap of either
+    sign and size in [1/8, 2D + 2], so that about half the draws are positive definite."""
+    n = draw(st.integers(1, 48))
+    delay = draw(st.integers(0, n - 1))
+    v = np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=delay + 1, max_size=delay + 1)))
+    v[0] = draw(st.floats(0.125, 2.0 * delay + 2.0)) * draw(st.sampled_from([1.0, -1.0]))
+    return v, n
+
+
+@settings(max_examples=300, deadline=None)
+@given(_any_taps())
+@example((np.array([0.5]), 1))  # n = 1, D = 0
+@example((np.array([1.5, -1.0]), 7))  # D = 1
+@example((np.array([3.0, 1.0, -0.5, 0.25]), 4))  # D = n - 1
+@example((np.array([1.0, 2.0]), 5))  # k_1 = 2
+@example((np.array([1.0, 0.0, 0.0, 2.0]), 9))
+@example((np.array([-3.0, 0.5, 0.25]), 6))  # v_0 < 0
+@example((np.array([0.75, 0.75, 2.0**-24]), 3))  # kappa 5.7e7
+def test_taps_log_det_trace_and_total_match_the_dense_band(taps_and_n):
+    # the step-down raises exactly where the band's smallest eigenvalue is <= 0, and otherwise
+    # gives slogdet's value; relative_entropy and check_marginal read its trace and total
+    v, n = taps_and_n
+    delay = len(v) - 1
+    dense = toeplitz.band_to_dense(toeplitz.inverse_band(v, n))
+    eigenvalues = np.linalg.eigvalsh(dense)
+    assume(abs(eigenvalues[0]) > 1e-9 * np.max(np.abs(eigenvalues)))
+    if eigenvalues[0] <= 0.0:
+        with pytest.raises(np.linalg.LinAlgError):
+            toeplitz.taps_log_det(v, n)
+        return
+    sign, want = np.linalg.slogdet(dense)
+    got = toeplitz.taps_log_det(v, n)
+    # near the boundary both routes carry an error of about n eps kappa(K), slogdet the larger one:
+    # at taps (0.75, 0.75, 2^-24) and n = 3, kappa 5.7e7, they miss the exact value by 1.9e-9 and 2.3e-10
+    kappa = eigenvalues[-1] / eigenvalues[0]
+    assert sign == 1.0 and abs(got - want) <= max(1e-12 * max(abs(want), 1.0), n * EPS * kappa)
+    trace, total, size = float(np.trace(dense)), float(dense.sum()), float(np.abs(dense).sum())
+    # sigma = 1 and mu = 0: the entropy is (trace - n - log |K|) / 2, and n sigma_hat^2 = 1'K1
+    m = market(n, delay, math.sqrt(total / n))
+    dm = DualMeasure(v=v, solution=solve(m))
+    assert abs(2.0 * relative_entropy(dm, m) - (trace - n - got)) <= 1e-12 * max(trace, abs(got), n)
+    assert check_marginal(dm, m, 1e-12 * size / total)
+    moved = dataclasses.replace(m, sigma_hat=m.sigma_hat * (1.0 + 1e-9 * size / total))
+    assert not check_marginal(DualMeasure(v=v, solution=solve(moved)), moved, 1e-12 * size / total)
 
 
 def _peak_of_the_dual_layer(m):
@@ -257,5 +308,15 @@ def test_entropy_and_marginal_at_n_1e6_peak_as_at_n_1e3():
         return market(n, 200, 1.3 / math.sqrt(n), mu=0.1 / n, sigma=1.0 / math.sqrt(n))
 
     small, big = _peak_of_the_dual_layer(large(10**3)), _peak_of_the_dual_layer(large(10**6))
-    assert big <= small + 4096  # nothing sized by n; about 1.3 MB, a few D x D arrays, at both
+    assert big <= small + 4096  # nothing sized by n
     assert big < 8 * 201 * 201 * 8  # the band would be 1.6 GB
+
+
+def test_dual_layer_at_d_n_over_5_peaks_in_o_d_memory():
+    # D = n / 5, where a D x D array would be 1.4 GB at n = 65536
+    def proportional(n):
+        return market(n, n // 5, 1.3 / math.sqrt(n), mu=0.1 / n, sigma=1.0 / math.sqrt(n))
+
+    small, big = _peak_of_the_dual_layer(proportional(16384)), _peak_of_the_dual_layer(proportional(65536))
+    assert big < 16 * 2**20
+    assert big <= 6 * small  # 4x the taps

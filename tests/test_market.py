@@ -27,6 +27,8 @@ def test_markets_hold_only_model_parameters():
 def test_validate_accepts_valid_market():
     m = DiscreteMarket(n=4, delay=1, mu=0.0, sigma=1.0, sigma_hat=1.0)
     assert dataclasses.astuple(m) == (4, 1, 0.0, 1.0, 1.0)
+    # numpy integers are integers
+    assert DiscreteMarket(n=np.int64(4), delay=np.int32(1), mu=0.0, sigma=1.0, sigma_hat=1.0) == m
 
 
 @pytest.mark.parametrize(
@@ -37,6 +39,13 @@ def test_validate_accepts_valid_market():
         (dict(n=4, delay=1, mu=0.0, sigma=0.0, sigma_hat=1.0), "sigma must be positive"),
         (dict(n=0, delay=0, mu=0.0, sigma=1.0, sigma_hat=1.0), "n must be >= 1"),
         (dict(n=4, delay=-1, mu=0.0, sigma=1.0, sigma_hat=1.0), "delay must be non-negative"),
+        (dict(n=math.nan, delay=0, mu=0.0, sigma=1.0, sigma_hat=1.0), "n must be an integer, got nan"),
+        (dict(n=2.5, delay=0, mu=0.0, sigma=1.0, sigma_hat=1.0), "n must be an integer, got 2.5"),
+        (dict(n=4.0, delay=1, mu=0.0, sigma=1.0, sigma_hat=1.0), "n must be an integer, got 4.0"),
+        (dict(n=True, delay=0, mu=0.0, sigma=1.0, sigma_hat=1.0), "n must be an integer, got True"),
+        (dict(n=4, delay=math.nan, mu=0.0, sigma=1.0, sigma_hat=1.0), "delay must be an integer, got nan"),
+        (dict(n=4, delay=1.5, mu=0.0, sigma=1.0, sigma_hat=1.0), "delay must be an integer, got 1.5"),
+        (dict(n=4, delay=False, mu=0.0, sigma=1.0, sigma_hat=1.0), "delay must be an integer, got False"),
     ],
 )
 def test_validate_rejects(kwargs, fragment):
@@ -82,7 +91,10 @@ def test_validate_continuous():
 @pytest.mark.parametrize(
     "kwargs,message",
     [
-        # the first rule that fails names the error, in the order n, delay, sigma, sigma_hat, then finiteness
+        # the first rule that fails names the error, in the order: n and delay integers, n, delay, sigma,
+        # sigma_hat, then finiteness
+        (dict(n=math.nan, delay=2.5, sigma=0.0), "n must be an integer, got nan"),
+        (dict(delay=math.nan, n=0), "delay must be an integer, got nan"),
         (dict(n=0, delay=-1, sigma=0.0), "n must be >= 1, got 0"),
         (dict(delay=-1, sigma=0.0), "delay must be non-negative, got -1"),
         (dict(delay=9, sigma=0.0), "delay must be < n, got delay=9, n=4"),
@@ -134,8 +146,8 @@ def _field(ordinary):
 
 @settings(max_examples=300, deadline=None)
 @given(
-    n=st.sampled_from([0, -1, 1, 2, 3, 8, 33]),
-    delay=st.sampled_from([0, -1, 1, 2, 7, 40]),
+    n=st.sampled_from([0, -1, 1, 2, 3, 8, 33, math.nan, 2.5, 8.0, True]),
+    delay=st.sampled_from([0, -1, 1, 2, 7, 40, math.nan, 1.5, 2.0, False]),
     mu=_field(st.floats(-2.0, 2.0)),
     sigma=_field(st.floats(0.01, 10.0)),
     sigma_hat=_field(st.floats(0.01, 10.0)),

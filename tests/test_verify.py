@@ -98,13 +98,13 @@ def test_log_det_routes_fail_where_one_route_drifts_and_name_its_market(monkeypa
     check = routes()
     assert check.passed and check.worst <= verify.LOG_DET_ROUTES_TOL
     assert check.worst_at in [asdict(m) for m in markets]
-    corner_log_det = toeplitz.corner_log_det
-    monkeypatch.setattr(  # a relative 1e-11 on the second market's corner formula alone
-        toeplitz, "corner_log_det", lambda v, corner, n: corner_log_det(v, corner, n) * (1.0 + 1e-11 * (len(v) == 41))
+    taps_log_det = toeplitz.taps_log_det
+    monkeypatch.setattr(  # a relative 1e-11 on the second market's step-down route alone
+        toeplitz, "taps_log_det", lambda v, n: taps_log_det(v, n) * (1.0 + 1e-11 * (len(v) == 41))
     )
     check = routes()
     assert not check.passed and check.worst_at == asdict(markets[1])
-    monkeypatch.setattr(toeplitz, "corner_log_det", corner_log_det)
+    monkeypatch.setattr(toeplitz, "taps_log_det", taps_log_det)
     monkeypatch.setattr(mc, "DURBIN_STEP_BUDGET", 2)  # Durbin finds no certificate within two coefficients
     check = routes()
     assert not check.passed and math.isinf(check.worst)
